@@ -158,8 +158,13 @@ def resample(e: LogitField, bank: CpbBank) -> CovGrid:
     """Softmax-weighted recombination of bank entries, per cell."""
     if e.k != bank.size:
         raise ShapeError(f"logit K={e.k} != bank K={bank.size}")
-    w = softmax(e.logits, axis=-1)
-    return CovGrid(np.einsum("hwk,kc->hwc", w, bank.params))
+    gh, gw, k = e.logits.shape
+    # softmax() on one writable copy, in place, then one (N, K) @ (K, 3).
+    w = e.logits.reshape(gh * gw, k).copy()
+    w -= np.max(w, axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=1, keepdims=True)
+    return CovGrid((w @ bank.params).reshape(gh, gw, 3))
 
 
 def nearest_entry_indices(params: np.ndarray, bank: CpbBank) -> np.ndarray:
@@ -168,8 +173,12 @@ def nearest_entry_indices(params: np.ndarray, bank: CpbBank) -> np.ndarray:
     Ties break toward the lowest index.  Works on any (..., 3) array.
     """
     emb = _embed(np.asarray(params, dtype=np.float64))
-    bank_emb = bank.embedding()
-    d2 = np.sum((emb[..., None, :] - bank_emb) ** 2, axis=-1)
+    b = bank.embedding()
+    # Summed one axis at a time: the same values as np.sum over the last axis
+    # of the (..., K, 3) difference, without materialising it.
+    d2 = (emb[..., 0, None] - b[:, 0]) ** 2
+    d2 += (emb[..., 1, None] - b[:, 1]) ** 2
+    d2 += (emb[..., 2, None] - b[:, 2]) ** 2
     return np.argmin(d2, axis=-1)
 
 

@@ -127,21 +127,53 @@ def save_ppm(path, frame: FrameBuffer) -> None:
     Path(path).write_bytes(header + body.tobytes())
 
 
-def load_ppm(path) -> FrameBuffer:
-    data = Path(path).read_bytes()
+_PPM_SPACE = b" \t\n\v\f\r"
+
+
+def _ppm_header(data: bytes) -> tuple[int, int, int]:
+    """Parse a netpbm P6 header: the magic, then width, height and maxval as
+    decimal tokens separated by whitespace that may hold ``#`` comments (to
+    the end of the line), then exactly one whitespace byte.
+
+    Only maxval 255 is supported.  Returns (width, height, raster offset).
+    """
     if not data.startswith(b"P6"):
         raise FormatError(f"bad PPM magic {data[:2]!r}", 0)
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4:
-        raise FormatError("truncated PPM header", len(data))
-    try:
-        w, h = map(int, parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise FormatError(f"bad PPM header: {exc}", 2) from exc
+    pos = 2
+    values = []
+    for what in ("width", "height", "maxval"):
+        start = pos
+        while pos < len(data) and (data[pos] in _PPM_SPACE or data[pos] == ord("#")):
+            if data[pos] == ord("#"):
+                while pos < len(data) and data[pos] not in b"\n\r":
+                    pos += 1
+            else:
+                pos += 1
+        if pos == len(data):
+            raise FormatError(f"truncated PPM header before {what}", pos)
+        if pos == start:
+            raise FormatError(f"bad PPM header: no whitespace before {what}", pos)
+        digits_at = pos
+        while pos < len(data) and data[pos : pos + 1].isdigit():
+            pos += 1
+        if pos == digits_at:
+            raise FormatError(f"bad PPM header: {what} is not a decimal number", pos)
+        values.append((int(data[digits_at:pos]), digits_at))
+    if pos == len(data):
+        raise FormatError("truncated PPM header after maxval", pos)
+    if data[pos] not in _PPM_SPACE:
+        raise FormatError("bad PPM header: no whitespace after maxval", pos)
+    (w, w_at), (h, h_at), (maxval, maxval_at) = values
+    if w < 1 or h < 1:
+        raise FormatError(f"bad PPM dimensions {w}x{h}", w_at if w < 1 else h_at)
     if maxval != 255:
-        raise FormatError(f"unsupported PPM maxval {maxval}", 2)
-    offset = len(data) - len(parts[3])
+        raise FormatError(f"unsupported PPM maxval {maxval}", maxval_at)
+    return w, h, pos + 1
+
+
+def load_ppm(path) -> FrameBuffer:
+    data = Path(path).read_bytes()
+    w, h, offset = _ppm_header(data)
     body = _read_exact(data, offset, w * h * 3, "pixel data")
     px = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).astype(np.float64)
     return FrameBuffer(px / 255.0)

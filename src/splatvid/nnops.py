@@ -11,11 +11,17 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     x: (H, W, Cin); weights: (Cout, Cin, kh, kw); bias: (Cout,).
     Returns (H, W, Cout).
     """
-    kh, kw = weights.shape[2], weights.shape[3]
+    cout, cin, kh, kw = weights.shape
+    h, w = x.shape[:2]
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    return np.einsum("hwikl,oikl->hwo", win, weights) + bias
+    # One (H*W, Cin*kh*kw) column matrix times the flattened kernel: a single
+    # BLAS matmul, with columns in the (Cin, kh, kw) order of the weights.
+    cols = win.reshape(h * w, cin * kh * kw)
+    out = cols @ weights.reshape(cout, -1).T
+    out += bias
+    return out.reshape(h, w, cout)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -27,7 +33,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out[~pos] = ex / (1.0 + ex)
     return out
 
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) without overflow."""
-    return np.logaddexp(0.0, x)

@@ -1,9 +1,16 @@
 """End-to-end orchestration with a shared-once / per-frame-cheap structure.
 
-A SharedContext is built exactly once per input pair (endpoint fitting,
-flow intake, window map, bank projection); every requested timestamp then
-only pays a lightweight parameter derivation plus rasterization.  Stage
-counters record this split and are asserted by the latency tests.
+A SharedContext is built exactly once per input pair.  It holds the endpoint
+fits (snapped to the bank and refined), the flows, the window map, and every
+input of the per-frame step that does not depend on t: the frame-0
+parameter map, the frame-1 parameter and covariance maps pulled back to the
+frame-0 anchors, and, when the bank fuser gives the time channel zero weight
+at every tap, the derived covariances themselves (the fused logits then do
+not depend on t, so one fuse + resample serves every timestamp).  Each
+requested timestamp then only pays flow scaling, feature fusion, decoding,
+offset gating and, for a t-dependent fuser, the bank fuse + resample, plus
+rasterization.  Stage counters record this split and are asserted by the
+latency tests.
 
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
@@ -34,7 +41,7 @@ from splatvid.core import (
     ShapeError,
     ValidationError,
 )
-from splatvid.cpb import CovGrid, CpbBank, FuserWeights
+from splatvid.cpb import FUSER_IN_CHANNELS, CovGrid, CpbBank, FuserWeights
 from splatvid.fit import FitConfig, ParamVector
 from splatvid.motion import (
     DecoderWeights,
@@ -82,6 +89,16 @@ class BenchRecord:
 
 @dataclass
 class SharedContext:
+    """Everything one input pair computes once, for any number of timestamps.
+
+    ``param0`` is field 0's (offset, color) map; ``param1`` and ``cov1`` are
+    field 1's maps pulled back to the frame-0 anchors through the 0->1 flow.
+    ``cov_t`` holds the derived covariances when the fuser's time-channel
+    weights are zero at every tap: the logits then do not depend on t, and
+    ``derive_field`` reuses it instead of fusing and resampling per frame.
+    It is None for a t-dependent fuser.
+    """
+
     field0: GaussianField
     field1: GaussianField
     flow01: FlowField
@@ -92,6 +109,9 @@ class SharedContext:
     cov0: CovGrid
     cov1: CovGrid
     options: PipelineOptions
+    param0: FeatureMap | None = None
+    param1: FeatureMap | None = None
+    cov_t: CovGrid | None = None
     stage_counters: dict[str, int] = field(default_factory=dict)
 
     def bump(self, stage: str) -> None:
@@ -194,13 +214,20 @@ def build_shared_context(
     f0 = _snap_and_refine(f0, frame0, bank, opts)
     f1 = _snap_and_refine(f1, frame1, bank, opts)
     ctx.field0, ctx.field1 = f0, f1
-    # Frame-1 covariances pulled back to frame-0 anchors so fusion compares
+    # Frame-1 parameters pulled back to frame-0 anchors so fusion compares
     # parameters of the same content, not the same grid position.
     grid_m01 = _grid_flow(flow01, opts.density, grid_units=True)
     cov1_aligned = motion_mod.backward_warp(
         FeatureMap(_cov_grid(f1).params), grid_m01
     ).data
     ctx.cov0, ctx.cov1 = _cov_grid(f0), CovGrid(cov1_aligned)
+    ctx.param0 = _param_map(f0)
+    ctx.param1 = motion_mod.backward_warp(_param_map(f1), grid_m01)
+    if not np.any(fuser.weights[:, FUSER_IN_CHANNELS - 1]):
+        # The t channel carries no weight, so the logits are the same at any t.
+        ctx.cov_t = cpb_mod.resample(
+            cpb_mod.fuse(ctx.cov0, ctx.cov1, 0.0, fuser), bank
+        )
     ctx.bump("fit")
 
     logits = motion_mod.flow_magnitude_window_logits(
@@ -220,11 +247,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
         ctx.flow01, ctx.flow10, t, opts.flow_convention
     )
 
-    # Align endpoint parameter maps on the frame-0 anchor grid.
-    p0 = _param_map(ctx.field0)
-    p1 = motion_mod.backward_warp(
-        _param_map(ctx.field1), _grid_flow(ctx.flow01, opts.density, grid_units=True)
-    )
+    p0, p1 = ctx.param0, ctx.param1
     mask, residual = motion_mod.predict_fusion(p0, p1, t, opts.fusion_weights)
     fused = motion_mod.fuse_features(p0, p1, mask, residual)
     base_offsets, colors = motion_mod.decode_gaussians(fused, opts.decoder_weights)
@@ -239,8 +262,12 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     gated = np.clip(total / wmap.values[..., None], 0.0, 1.0)
     offsets = motion_mod.apply_window(gated, wmap)
 
-    logits = cpb_mod.fuse(ctx.cov0, ctx.cov1, t, ctx.fuser)
-    cov_t = cpb_mod.resample(logits, ctx.bank).params.reshape(-1, 3)
+    cov_grid = ctx.cov_t
+    if cov_grid is None:
+        cov_grid = cpb_mod.resample(
+            cpb_mod.fuse(ctx.cov0, ctx.cov1, t, ctx.fuser), ctx.bank
+        )
+    cov_t = cov_grid.params.reshape(-1, 3)
 
     f0 = ctx.field0
     derived = f0.replace(

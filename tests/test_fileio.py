@@ -141,6 +141,37 @@ class TestFrames:
             fileio.load_ppm(p)
 
 
+    def test_ppm_one_line_header(self, tmp_path):
+        p = tmp_path / "one_line.ppm"
+        p.write_bytes(b"P6 2 2 255\n" + bytes(range(12)))
+        px = fileio.load_ppm(p).pixels
+        assert np.array_equal(px, np.arange(12.0).reshape(2, 2, 3) / 255.0)
+
+    def test_ppm_comment_in_header(self, tmp_path):
+        p = tmp_path / "comment.ppm"
+        p.write_bytes(b"P6\n# c\n2 2\n255\n" + bytes(range(12)))
+        px = fileio.load_ppm(p).pixels
+        assert np.array_equal(px, np.arange(12.0).reshape(2, 2, 3) / 255.0)
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            (b"P6\n2 2\n65535\n" + bytes(24), 7),  # maxval other than 255
+            (b"P6 2 2 255\n" + bytes(11), 11),  # raster one byte short
+            (b"P6\n2 2\n", 7),  # header ends before maxval
+            (b"P6 2 2 255", 10),  # no whitespace byte after maxval
+            (b"P6 0 2 255\n", 3),  # empty frame
+            (b"P6 2x 2 255\n" + bytes(12), 4),  # junk inside a token
+        ],
+    )
+    def test_ppm_malformed_header_names_offset(self, tmp_path, data, offset):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            fileio.load_ppm(p)
+        assert exc.value.offset == offset
+
+
 class TestWeights:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splatvid import cli, fileio, pipeline, synth
+from splatvid import cli, cpb, fileio, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
@@ -98,6 +98,72 @@ class TestSharedContext:
         cfg = RenderConfig(scale=2.0, truncation_radius=opts.truncation_radius)
         endpoint = render_tiled(ctx.field1, cfg)
         assert psnr_y(outputs[0], endpoint) >= 40.0
+
+
+class TestDeriveCache:
+    """derive_field's shared-context caches must not change its output."""
+
+    OPTS = PipelineOptions(
+        fit=FitConfig(iterations=8, truncation_radius=3.0), refine_iterations=0
+    )
+
+    def blob_pair(self):
+        frame0, frame1, m01, m10 = synth.translating_blob_pair(
+            16, 12, (3.0, 1.0), radius=2.5
+        )
+        return frame0, frame1, (m01, m10)
+
+    def reference_cov(self, ctx, t):
+        logits = cpb.fuse(ctx.cov0, ctx.cov1, t, ctx.fuser)
+        return cpb.resample(logits, ctx.bank).params.reshape(-1, 3)
+
+    def derive_and_render(self, ctx, timestamps):
+        fields = [derive_field(ctx, t) for t in timestamps]
+        for f in fields:
+            render_at(ctx, f, 1.0)
+        assert ctx.stage_counters == {
+            "fit": 1,
+            "flow-load": 1,
+            "window-map": 1,
+            "per-frame-derive": len(timestamps),
+            "rasterize": len(timestamps),
+        }
+        return fields
+
+    def test_t_free_fuser_cache_is_bit_exact(self):
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        assert ctx.cov_t is not None  # the baseline fuser ignores t
+        timestamps = [0.0, 0.3, 1.0]
+        for t, f in zip(timestamps, self.derive_and_render(ctx, timestamps)):
+            ref = self.reference_cov(ctx, t)
+            assert np.array_equal(f.sigmas, ref[:, 0:2])
+            assert np.array_equal(f.rhos, ref[:, 2])
+
+    def test_t_dependent_fuser_bypasses_cache(self):
+        # Baseline 1x1 fuser moved to the centre of a 3x3 kernel, plus a
+        # t-weight at one corner tap only: t then shifts the logits of every
+        # cell whose top-left neighbour lies inside the grid.
+        bank = cpb.default_bank()
+        base = cpb.baseline_fuser(bank)
+        w = np.zeros((bank.size, cpb.FUSER_IN_CHANNELS, 3, 3))
+        w[:, :, 1, 1] = base.weights[:, :, 0, 0]
+        w[:, cpb.FUSER_IN_CHANNELS - 1, 0, 0] = np.random.default_rng(4).normal(
+            0.0, 100.0, bank.size
+        )
+        opts = dataclasses.replace(
+            self.OPTS, bank=bank, fuser=cpb.FuserWeights(w, base.bias)
+        )
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, opts)
+        assert ctx.cov_t is None
+        timestamps = [0.25, 0.75]
+        fields = self.derive_and_render(ctx, timestamps)
+        for t, f in zip(timestamps, fields):
+            ref = self.reference_cov(ctx, t)
+            assert np.allclose(f.sigmas, ref[:, 0:2], rtol=0.0, atol=1e-12)
+            assert np.allclose(f.rhos, ref[:, 2], rtol=0.0, atol=1e-12)
+        assert np.abs(fields[0].sigmas - fields[1].sigmas).max() > 1e-6
 
 
 class TestBench:
