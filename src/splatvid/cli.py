@@ -2,7 +2,7 @@
 
 Subcommands: fit, render, interpolate, corr, bench, oracle-check.
 Exit codes: 0 success, 2 validation error, 3 format error, 4 numerical
-failure (NaN detected).
+failure (non-finite output, named by stage).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from splatvid import fileio, fit as fit_mod, metrics, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig, ParamVector, gradients
 from splatvid.motion import FlowConvention
-from splatvid.raster import Normalization, RenderConfig, render_dense, render_tiled
+from splatvid.raster import Normalization, RenderConfig, render_dense, render_windows
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,9 +78,12 @@ def _cmd_render(args) -> int:
         normalization=_normalization(args.normalization),
     )
     cfg.validate(field.density)
-    out = render_tiled(field, cfg)
+    out = render_windows(field, cfg)
     if not np.all(np.isfinite(out.pixels)):
-        raise FloatingPointError("NaN in rendered output")
+        raise FloatingPointError(
+            f"render: non-finite pixels rendering the field at t={field.timestamp}"
+            f" at scale {cfg.scale}"
+        )
     _save_frame(args.output, out)
     return EXIT_OK
 
@@ -165,10 +168,10 @@ def _cmd_oracle_check(args) -> int:
         f = _random_field(rng, 8, 8, Density.ONE_PER_PIXEL)
         cfg = RenderConfig(scale=args.scale, truncation_radius=6.0, clamp_output=False)
         diff = np.abs(
-            render_tiled(f, cfg).pixels - render_dense(f, cfg).pixels
+            render_windows(f, cfg).pixels - render_dense(f, cfg).pixels
         ).max()
         worst_render = max(worst_render, float(diff))
-    print(f"tiled-vs-dense max abs diff: {worst_render:.3e}")
+    print(f"windowed-vs-dense max abs diff: {worst_render:.3e}")
 
     worst_grad = 0.0
     eps = 1e-4
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("oracle-check", help="tiled-vs-dense and gradient checks")
+    p = sub.add_parser("oracle-check", help="windowed-vs-dense and gradient checks")
     _add_common(p)
     p.set_defaults(func=_cmd_oracle_check)
 

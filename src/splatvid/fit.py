@@ -30,7 +30,14 @@ from splatvid.core import (
     ShapeError,
 )
 from splatvid.metrics import LUMA_WEIGHTS
-from splatvid.raster import Normalization, RenderConfig, render_windows
+from splatvid.raster import (
+    Normalization,
+    RenderConfig,
+    _kernel_terms,
+    _window_weights,
+    output_shape,
+    render_windows,
+)
 
 INIT_SIGMA = 0.7
 INIT_OFFSET = 0.5
@@ -173,19 +180,27 @@ def _luma_spectrum(img: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft2(img @ LUMA_WEIGHTS))
 
 
+def _loss_terms(
+    rendered: np.ndarray,
+    target: np.ndarray,
+    target_spectrum: np.ndarray,
+    cfg: FitConfig,
+) -> tuple[float, float, float]:
+    """(total, l1, freq) of a render against the target and its luma spectrum."""
+    if rendered.shape != target.shape:
+        raise ShapeError(f"rendered {rendered.shape} vs target {target.shape}")
+    l1 = float(np.mean(np.abs(rendered - target)))
+    freq = float(np.mean(np.abs(_luma_spectrum(rendered) - target_spectrum)))
+    return l1 + cfg.freq_loss_weight * freq, l1, freq
+
+
 def loss(
     f: GaussianField, target: FrameBuffer, cfg: FitConfig
 ) -> tuple[float, float, float]:
     """(total, l1, freq): L1 on pixels plus weighted spectral-magnitude L1."""
     cfg.validate()
     rendered = render_windows(f, cfg.render_config(f.density)).pixels
-    if rendered.shape != target.pixels.shape:
-        raise ShapeError(
-            f"rendered {rendered.shape} vs target {target.pixels.shape}"
-        )
-    l1 = float(np.mean(np.abs(rendered - target.pixels)))
-    freq = float(np.mean(np.abs(_luma_spectrum(rendered) - _luma_spectrum(target.pixels))))
-    return l1 + cfg.freq_loss_weight * freq, l1, freq
+    return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels), cfg)
 
 
 def _pixel_weight_l1(rendered: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -193,10 +208,10 @@ def _pixel_weight_l1(rendered: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.sign(rendered - target) / rendered.size
 
 
-def _pixel_weight_freq(rendered: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _pixel_weight_freq(rendered: np.ndarray, target_spectrum: np.ndarray) -> np.ndarray:
     """Gradient of the spectral-magnitude L1 with respect to rendered pixels."""
     a = np.fft.fft2(rendered @ LUMA_WEIGHTS)
-    bmag = _luma_spectrum(target)
+    bmag = target_spectrum
     amag = np.abs(a)
     s = np.sign(amag - bmag)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -210,92 +225,62 @@ def _field_gradient(
 ) -> np.ndarray:
     """(N, 8) unconstrained-space gradient given dL/d(rendered pixel).
 
-    Accumulates per kernel over its truncation window only; with the default
-    radius of 8 that is indistinguishable from a dense sum.
+    Accumulates per kernel over its truncation window only (the windows of
+    raster.render_windows); with the default radius of 8 that is
+    indistinguishable from a dense sum.  The weight derivatives are
+    polynomial in the pixel offsets (dx, dy), so every geometric column is a
+    closed form in six moments of tw = w * sum_c S_c c_c per kernel:
+    sum tw dy^i dx^j for i + j <= 2.
     """
     rcfg = cfg.render_config(f.density)
     s = rcfg.scale
-    out_h, out_w = pixel_weight.shape[:2]
-    mu = f.mu() * s
+    out_w, out_h = output_shape(f.lr_width, f.lr_height, s)
+    if pixel_weight.shape != (out_h, out_w, 3):
+        raise ShapeError(
+            f"pixel weight {pixel_weight.shape} vs render {(out_h, out_w, 3)}"
+        )
     a = s * f.sigmas[:, 0]
     b = s * f.sigmas[:, 1]
     rho = f.rhos
-    one_m_r2 = 1.0 - rho**2
-    det = a**2 * b**2 * one_m_r2
-    norm = det if cfg.normalization is Normalization.PAPER_DET else np.sqrt(det)
-    amp = 1.0 / (2.0 * np.pi * norm)
+    ixx, ixy, iyy, _ = _kernel_terms(f.sigmas, rho, s, cfg.normalization)
     det_power = 1.0 if cfg.normalization is Normalization.PAPER_DET else 0.5
-    ixx = b**2 / det
-    iyy = a**2 / det
-    ixy = -rho * a * b / det
-
-    r = rcfg.truncation_radius
-    r2 = r * r
-    n = mu.shape[0]
-    grad = np.zeros((n, 8), dtype=np.float64)
     colors = f.colors
-
-    hw_x = np.ceil(r * a + 1.0).astype(np.int64)
-    hw_y = np.ceil(r * b + 1.0).astype(np.int64)
-    # Same windowing as raster.render_windows: width capped at the image,
-    # start clamped so the in-image part of the box is always covered.
-    wx_all = np.minimum(2 * hw_x + 1, out_w)
-    wy_all = np.minimum(2 * hw_y + 1, out_h)
-    # Bucket kernels by window size so each bucket is one broadcasted pass.
-    keys = wx_all * 100000 + wy_all
-    for key in np.unique(keys):
-        gi = np.nonzero(keys == key)[0]
-        wx = int(wx_all[gi[0]])
-        wy = int(wy_all[gi[0]])
-        sx = np.clip(np.floor(mu[gi, 0]).astype(np.int64) - hw_x[gi], 0, out_w - wx)
-        sy = np.clip(np.floor(mu[gi, 1]).astype(np.int64) - hw_y[gi], 0, out_h - wy)
-        px = sx[:, None] + np.arange(wx)[None, :]  # (G, Wx)
-        py = sy[:, None] + np.arange(wy)[None, :]  # (G, Wy)
-        dx = (px + 0.5) - mu[gi, 0][:, None]  # (G, Wx)
-        dy = (py + 0.5) - mu[gi, 1][:, None]  # (G, Wy)
-        q = (
-            ixx[gi, None, None] * (dx**2)[:, None, :]
-            + 2.0 * ixy[gi, None, None] * dy[:, :, None] * dx[:, None, :]
-            + iyy[gi, None, None] * (dy**2)[:, :, None]
-        )  # (G, Wy, Wx)
-        w = np.where(q <= r2, amp[gi, None, None] * np.exp(-0.5 * q), 0.0)
-        sw = pixel_weight[py[:, :, None], px[:, None, :], :]  # (G, Wy, Wx, 3)
-
-        # Color gradient: dL/dc_ch = sum_p S_p,ch * w_p.
-        grad[gi, 5:8] = np.einsum("gyx,gyxc->gc", w, sw)
-        # Shared scalar: T_p = sum_ch S_p,ch * c_ch, then tw = T * w.
-        t = np.einsum("gyxc,gc->gyx", sw, colors[gi])
-        tw = t * w
-        # Position: dw/dmu = w * s * (Sinv d); d here is (dx, dy) broadcast.
-        sid_x = ixx[gi, None, None] * dx[:, None, :] + ixy[gi, None, None] * dy[:, :, None]
-        sid_y = ixy[gi, None, None] * dx[:, None, :] + iyy[gi, None, None] * dy[:, :, None]
-        grad[gi, 0] = s * np.einsum("gyx,gyx->g", tw, sid_x)
-        grad[gi, 1] = s * np.einsum("gyx,gyx->g", tw, sid_y)
-        # Scale/correlation terms via u = dx/a, v = dy/b.
-        u = dx / a[gi, None]
-        v = dy / b[gi, None]
-        uv = v[:, :, None] * u[:, None, :]
-        u2 = (u**2)[:, None, :]
-        v2 = (v**2)[:, :, None]
-        inv = 1.0 / one_m_r2[gi, None, None]
-        # d q / d a and d ln(amp) / d a (chain through a = s * sigma_x).
-        dq_da = inv * (-2.0 * u2 + 2.0 * rho[gi, None, None] * uv) / a[gi, None, None]
-        dq_db = inv * (-2.0 * v2 + 2.0 * rho[gi, None, None] * uv) / b[gi, None, None]
-        dlna_da = -2.0 * det_power / a[gi]
-        dlna_db = -2.0 * det_power / b[gi]
-        grad[gi, 2] = s * (
-            dlna_da * np.einsum("gyx->g", tw)
-            - 0.5 * np.einsum("gyx,gyx->g", tw, dq_da)
-        )
-        grad[gi, 3] = s * (
-            dlna_db * np.einsum("gyx->g", tw)
-            - 0.5 * np.einsum("gyx,gyx->g", tw, dq_db)
-        )
-        dq_dr = 2.0 * (rho[gi, None, None] * (u2 + v2) - (1.0 + rho[gi, None, None] ** 2) * uv) * inv**2
-        dlna_dr = 2.0 * det_power * rho[gi] / one_m_r2[gi]
-        grad[gi, 4] = dlna_dr * np.einsum("gyx->g", tw) - 0.5 * np.einsum(
-            "gyx,gyx->g", tw, dq_dr
-        )
+    n = f.n_gaussians
+    grad = np.zeros((n, 8), dtype=np.float64)
+    # moments[g, i, j] = sum over the window of tw * dy^i * dx^j.
+    moments = np.zeros((n, 3, 3), dtype=np.float64)
+    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 2, 0)).reshape(3, -1)
+    for gi, dx, dy, w, flat, (sw, tw) in _window_weights(f, rcfg, n_scratch=2):
+        for c in range(3):
+            np.take(planes[c], flat, out=sw, mode="clip")
+            sw *= w
+            # Color gradient: dL/dc_ch = sum_p S_p,ch * w_p.
+            grad[gi, 5 + c] = sw.sum(axis=(1, 2))
+            if c == 0:
+                np.multiply(sw, colors[gi, 0, None, None], out=tw)
+            else:
+                sw *= colors[gi, c, None, None]
+                tw += sw
+        xpow = np.stack([np.ones_like(dx), dx, dx * dx], axis=2)  # (G, Wx, 3)
+        ypow = np.stack([np.ones_like(dy), dy, dy * dy], axis=1)  # (G, 3, Wy)
+        moments[gi] = ypow @ (tw @ xpow)
+    m0 = moments[:, 0, 0]
+    mx, my = moments[:, 0, 1], moments[:, 1, 0]
+    # Second moments in the whitened offsets u = dx/a, v = dy/b.
+    suu = moments[:, 0, 2] / a**2
+    svv = moments[:, 2, 0] / b**2
+    suv = moments[:, 1, 1] / (a * b)
+    inv = 1.0 / (1.0 - rho**2)
+    # Position: dw/dmu = w * s * (Sinv d).
+    grad[:, 0] = s * (ixx * mx + ixy * my)
+    grad[:, 1] = s * (ixy * mx + iyy * my)
+    # Scale: q = inv * (u^2 - 2 rho u v + v^2) and ln(amp) = -det_power *
+    # ln(det) + const, chained through a = s * sigma_x (b likewise).
+    grad[:, 2] = s * (-2.0 * det_power * m0 + inv * (suu - rho * suv)) / a
+    grad[:, 3] = s * (-2.0 * det_power * m0 + inv * (svv - rho * suv)) / b
+    grad[:, 4] = 2.0 * det_power * rho * inv * m0 - inv**2 * (
+        rho * (suu + svv) - (1.0 + rho**2) * suv
+    )
 
     # Chain through the reparameterization, using constrained values directly.
     offs = f.offsets
@@ -336,26 +321,29 @@ def fit_frame(
     if cfg.iterations == 0:
         return field, []
 
-    params = ParamVector.from_field(field)
-    theta = params.raw.copy()
+    theta = ParamVector.from_field(field).raw.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    trace: list[float] = []
+    target_spectrum = _luma_spectrum(target.pixels)
+    # losses[k] is the loss after k steps, taken from the same render that
+    # the gradient of step k + 1 starts from.
+    losses: list[float] = []
     rcfg = cfg.render_config(density)
-    for it in range(1, cfg.iterations + 1):
+    for it in range(cfg.iterations + 1):
         field = ParamVector(theta).to_field(field)
         rendered = render_windows(field, rcfg).pixels
+        losses.append(_loss_terms(rendered, target.pixels, target_spectrum, cfg)[0])
+        if it == cfg.iterations:
+            break
         weight = _pixel_weight_l1(rendered, target.pixels)
         if cfg.freq_in_gradient and cfg.freq_loss_weight > 0:
             weight = weight + cfg.freq_loss_weight * _pixel_weight_freq(
-                rendered, target.pixels
+                rendered, target_spectrum
             )
         g = _field_gradient(field, weight, cfg)
         m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
         v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1**it)
-        v_hat = v / (1.0 - cfg.adam_beta2**it)
+        m_hat = m / (1.0 - cfg.adam_beta1 ** (it + 1))
+        v_hat = v / (1.0 - cfg.adam_beta2 ** (it + 1))
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        field = ParamVector(theta).to_field(field)
-        trace.append(loss(field, target, cfg)[0])
-    return field, trace
+    return field, losses[1:]

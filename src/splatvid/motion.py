@@ -119,6 +119,19 @@ class DecoderWeights:
         object.__setattr__(self, "bias", b)
 
 
+def _flow_terms(
+    m01: FlowField, m10: FlowField, t: float, convention: FlowConvention
+) -> tuple[tuple[FlowField, float], tuple[FlowField, float]]:
+    """((flow, factor) for m_t0, (flow, factor) for m_t1) under the convention."""
+    if m01.vectors.shape != m10.vectors.shape:
+        raise ShapeError("flow fields differ in shape")
+    if not 0.0 <= t <= 1.0:
+        raise ValidationError(f"t={t} outside [0, 1]")
+    if convention is FlowConvention.CONSISTENT:
+        return (m10, t), (m01, 1.0 - t)
+    return (m01, 1.0 - t), (m10, t)
+
+
 def scale_flows(
     m01: FlowField,
     m10: FlowField,
@@ -129,13 +142,19 @@ def scale_flows(
 
     Returns (m_t0, m_t1): flows pointing from time t back to frames 0 and 1.
     """
-    if m01.vectors.shape != m10.vectors.shape:
-        raise ShapeError("flow fields differ in shape")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t={t} outside [0, 1]")
-    if convention is FlowConvention.CONSISTENT:
-        return FlowField(t * m10.vectors), FlowField((1.0 - t) * m01.vectors)
-    return FlowField((1.0 - t) * m01.vectors), FlowField(t * m10.vectors)
+    (f0, k0), (f1, k1) = _flow_terms(m01, m10, t, convention)
+    return FlowField(k0 * f0.vectors), FlowField(k1 * f1.vectors)
+
+
+def scale_flow_t0(
+    m01: FlowField,
+    m10: FlowField,
+    t: float,
+    convention: FlowConvention = FlowConvention.CONSISTENT,
+) -> FlowField:
+    """m_t0 of scale_flows alone, without scaling the other flow."""
+    (f0, k0), _ = _flow_terms(m01, m10, t, convention)
+    return FlowField(k0 * f0.vectors)
 
 
 def backward_warp(f: FeatureMap, flow: FlowField) -> FeatureMap:

@@ -7,10 +7,10 @@ parameter map, the frame-1 parameter and covariance maps pulled back to the
 frame-0 anchors, and, when the bank fuser gives the time channel zero weight
 at every tap, the derived covariances themselves (the fused logits then do
 not depend on t, so one fuse + resample serves every timestamp).  Each
-requested timestamp then only pays flow scaling, feature fusion, decoding,
-offset gating and, for a t-dependent fuser, the bank fuse + resample, plus
-rasterization.  Stage counters record this split and are asserted by the
-latency tests.
+requested timestamp then only pays scaling of the one flow it uses, feature
+fusion, decoding, offset gating and, for a t-dependent fuser, the bank
+fuse + resample, plus rasterization.  Stage counters record this split and
+are asserted by the latency tests.
 
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
@@ -50,7 +50,7 @@ from splatvid.motion import (
     WindowMap,
     WindowSet,
 )
-from splatvid.raster import Normalization, RenderConfig, render_tiled, render_windows
+from splatvid.raster import Normalization, RenderConfig, render_windows
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"timestamp {t} outside [0, 1]")
     opts = ctx.options
-    m_t0, _m_t1 = motion_mod.scale_flows(
-        ctx.flow01, ctx.flow10, t, opts.flow_convention
-    )
+    m_t0 = motion_mod.scale_flow_t0(ctx.flow01, ctx.flow10, t, opts.flow_convention)
 
     p0, p1 = ctx.param0, ctx.param1
     mask, residual = motion_mod.predict_fusion(p0, p1, t, opts.fusion_weights)
@@ -290,9 +288,12 @@ def render_at(ctx: SharedContext, f: GaussianField, spatial_scale: float) -> Fra
         normalization=opts.normalization,
         clamp_output=opts.clamp_output,
     )
-    out = render_tiled(f, cfg)
+    out = render_windows(f, cfg)
     if not np.all(np.isfinite(out.pixels)):
-        raise FloatingPointError("NaN in rendered output")
+        raise FloatingPointError(
+            f"rasterize: non-finite pixels rendering the field at t={f.timestamp}"
+            f" at scale {spatial_scale}"
+        )
     ctx.bump("rasterize")
     return out
 

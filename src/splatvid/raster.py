@@ -1,10 +1,16 @@
 """Rasterize a GaussianField to a FrameBuffer at arbitrary spatial scale.
 
 Two paths with identical contracts:
-  * render_dense  - brute force, every kernel against every pixel (oracle);
-  * render_tiled  - 16x16 output tiles with per-tile kernel bins built from
-    axis-aligned bounding boxes of the truncation ellipse; kernels only
-    contribute within Mahalanobis distance <= truncation_radius.
+  * render_dense   - brute force, every kernel against every pixel (oracle);
+  * render_windows - one windowed-kernel core: each kernel is evaluated over
+    the integer pixel window around its truncation ellipse and contributes
+    only within Mahalanobis distance <= truncation_radius.  The same core
+    feeds the fitting gradient (fit._field_gradient).  render_tiled is kept
+    as a name for render_windows.
+
+The core buckets kernels by window size and evaluates each bucket in chunks
+of at most CHUNK window pixels, in buffers allocated once per call and
+reused for every chunk, so memory stays bounded at any scale and sigma.
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
 scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
@@ -30,7 +36,8 @@ from splatvid.core import (
     ValidationError,
 )
 
-TILE = 16
+# Window pixels evaluated per chunk; a single larger window is its own chunk.
+CHUNK = 1 << 17
 
 
 class Normalization(enum.Enum):
@@ -139,132 +146,96 @@ def render_dense(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     return FrameBuffer(img)
 
 
-def _bin_tiles(mu, hx, hy, out_w, out_h):
-    """Per-tile kernel index lists from conservative axis-aligned boxes.
+def _windows(mu, half_x, half_y, out_w, out_h):
+    """Chunks of same-size pixel windows, and the buffer size they need.
 
-    Returns (tile_order, tile_starts, ntx) where tile_order is a flat array
-    of kernel indices sorted by tile id and tile_starts gives slice bounds
-    per tile id (searchsorted style).
+    A kernel's window is the integer box of half-width ceil(half + 1) around
+    floor(mu), where half is the half-extent of its truncation box.  Its size
+    is capped at the image and its start clamped so the window always covers
+    the in-image part of the truncation box, even for kernels centred outside
+    the frame.  Kernels are bucketed by window size and each bucket is split
+    into chunks of at most CHUNK window pixels; a single larger window forms
+    its own chunk.  Returns ([(gi, px, py), ...], size): px (G, Wx) and
+    py (G, Wy) are the pixel columns and rows of each kernel's window, and
+    size is the largest chunk's pixel count.
     """
-    ntx = (out_w + TILE - 1) // TILE
-    nty = (out_h + TILE - 1) // TILE
-    tx0 = np.clip(np.floor((mu[:, 0] - hx) / TILE).astype(np.int64), 0, ntx - 1)
-    tx1 = np.clip(np.floor((mu[:, 0] + hx) / TILE).astype(np.int64), 0, ntx - 1)
-    ty0 = np.clip(np.floor((mu[:, 1] - hy) / TILE).astype(np.int64), 0, nty - 1)
-    ty1 = np.clip(np.floor((mu[:, 1] + hy) / TILE).astype(np.int64), 0, nty - 1)
-    nx = tx1 - tx0 + 1
-    ny = ty1 - ty0 + 1
-    pairs_g = []
-    pairs_t = []
-    # Enumerate (kernel, tile) pairs one box-offset at a time: boxes are a
-    # handful of tiles wide, so this loop count stays tiny.
-    for ox in range(int(nx.max())):
-        selx = nx > ox
-        for oy in range(int(ny.max())):
-            sel = selx & (ny > oy)
-            if not np.any(sel):
-                continue
-            g_idx = np.nonzero(sel)[0]
-            t_idx = (ty0[g_idx] + oy) * ntx + (tx0[g_idx] + ox)
-            pairs_g.append(g_idx)
-            pairs_t.append(t_idx)
-    if not pairs_g:
-        return np.empty(0, np.int64), np.zeros(ntx * nty + 1, np.int64), ntx
-    g_all = np.concatenate(pairs_g)
-    t_all = np.concatenate(pairs_t)
-    order = np.argsort(t_all, kind="stable")
-    g_all = g_all[order]
-    t_all = t_all[order]
-    starts = np.searchsorted(t_all, np.arange(ntx * nty + 1))
-    return g_all, starts, ntx
+    hx = np.ceil(half_x + 1.0).astype(np.int64)
+    hy = np.ceil(half_y + 1.0).astype(np.int64)
+    wx_all = np.minimum(2 * hx + 1, out_w)
+    wy_all = np.minimum(2 * hy + 1, out_h)
+    sx_all = np.clip(np.floor(mu[:, 0]).astype(np.int64) - hx, 0, out_w - wx_all)
+    sy_all = np.clip(np.floor(mu[:, 1]).astype(np.int64) - hy, 0, out_h - wy_all)
+    keys = wx_all * (out_h + 1) + wy_all
+    chunks = []
+    size = 0
+    for key in np.unique(keys):
+        bucket = np.nonzero(keys == key)[0]
+        wx, wy = int(wx_all[bucket[0]]), int(wy_all[bucket[0]])
+        step = max(1, CHUNK // (wx * wy))
+        for lo in range(0, bucket.size, step):
+            gi = bucket[lo : lo + step]
+            px = sx_all[gi, None] + np.arange(wx)
+            py = sy_all[gi, None] + np.arange(wy)
+            chunks.append((gi, px, py))
+            size = max(size, gi.size * wx * wy)
+    return chunks, size
 
 
-def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
-    """Tile-binned fast path; matches render_dense within truncation error."""
+def _window_weights(f: GaussianField, cfg: RenderConfig, n_scratch: int = 0):
+    """Truncated kernel weights over every window, one chunk at a time.
+
+    Yields (gi, dx, dy, w, flat, scratch) per chunk of _windows: dx (G, Wx)
+    and dy (G, Wy) are the pixel-centre offsets from each kernel centre,
+    w (G, Wy, Wx) the weights and flat (G, Wy, Wx) each weight's row-major
+    pixel index.  scratch holds n_scratch float arrays shaped like w for the
+    caller.  w, flat and scratch are views of buffers allocated once per call
+    and overwritten by the next chunk.
+    """
     mu, ixx, ixy, iyy, amp, out_w, out_h = _prepare(f, cfg)
     r = cfg.truncation_radius
-    # Exact axis-aligned extents of the truncation ellipse {q <= r^2}.
-    hx = r * cfg.scale * f.sigmas[:, 0]
-    hy = r * cfg.scale * f.sigmas[:, 1]
-    g_by_tile, starts, ntx = _bin_tiles(mu, hx, hy, out_w, out_h)
-    img = np.zeros((out_h, out_w, 3), dtype=np.float64)
-    r2 = r * r
-    colors = f.colors
-    n_tiles = starts.size - 1
-    for t in range(n_tiles):
-        lo, hi = starts[t], starts[t + 1]
-        if lo == hi:
-            continue
-        gi = g_by_tile[lo:hi]
-        x0 = (t % ntx) * TILE
-        y0 = (t // ntx) * TILE
-        x1 = min(x0 + TILE, out_w)
-        y1 = min(y0 + TILE, out_h)
-        xs = np.arange(x0, x1) + 0.5
-        ys = np.arange(y0, y1) + 0.5
-        dx = xs[None, None, :] - mu[gi, 0][:, None, None]  # (G, th, tw)
-        dy = ys[None, :, None] - mu[gi, 1][:, None, None]
-        q = (
-            ixx[gi, None, None] * dx * dx
-            + 2.0 * ixy[gi, None, None] * dx * dy
-            + iyy[gi, None, None] * dy * dy
-        )
-        w = np.where(q <= r2, amp[gi, None, None] * np.exp(-0.5 * q), 0.0)
-        img[y0:y1, x0:x1, :] += np.einsum("ghw,gc->hwc", w, colors[gi])
-    if cfg.clamp_output:
-        img = np.clip(img, 0.0, 1.0)
-    return FrameBuffer(img)
+    half = r * cfg.scale * f.sigmas
+    chunks, size = _windows(mu, half[:, 0], half[:, 1], out_w, out_h)
+    e_buf = np.empty(size)
+    mask_buf = np.empty(size, dtype=bool)
+    flat_buf = np.empty(size, dtype=np.int64)
+    scratch_bufs = [np.empty(size) for _ in range(n_scratch)]
+    for gi, px, py in chunks:
+        shape = (gi.size, py.shape[1], px.shape[1])
+        n = shape[0] * shape[1] * shape[2]
+        dx = (px + 0.5) - mu[gi, 0][:, None]
+        dy = (py + 0.5) - mu[gi, 1][:, None]
+        # e = -q/2 directly: halving is exact, so e equals -0.5 * q bit for bit.
+        e = e_buf[:n].reshape(shape)
+        np.multiply((-ixy[gi, None] * dy)[:, :, None], dx[:, None, :], out=e)
+        e += (-0.5 * ixx[gi, None] * dx**2)[:, None, :]
+        e += (-0.5 * iyy[gi, None] * dy**2)[:, :, None]
+        mask = mask_buf[:n].reshape(shape)
+        np.greater_equal(e, -0.5 * r * r, out=mask)  # q <= r^2
+        np.exp(e, out=e)
+        e *= mask
+        e *= amp[gi, None, None]
+        flat = flat_buf[:n].reshape(shape)
+        np.add((py * out_w)[:, :, None], px[:, None, :], out=flat)
+        scratch = [b[:n].reshape(shape) for b in scratch_bufs]
+        yield gi, dx, dy, e, flat, scratch
 
 
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
-    """Per-kernel window accumulation; same contract as render_tiled.
-
-    Kernels are bucketed by truncation-window size so each bucket is one
-    broadcasted evaluation, scattered into the image with bincount.  This
-    trades the per-tile loop for a handful of large array ops, which is much
-    faster when kernels vastly outnumber tiles (the fitting regime).
-    """
-    mu, ixx, ixy, iyy, amp, out_w, out_h = _prepare(f, cfg)
-    r = cfg.truncation_radius
-    r2 = r * r
+    """Windowed fast path; matches render_dense within truncation error."""
+    out_w, out_h = output_shape(f.lr_width, f.lr_height, cfg.scale)
+    img = np.zeros((3, out_h * out_w), dtype=np.float64)
     colors = f.colors
-    img = np.zeros(out_h * out_w * 3, dtype=np.float64)
-    hx_all = np.ceil(r * cfg.scale * f.sigmas[:, 0] + 1.0).astype(np.int64)
-    hy_all = np.ceil(r * cfg.scale * f.sigmas[:, 1] + 1.0).astype(np.int64)
-    # Window width capped at the image size; the start is then clamped so the
-    # window always covers the in-image part of the truncation box, even for
-    # kernels whose center lies outside the frame.
-    wx_all = np.minimum(2 * hx_all + 1, out_w)
-    wy_all = np.minimum(2 * hy_all + 1, out_h)
-    keys = wx_all * 100000 + wy_all
-    for key in np.unique(keys):
-        gi = np.nonzero(keys == key)[0]
-        wx = int(wx_all[gi[0]])
-        wy = int(wy_all[gi[0]])
-        sx = np.clip(
-            np.floor(mu[gi, 0]).astype(np.int64) - hx_all[gi], 0, out_w - wx
-        )
-        sy = np.clip(
-            np.floor(mu[gi, 1]).astype(np.int64) - hy_all[gi], 0, out_h - wy
-        )
-        px = sx[:, None] + np.arange(wx)[None, :]  # (G, Wx)
-        py = sy[:, None] + np.arange(wy)[None, :]  # (G, Wy)
-        dx = (px + 0.5) - mu[gi, 0][:, None]
-        dy = (py + 0.5) - mu[gi, 1][:, None]
-        q = (
-            ixx[gi, None, None] * (dx**2)[:, None, :]
-            + 2.0 * ixy[gi, None, None] * dy[:, :, None] * dx[:, None, :]
-            + iyy[gi, None, None] * (dy**2)[:, :, None]
-        )
-        w = np.where(q <= r2, amp[gi, None, None] * np.exp(-0.5 * q), 0.0)
-        flat = (py[:, :, None] * out_w + px[:, None, :]).ravel()
+    for gi, _, _, w, flat, (cw,) in _window_weights(f, cfg, n_scratch=1):
+        idx = flat.ravel()
         for c in range(3):
-            img[c::3] += np.bincount(
-                flat,
-                weights=(w * colors[gi, c, None, None]).ravel(),
-                minlength=out_h * out_w,
-            )
-    img = img.reshape(out_h, out_w, 3)
+            np.multiply(w, colors[gi, c, None, None], out=cw)
+            np.add.at(img[c], idx, cw.ravel())
+    img = np.ascontiguousarray(img.reshape(3, out_h, out_w).transpose(1, 2, 0))
     if cfg.clamp_output:
         img = np.clip(img, 0.0, 1.0)
     return FrameBuffer(img)
+
+
+def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
+    """Former name of render_windows, kept for callers; same output."""
+    return render_windows(f, cfg)

@@ -1,5 +1,7 @@
 """Fitting: initialization, loss, analytic gradients, Adam descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,17 @@ from splatvid.core import Density, FrameBuffer, SIGMA_MIN, validate_field
 from splatvid.fit import (
     FitConfig,
     ParamVector,
+    _field_gradient,
+    _luma_spectrum,
+    _pixel_weight_freq,
+    _pixel_weight_l1,
     fit_frame,
     gradients,
     init_field,
     loss,
 )
 from splatvid.metrics import LUMA_WEIGHTS
-from splatvid.raster import render_windows
+from splatvid.raster import Normalization, render_windows
 from conftest import random_field
 
 
@@ -124,6 +130,51 @@ class TestLoss:
         assert freq == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
+def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL, total=False):
+    """Worst relative error of the analytic gradient against central FD.
+
+    Differentiates the L1 term, or with total=True the full loss including
+    the weighted spectral term.  Parameters whose FD stencil straddles a
+    kink of the loss are skipped; most must be checked.
+    """
+    eps = 1e-4
+    col = 0 if total else 1
+    worst = 0.0
+    checked = skipped = 0
+    for _ in range(3):
+        f = random_field(rng, w, h, density)
+        rcfg = cfg.render_config(density)
+        rendered = render_windows(f, rcfg).pixels
+        target = FrameBuffer(rng.uniform(0, 1, rendered.shape))
+        weight = _pixel_weight_l1(rendered, target.pixels)
+        if total:
+            weight = weight + cfg.freq_loss_weight * _pixel_weight_freq(
+                rendered, _luma_spectrum(target.pixels)
+            )
+        g = _field_gradient(f, weight, cfg)
+        theta = ParamVector.from_field(f).raw
+        mid = loss(ParamVector(theta).to_field(f), target, cfg)[col]
+        for i in range(theta.shape[0]):
+            for j in range(theta.shape[1]):
+                tp = theta.copy()
+                tp[i, j] += eps
+                tm = theta.copy()
+                tm[i, j] -= eps
+                lp = loss(ParamVector(tp).to_field(f), target, cfg)[col]
+                lm = loss(ParamVector(tm).to_field(f), target, cfg)[col]
+                fd = (lp - lm) / (2 * eps)
+                # Skip parameters straddling a kink.
+                if abs(fd - g[i, j]) > 1e-3 * max(abs(fd), abs(g[i, j])):
+                    if abs((lp - mid) + (lm - mid)) > 1e-6:
+                        skipped += 1
+                        continue
+                checked += 1
+                denom = max(abs(fd), abs(g[i, j]), 1e-8)
+                worst = max(worst, abs(fd - g[i, j]) / denom)
+    assert checked >= 4 * skipped, (checked, skipped)
+    return worst
+
+
 class TestGradients:
     def test_exact_recovery_zero_gradient(self):
         f = random_field(np.random.default_rng(4), 4, 4)
@@ -189,6 +240,27 @@ class TestGradients:
                     worst = max(worst, abs(fd - g[i, j]) / denom)
         assert worst <= 1e-3
 
+    def test_matches_finite_differences_sqrt_det(self):
+        rng = np.random.default_rng(13)
+        cfg = FitConfig(normalization=Normalization.SQRT_DET)
+        assert fd_worst(rng, cfg, 4, 4) <= 1e-3
+
+    def test_matches_finite_differences_quarter_density(self):
+        # 1:4 density fits at scale 2: an 8x8 frame of 4x4 kernels.
+        rng = np.random.default_rng(14)
+        assert fd_worst(rng, FitConfig(), 8, 8, Density.ONE_PER_FOUR_PIXELS) <= 1e-3
+
+    def test_matches_finite_differences_with_freq_term(self):
+        rng = np.random.default_rng(15)
+        cfg = FitConfig(freq_in_gradient=True)
+        assert fd_worst(rng, cfg, 4, 4, total=True) <= 1e-3
+
+    def test_matches_finite_differences_fractional_scale(self):
+        # Scale 2.5 and radius 3: truncation steps are skipped like L1 kinks.
+        rng = np.random.default_rng(16)
+        cfg = FitConfig(scale=2.5, truncation_radius=3.0)
+        assert fd_worst(rng, cfg, 4, 4) <= 1e-3
+
 
 class TestParamVector:
     def test_round_trip(self):
@@ -245,6 +317,22 @@ class TestFitFrame:
         l1_final = loss(f, target, cfg)[1]
         assert l1_final <= l1_init
         assert len(trace) == 40
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FitConfig(iterations=6), FitConfig(iterations=6, freq_in_gradient=True)],
+    )
+    def test_trace_matches_recomputed_loss(self, cfg):
+        # Step k of a longer run is the whole of a k-step run, so entry k-1
+        # of the trace must be loss() of the k-step field, bit for bit.
+        rng = np.random.default_rng(11)
+        target = FrameBuffer(rng.uniform(0, 1, (5, 6, 3)))
+        _, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+        assert len(trace) == cfg.iterations
+        for k in range(1, cfg.iterations + 1):
+            short = dataclasses.replace(cfg, iterations=k)
+            f_k, _ = fit_frame(target, Density.ONE_PER_PIXEL, short)
+            assert trace[k - 1] == loss(f_k, target, cfg)[0]
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

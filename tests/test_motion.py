@@ -31,6 +31,7 @@ from splatvid.motion import (
     flow_magnitude_window_logits,
     fuse_features,
     predict_fusion,
+    scale_flow_t0,
     scale_flows,
 )
 from splatvid import synth
@@ -67,6 +68,18 @@ class TestScaleFlows:
             scale_flows(self.m01, synth.uniform_flow(5, 3, 0, 0), 0.5)
         with pytest.raises(ValidationError):
             scale_flows(self.m01, self.m10, 1.5)
+
+    def test_t0_alone_is_first_of_pair(self):
+        for conv in FlowConvention:
+            for t in (0.0, 0.3, 1.0):
+                alone = scale_flow_t0(self.m01, self.m10, t, conv)
+                assert np.array_equal(
+                    alone.vectors, scale_flows(self.m01, self.m10, t, conv)[0].vectors
+                )
+        with pytest.raises(ShapeError):
+            scale_flow_t0(self.m01, synth.uniform_flow(5, 3, 0, 0), 0.5)
+        with pytest.raises(ValidationError):
+            scale_flow_t0(self.m01, self.m10, -0.1)
 
 
 class TestBackwardWarp:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splatvid import cli, cpb, fileio, pipeline, synth
+from splatvid import cli, cpb, fileio, motion, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
@@ -164,6 +164,23 @@ class TestDeriveCache:
             assert np.allclose(f.sigmas, ref[:, 0:2], rtol=0.0, atol=1e-12)
             assert np.allclose(f.rhos, ref[:, 2], rtol=0.0, atol=1e-12)
         assert np.abs(fields[0].sigmas - fields[1].sigmas).max() > 1e-6
+
+
+    @pytest.mark.parametrize("convention", list(motion.FlowConvention))
+    def test_offsets_match_scaling_both_flows(self, monkeypatch, convention):
+        # derive_field scales only m_t0; the offsets must equal those derived
+        # from the m_t0 half of scale_flows, as before.
+        opts = dataclasses.replace(self.OPTS, flow_convention=convention)
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, opts)
+        timestamps = [0.0, 0.3, 1.0]
+        fields = [derive_field(ctx, t) for t in timestamps]
+        monkeypatch.setattr(
+            motion, "scale_flow_t0", lambda *args: motion.scale_flows(*args)[0]
+        )
+        for t, f in zip(timestamps, fields):
+            assert np.array_equal(f.offsets, derive_field(ctx, t).offsets)
+        assert np.abs(fields[2].offsets - fields[1].offsets).max() > 0.1
 
 
 class TestBench:

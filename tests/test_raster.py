@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from splatvid.core import CovParams, Density, Gaussian2D, GaussianField
+from splatvid import raster
+from splatvid.core import CovParams, Density, FrameBuffer, Gaussian2D, GaussianField
+from splatvid.fit import FitConfig, _field_gradient
 from splatvid.raster import (
     Normalization,
     RenderConfig,
@@ -223,3 +225,84 @@ class TestRenderProperties:
     def test_output_shape_rounding(self):
         assert output_shape(10, 8, 2.5) == (25, 20)
         assert output_shape(7, 5, 1.5) == (10, 8)
+
+
+class TestWindowCore:
+    """The one windowed-kernel core behind render_windows and the gradient."""
+
+    R6 = RenderConfig(scale=2.5, truncation_radius=6.0, clamp_output=False)
+
+    def windows_vs_dense(self, f, cfg):
+        return np.abs(render_windows(f, cfg).pixels - render_dense(f, cfg).pixels).max()
+
+    def test_matches_dense_at_non_integer_scale(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            assert self.windows_vs_dense(random_field(rng, 7, 5), self.R6) <= 1e-5
+
+    def test_matches_dense_sqrt_det(self):
+        rng = np.random.default_rng(21)
+        cfg = RenderConfig(
+            scale=2.0,
+            truncation_radius=6.0,
+            normalization=Normalization.SQRT_DET,
+            clamp_output=False,
+        )
+        for _ in range(5):
+            assert self.windows_vs_dense(random_field(rng, 6, 6), cfg) <= 1e-5
+
+    def test_kernels_centred_outside_the_frame(self):
+        rng = np.random.default_rng(22)
+        f = random_field(rng, 6, 5, offset_range=(-4.0, 5.0))
+        mu = f.mu()
+        outside = (mu[:, 0] < 0) | (mu[:, 0] > 6) | (mu[:, 1] < 0) | (mu[:, 1] > 5)
+        assert outside.sum() >= 5
+        assert self.windows_vs_dense(f, self.R6) <= 1e-5
+
+    def test_window_wider_than_the_image(self):
+        rng = np.random.default_rng(23)
+        f = random_field(rng, 3, 2, sigma_range=(2.0, 3.0))
+        cfg = RenderConfig(scale=1.0, truncation_radius=6.0, clamp_output=False)
+        # Half-extent 6 * sigma >= 12 px against a 3x2 px image.
+        assert self.windows_vs_dense(f, cfg) <= 1e-5
+
+    @staticmethod
+    def two_level_field(rng):
+        # Two sigma levels: four window sizes, each shared by ~30 kernels, so
+        # buckets split into several chunks plus a partial one.
+        f = random_field(rng, 12, 10, offset_range=(-2.0, 3.0))
+        return f.replace(sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
+
+    @pytest.mark.parametrize("chunk", [1, 300, 2000])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
+        rng = np.random.default_rng(24)
+        f = self.two_level_field(rng)
+        cfg = FitConfig(scale=2.5, truncation_radius=4.0)
+        rcfg = cfg.render_config(f.density)
+        weight = rng.normal(0.0, 1.0, (25, 30, 3))
+        img = render_windows(f, rcfg).pixels
+        grad = _field_gradient(f, weight, cfg)
+        monkeypatch.setattr(raster, "CHUNK", chunk)
+        assert np.abs(render_windows(f, rcfg).pixels - img).max() <= 1e-12
+        assert np.abs(_field_gradient(f, weight, cfg) - grad).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 300, 2000, raster.CHUNK])
+    def test_chunks_are_bounded_and_cover_every_kernel_once(self, monkeypatch, chunk):
+        monkeypatch.setattr(raster, "CHUNK", chunk)
+        f = self.two_level_field(np.random.default_rng(25))
+        s, r = 2.5, 4.0
+        mu = f.mu() * s
+        out_w, out_h = output_shape(12, 10, s)
+        chunks, size = raster._windows(
+            mu, r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1], out_w, out_h
+        )
+        seen = np.concatenate([gi for gi, _, _ in chunks])
+        assert np.array_equal(np.sort(seen), np.arange(f.n_gaussians))
+        biggest_window = 0
+        for gi, px, py in chunks:
+            window = px.shape[1] * py.shape[1]
+            biggest_window = max(biggest_window, window)
+            assert gi.size * window <= max(chunk, window)
+            assert px.min() >= 0 and px.max() < out_w
+            assert py.min() >= 0 and py.max() < out_h
+        assert size <= max(chunk, biggest_window)
