@@ -1,4 +1,4 @@
-"""Domain types, validation, and 2x2 covariance linear algebra.
+"""Domain types, validation, 2x2 covariance linear algebra and block means.
 
 Conventions used everywhere in this package:
   * row-major storage, y-down image coordinates;
@@ -180,28 +180,6 @@ class GaussianField:
             color=self.colors[i].copy(),
         )
 
-    @staticmethod
-    def from_gaussians(
-        lr_width: int,
-        lr_height: int,
-        density: Density,
-        gaussians: list[Gaussian2D],
-        timestamp: float = 0.0,
-    ) -> "GaussianField":
-        gw, gh = density.grid_shape(lr_width, lr_height)
-        if len(gaussians) != gw * gh:
-            raise ShapeError(f"expected {gw * gh} gaussians, got {len(gaussians)}")
-        return GaussianField(
-            lr_width=lr_width,
-            lr_height=lr_height,
-            density=density,
-            offsets=np.array([g.offset for g in gaussians], dtype=np.float64),
-            sigmas=np.array([[g.cov.sigma_x, g.cov.sigma_y] for g in gaussians], dtype=np.float64),
-            rhos=np.array([g.cov.rho for g in gaussians], dtype=np.float64),
-            colors=np.array([g.color for g in gaussians], dtype=np.float64),
-            timestamp=timestamp,
-        )
-
     def replace(self, **kwargs) -> "GaussianField":
         data = dict(
             lr_width=self.lr_width,
@@ -216,6 +194,19 @@ class GaussianField:
         )
         data.update(kwargs)
         return GaussianField(**data)
+
+
+def block_mean(img: np.ndarray, gh: int, gw: int) -> np.ndarray:
+    """(H, W, ...) -> (gh, gw, ...) means of ceil(H/gh) x ceil(W/gw) blocks.
+
+    The image is edge-padded to fill the last row and column of blocks.
+    """
+    h, w = img.shape[:2]
+    bh = -(-h // gh)
+    bw = -(-w // gw)
+    pad = [(0, gh * bh - h), (0, gw * bw - w)] + [(0, 0)] * (img.ndim - 2)
+    blocks = np.pad(img, pad, mode="edge").reshape(gh, bh, gw, bw, *img.shape[2:])
+    return blocks.mean(axis=(1, 3))
 
 
 @dataclass(frozen=True)

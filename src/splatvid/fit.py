@@ -1,5 +1,9 @@
 """Recover a GaussianField from a target image by Adam on the render loss.
 
+``descend`` is the one Adam loop in the package.  ``fit_frame`` runs it from
+the deterministic init; the pipeline's bank refine runs it from a snapped
+field with the covariances frozen, so only offsets and colors move.
+
 Optimization runs in an unconstrained reparameterization so every iterate
 maps to a valid field by construction:
 
@@ -28,6 +32,7 @@ from splatvid.core import (
     RHO_MAX,
     SIGMA_MIN,
     ShapeError,
+    block_mean,
 )
 from splatvid.metrics import LUMA_WEIGHTS
 from splatvid.raster import (
@@ -41,9 +46,6 @@ from splatvid.raster import (
 
 INIT_SIGMA = 0.7
 INIT_OFFSET = 0.5
-
-# Parameter layout per kernel in a ParamVector row.
-PARAM_COLS = ("u_x", "u_y", "a_x", "a_y", "r_raw", "c_r", "c_g", "c_b")
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,6 @@ class ParamVector:
         )
 
 
-def _block_pool(img: np.ndarray, gh: int, gw: int) -> np.ndarray:
-    """(gh*k, gw*k, 3)-ish image -> (gh*gw, 3) block means, edge-padded."""
-    h, w = img.shape[:2]
-    bh = -(-h // gh)
-    bw = -(-w // gw)
-    pad = np.pad(img, ((0, gh * bh - h), (0, gw * bw - w), (0, 0)), mode="edge")
-    return pad.reshape(gh, bh, gw, bw, 3).mean(axis=(1, 3)).reshape(gh * gw, 3)
-
-
 def init_field(
     target: FrameBuffer,
     density: Density,
@@ -153,13 +146,7 @@ def init_field(
     lr_w, lr_h = target.width, target.height
     gw, gh = density.grid_shape(lr_w, lr_h)
     n = gw * gh
-    if density is Density.ONE_PER_PIXEL:
-        colors = target.pixels.reshape(n, 3)
-    else:
-        pad = np.pad(
-            target.pixels, ((0, 2 * gh - lr_h), (0, 2 * gw - lr_w), (0, 0)), mode="edge"
-        )
-        colors = pad.reshape(gh, 2, gw, 2, 3).mean(axis=(1, 3)).reshape(n, 3)
+    colors = block_mean(target.pixels, gh, gw).reshape(n, 3)
     f = GaussianField(
         lr_width=lr_w,
         lr_height=lr_h,
@@ -172,7 +159,7 @@ def init_field(
     if render_config is None:
         return f
     gain = render_windows(f.replace(colors=np.ones((n, 3))), render_config).pixels
-    pooled = _block_pool(np.maximum(gain, 1e-6), gh, gw)
+    pooled = block_mean(np.maximum(gain, 1e-6), gh, gw).reshape(n, 3)
     return f.replace(colors=np.clip(colors / pooled, 0.0, 1.0))
 
 
@@ -311,16 +298,28 @@ def fit_frame(
     else:
         # Target lives at the fitting scale; initialize from its block mean.
         step = int(round(scale))
-        h = (target.height // step) * step
-        w = (target.width // step) * step
-        small = target.pixels[:h, :w].reshape(
-            h // step, step, w // step, step, 3
-        ).mean(axis=(1, 3))
+        gh, gw = target.height // step, target.width // step
+        small = block_mean(target.pixels[: gh * step, : gw * step], gh, gw)
         lr_frame = FrameBuffer(small)
     field = init_field(lr_frame, density, cfg.render_config(density))
-    if cfg.iterations == 0:
-        return field, []
+    return descend(field, target, cfg, cfg.iterations)
 
+
+def descend(
+    field: GaussianField,
+    target: FrameBuffer,
+    cfg: FitConfig,
+    iterations: int,
+    freeze_covariance: bool = False,
+) -> tuple[GaussianField, list[float]]:
+    """Adam descent from field; returns (field, loss after each step).
+
+    cfg.iterations is not read.  With freeze_covariance every iterate keeps
+    the starting sigmas and rhos bit for bit; only offsets and colors move.
+    """
+    if iterations <= 0:
+        return field, []
+    cfg.validate()
     theta = ParamVector.from_field(field).raw.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -328,22 +327,24 @@ def fit_frame(
     # losses[k] is the loss after k steps, taken from the same render that
     # the gradient of step k + 1 starts from.
     losses: list[float] = []
-    rcfg = cfg.render_config(density)
-    for it in range(cfg.iterations + 1):
-        field = ParamVector(theta).to_field(field)
-        rendered = render_windows(field, rcfg).pixels
+    rcfg = cfg.render_config(field.density)
+    for it in range(iterations + 1):
+        cur = ParamVector(theta).to_field(field)
+        if freeze_covariance:
+            cur = cur.replace(sigmas=field.sigmas, rhos=field.rhos)
+        rendered = render_windows(cur, rcfg).pixels
         losses.append(_loss_terms(rendered, target.pixels, target_spectrum, cfg)[0])
-        if it == cfg.iterations:
+        if it == iterations:
             break
         weight = _pixel_weight_l1(rendered, target.pixels)
         if cfg.freq_in_gradient and cfg.freq_loss_weight > 0:
             weight = weight + cfg.freq_loss_weight * _pixel_weight_freq(
                 rendered, target_spectrum
             )
-        g = _field_gradient(field, weight, cfg)
+        g = _field_gradient(cur, weight, cfg)
         m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
         v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
         m_hat = m / (1.0 - cfg.adam_beta1 ** (it + 1))
         v_hat = v / (1.0 - cfg.adam_beta2 ** (it + 1))
         theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return field, losses[1:]
+    return cur, losses[1:]

@@ -63,14 +63,6 @@ class WindowMap:
         object.__setattr__(self, "values", arr)
 
 
-class AnalyticBaseline:
-    """Training-free fusion: mask = (1 - t) everywhere, residual = 0."""
-
-
-class PassthroughMode:
-    """Decode a 5-channel map verbatim: (dmu_x, dmu_y, r, g, b), clamped."""
-
-
 @dataclass(frozen=True)
 class FusionHeadWeights:
     """Conv mapping 2C feature channels -> 1 mask channel + C residuals."""
@@ -183,13 +175,17 @@ def predict_fusion(
     f0t: FeatureMap,
     f1t: FeatureMap,
     t: float,
-    w: FusionHeadWeights | AnalyticBaseline | None = None,
+    w: FusionHeadWeights | None = None,
 ) -> tuple[FeatureMap, FeatureMap]:
-    """Predict the fusion mask (1 channel, in [0,1]) and feature residual."""
+    """Predict the fusion mask (1 channel, in [0,1]) and feature residual.
+
+    With no weights, the training-free baseline: mask = 1 - t everywhere,
+    residual = 0.
+    """
     if f0t.data.shape != f1t.data.shape:
         raise ShapeError("warped endpoint features differ in shape")
     h, wd, c = f0t.data.shape
-    if w is None or isinstance(w, AnalyticBaseline) or w is AnalyticBaseline:
+    if w is None:
         mask = np.full((h, wd, 1), 1.0 - t)
         residual = np.zeros((h, wd, c))
         return FeatureMap(mask), FeatureMap(residual)
@@ -219,13 +215,14 @@ def fuse_features(
 
 
 def decode_gaussians(
-    f_t: FeatureMap, w: DecoderWeights | PassthroughMode | None = None
+    f_t: FeatureMap, w: DecoderWeights | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode per-cell base offsets in [0,1] and colors in [0,1].
 
-    Returns (offsets (H, W, 2), colors (H, W, 3)).
+    With no weights, a 5-channel map (dmu_x, dmu_y, r, g, b) is decoded
+    verbatim, clamped.  Returns (offsets (H, W, 2), colors (H, W, 3)).
     """
-    if w is None or isinstance(w, PassthroughMode) or w is PassthroughMode:
+    if w is None:
         if f_t.channels != 5:
             raise ShapeError(f"passthrough decode needs 5 channels, got {f_t.channels}")
         offsets = np.clip(f_t.data[:, :, 0:2], 0.0, 1.0)

@@ -40,9 +40,10 @@ from splatvid.core import (
     GaussianField,
     ShapeError,
     ValidationError,
+    block_mean,
 )
 from splatvid.cpb import FUSER_IN_CHANNELS, CovGrid, CpbBank, FuserWeights
-from splatvid.fit import FitConfig, ParamVector
+from splatvid.fit import FitConfig
 from splatvid.motion import (
     DecoderWeights,
     FlowConvention,
@@ -139,10 +140,8 @@ def _grid_flow(flow: FlowField, density: Density, grid_units: bool) -> FlowField
     """
     if density is Density.ONE_PER_PIXEL:
         return flow
-    h, w = flow.vectors.shape[:2]
-    gw, gh = density.grid_shape(w, h)
-    pad = np.pad(flow.vectors, ((0, 2 * gh - h), (0, 2 * gw - w), (0, 0)), mode="edge")
-    pooled = pad.reshape(gh, 2, gw, 2, 2).mean(axis=(1, 3))
+    gw, gh = density.grid_shape(flow.width, flow.height)
+    pooled = block_mean(flow.vectors, gh, gw)
     return FlowField(pooled / 2.0 if grid_units else pooled)
 
 
@@ -154,28 +153,7 @@ def _snap_and_refine(
     snapped = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
     f = f.replace(sigmas=snapped[:, 0:2], rhos=snapped[:, 2])
     iters = opts.refine_iterations
-    if iters <= 0:
-        return f
-    cfg = opts.fit
-    theta = ParamVector.from_field(f).raw.copy()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    rcfg = cfg.render_config(f.density)
-    for it in range(1, iters + 1):
-        cur = ParamVector(theta).to_field(f)
-        cur = cur.replace(sigmas=f.sigmas, rhos=f.rhos)  # covariance frozen
-        rendered = render_windows(cur, rcfg).pixels
-        g = fit_mod._field_gradient(
-            cur, fit_mod._pixel_weight_l1(rendered, target.pixels), cfg
-        )
-        g[:, 2:5] = 0.0  # only offsets and colors move
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1**it)
-        v_hat = v / (1.0 - cfg.adam_beta2**it)
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    out = ParamVector(theta).to_field(f)
-    return out.replace(sigmas=f.sigmas, rhos=f.rhos)
+    return fit_mod.descend(f, target, opts.fit, iters, freeze_covariance=True)[0]
 
 
 def build_shared_context(

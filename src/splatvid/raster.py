@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from splatvid.core import (
-    CovParams,
     Density,
     FrameBuffer,
     Gaussian2D,
@@ -59,14 +58,6 @@ class RenderConfig:
             )
         if self.truncation_radius < 1.0:
             raise ValidationError(f"truncation_radius {self.truncation_radius} < 1")
-
-
-def scale_covariance(p: CovParams, s: float) -> CovParams:
-    """Scale-adjusted covariance params: (s*sx, s*sy, rho)."""
-    p.validate()
-    if s <= 0:
-        raise ValidationError(f"scale {s} must be positive")
-    return CovParams(s * p.sigma_x, s * p.sigma_y, p.rho)
 
 
 def output_shape(lr_width: int, lr_height: int, scale: float) -> tuple[int, int]:

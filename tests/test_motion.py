@@ -17,11 +17,9 @@ from splatvid.core import (
 )
 from splatvid.cpb import LogitField
 from splatvid.motion import (
-    AnalyticBaseline,
     DecoderWeights,
     FlowConvention,
     FusionHeadWeights,
-    PassthroughMode,
     WindowMap,
     WindowSet,
     apply_window,
@@ -124,7 +122,7 @@ class TestBackwardWarp:
 class TestPredictFusion:
     def test_baseline_t0(self):
         f = FeatureMap(np.ones((2, 3, 5)))
-        mask, residual = predict_fusion(f, f, 0.0, AnalyticBaseline())
+        mask, residual = predict_fusion(f, f, 0.0, None)
         assert np.array_equal(mask.data, np.ones((2, 3, 1)))
         assert np.array_equal(residual.data, np.zeros((2, 3, 5)))
 
@@ -186,7 +184,7 @@ class TestFuseFeatures:
 class TestDecodeGaussians:
     def test_passthrough_constant(self):
         data = np.tile(np.array([0.5, 0.5, 1.0, 0.0, 0.0]), (2, 3, 1))
-        offsets, colors = decode_gaussians(FeatureMap(data), PassthroughMode())
+        offsets, colors = decode_gaussians(FeatureMap(data), None)
         assert np.allclose(offsets, 0.5)
         assert np.allclose(colors, [1.0, 0.0, 0.0])
 
@@ -211,7 +209,7 @@ class TestDecodeGaussians:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            decode_gaussians(FeatureMap(np.zeros((2, 2, 4))), PassthroughMode())
+            decode_gaussians(FeatureMap(np.zeros((2, 2, 4))), None)
 
 
 class TestWindowMap:

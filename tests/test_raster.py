@@ -16,7 +16,6 @@ from splatvid.raster import (
     render_dense,
     render_tiled,
     render_windows,
-    scale_covariance,
 )
 from conftest import random_field
 
@@ -125,7 +124,7 @@ class TestTruncatedPaths:
             diff = np.abs(render_tiled(f, cfg).pixels - render_dense(f, cfg).pixels)
             assert diff.max() <= 1e-5
 
-    def test_windows_matches_tiled(self):
+    def test_render_tiled_is_the_windowed_render(self):
         rng = np.random.default_rng(5)
         for scale in (1.0, 2.0, 2.5):
             cfg = RenderConfig(scale=scale, truncation_radius=4.0, clamp_output=False)
@@ -133,7 +132,7 @@ class TestTruncatedPaths:
                 f = random_field(rng, 7, 5)
                 a = render_tiled(f, cfg).pixels
                 b = render_windows(f, cfg).pixels
-                assert np.abs(a - b).max() <= 1e-12
+                assert np.array_equal(a, b)
 
     def test_zero_colors(self):
         f = random_field(np.random.default_rng(6), 4, 4, color_range=(0.0, 0.0))
@@ -158,13 +157,6 @@ class TestTruncatedPaths:
         dist = np.hypot(xs + 0.5 - mu[0], ys + 0.5 - mu[1])
         assert np.all(img[dist > 3 * 0.8] == 0.0)
         assert img[int(mu[1]), int(mu[0]), 0] > 0.0
-
-
-class TestScaleCovariance:
-    def test_cases(self):
-        assert scale_covariance(CovParams(1, 1, 0), 4) == CovParams(4, 4, 0)
-        assert scale_covariance(CovParams(0.7, 1.3, 0.2), 1) == CovParams(0.7, 1.3, 0.2)
-        assert scale_covariance(CovParams(2, 1, 0.5), 2.5) == CovParams(5.0, 2.5, 0.5)
 
 
 class TestRenderProperties:
