@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from splatvid import fileio, fit as fit_mod, metrics, pipeline, synth
+from splatvid import cpb, fileio, fit as fit_mod, metrics, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig, ParamVector, gradients
 from splatvid.motion import FlowConvention
@@ -145,27 +145,11 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _random_field(rng: np.random.Generator, w: int, h: int, density: Density):
-    gw, gh = density.grid_shape(w, h)
-    n = gw * gh
-    from splatvid.core import GaussianField
-
-    return GaussianField(
-        lr_width=w,
-        lr_height=h,
-        density=density,
-        offsets=rng.uniform(0.05, 0.95, (n, 2)),
-        sigmas=rng.uniform(0.4, 2.0, (n, 2)),
-        rhos=rng.uniform(-0.7, 0.7, n),
-        colors=rng.uniform(0.0, 1.0, (n, 3)),
-    )
-
-
 def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_render = 0.0
     for _ in range(20):
-        f = _random_field(rng, 8, 8, Density.ONE_PER_PIXEL)
+        f = synth.random_field(rng, 8, 8, Density.ONE_PER_PIXEL)
         cfg = RenderConfig(scale=args.scale, truncation_radius=6.0, clamp_output=False)
         diff = np.abs(
             render_windows(f, cfg).pixels - render_dense(f, cfg).pixels
@@ -177,7 +161,7 @@ def _cmd_oracle_check(args) -> int:
     eps = 1e-4
     cfg = FitConfig(iterations=0)
     for _ in range(5):
-        f = _random_field(rng, 4, 4, Density.ONE_PER_PIXEL)
+        f = synth.random_field(rng, 4, 4, Density.ONE_PER_PIXEL)
         target = FrameBuffer(rng.uniform(0.0, 1.0, (4, 4, 3)))
         g = gradients(f, target, cfg)
         theta = ParamVector.from_field(f).raw
@@ -195,7 +179,20 @@ def _cmd_oracle_check(args) -> int:
             worst_grad = max(worst_grad, abs(fd - g[i, j]) / denom)
     print(f"gradient-vs-FD max rel err: {worst_grad:.3e}")
 
-    ok = worst_render <= 1e-5 and worst_grad <= 1e-3
+    bank = synth.jittered_bank(rng)
+    fuser = synth.t_dependent_fuser(rng, bank)
+    sigmas = rng.uniform(0.4, 2.0, (2, 8, 12, 2))
+    rhos = rng.uniform(-0.7, 0.7, (2, 8, 12, 1))
+    cov0, cov1 = (cpb.CovGrid(c) for c in np.concatenate([sigmas, rhos], axis=3))
+    cands = cpb.bank_candidates(cov0, cov1, fuser, bank)
+    worst_bank = 0.0
+    for t in (0.0, 0.3, 0.5, 1.0):
+        full = cpb.resample(cpb.fuse(cov0, cov1, t, fuser), bank).params
+        diff = np.abs(cpb.resample_candidates(cands, t, bank).params - full).max()
+        worst_bank = max(worst_bank, float(diff))
+    print(f"bank-candidates-vs-full max abs diff: {worst_bank:.3e}")
+
+    ok = worst_render <= 1e-5 and worst_grad <= 1e-3 and worst_bank <= 1e-12
     print("oracle check:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -255,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("oracle-check", help="windowed-vs-dense and gradient checks")
+    p = sub.add_parser(
+        "oracle-check", help="windowed-vs-dense, gradient and bank-candidate checks"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_oracle_check)
 

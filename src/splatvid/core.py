@@ -219,6 +219,18 @@ class Violation:
         return f"cell {self.cell}: {self.field}={self.value!r}"
 
 
+_FIELD_COLUMNS = (
+    "sigma_x",
+    "sigma_y",
+    "rho",
+    "offset_x",
+    "offset_y",
+    "color_r",
+    "color_g",
+    "color_b",
+)
+
+
 def validate_field(f: GaussianField) -> list[Violation]:
     """Report every per-kernel invariant violation; empty list iff valid."""
     out: list[Violation] = []
@@ -236,23 +248,18 @@ def validate_field(f: GaussianField) -> list[Violation]:
             raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
     if not (0.0 <= f.timestamp <= 1.0):
         out.append(Violation(-1, "timestamp", f.timestamp))
-    for i in range(n):
-        sx, sy = f.sigmas[i]
-        rho = f.rhos[i]
-        if not np.isfinite(sx) or sx < SIGMA_MIN:
-            out.append(Violation(i, "sigma_x", float(sx)))
-        if not np.isfinite(sy) or sy < SIGMA_MIN:
-            out.append(Violation(i, "sigma_y", float(sy)))
-        if not np.isfinite(rho) or abs(rho) > RHO_MAX:
-            out.append(Violation(i, "rho", float(rho)))
-        for k, comp in enumerate("xy"):
-            v = f.offsets[i, k]
-            if not np.isfinite(v) or v < 0.0 or v > f.max_offset:
-                out.append(Violation(i, f"offset_{comp}", float(v)))
-        for k, comp in enumerate("rgb"):
-            v = f.colors[i, k]
-            if not np.isfinite(v) or v < 0.0 or v > 1.0:
-                out.append(Violation(i, f"color_{comp}", float(v)))
+    values = np.column_stack([f.sigmas, f.rhos, f.offsets, f.colors])
+    bad = ~np.isfinite(values)
+    bad[:, 0:2] |= values[:, 0:2] < SIGMA_MIN
+    bad[:, 2] |= np.abs(values[:, 2]) > RHO_MAX
+    bad[:, 3:5] |= (values[:, 3:5] < 0.0) | (values[:, 3:5] > f.max_offset)
+    bad[:, 5:8] |= (values[:, 5:8] < 0.0) | (values[:, 5:8] > 1.0)
+    # nonzero runs row-major: kernel index first, then the column order.
+    cells, cols = np.nonzero(bad)
+    out.extend(
+        Violation(int(i), _FIELD_COLUMNS[j], float(values[i, j]))
+        for i, j in zip(cells, cols)
+    )
     return out
 
 

@@ -290,7 +290,12 @@ def gradients(f: GaussianField, target: FrameBuffer, cfg: FitConfig) -> np.ndarr
 def fit_frame(
     target: FrameBuffer, density: Density, cfg: FitConfig
 ) -> tuple[GaussianField, list[float]]:
-    """Adam descent from the deterministic init; returns (field, loss trace)."""
+    """Adam descent from the deterministic init; returns (field, loss trace).
+
+    At an integer fitting scale s > 1 (1:4 density fits at 2) the target is
+    s times the LR frame, so ShapeError is raised up front unless each
+    target dimension is a positive multiple of s.
+    """
     cfg.validate()
     scale = cfg.effective_scale(density)
     if scale == 1.0:
@@ -298,6 +303,13 @@ def fit_frame(
     else:
         # Target lives at the fitting scale; initialize from its block mean.
         step = int(round(scale))
+        need = "even and at least 2" if step == 2 else f"a positive multiple of {step}"
+        for name, size in (("height", target.height), ("width", target.width)):
+            if scale == step and (size < step or size % step):
+                raise ShapeError(
+                    f"target {name} is {size}, but fitting at scale {step}"
+                    f" needs the {name} to be {need}"
+                )
         gh, gw = target.height // step, target.width // step
         small = block_mean(target.pixels[: gh * step, : gw * step], gh, gw)
         lr_frame = FrameBuffer(small)

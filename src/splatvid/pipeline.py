@@ -4,13 +4,17 @@ A SharedContext is built exactly once per input pair.  It holds the endpoint
 fits (snapped to the bank and refined), the flows, the window map, and every
 input of the per-frame step that does not depend on t: the frame-0
 parameter map, the frame-1 parameter and covariance maps pulled back to the
-frame-0 anchors, and, when the bank fuser gives the time channel zero weight
-at every tap, the derived covariances themselves (the fused logits then do
-not depend on t, so one fuse + resample serves every timestamp).  Each
+frame-0 anchors, and the bank side of the covariance derivation.  When the
+fuser gives the time channel zero weight at every tap, that is the derived
+covariances themselves: one fuse + resample serves every timestamp.
+Otherwise it is the per-cell bank candidates of ``cpb.bank_candidates``.
+The fused logits are linear in t, so each frame pays only an (N, M)
+softmax over the entries that can come within ``cpb.TAU`` = 40 of a cell's
+maximum logit; the dropped softmax mass is at most K * exp(-TAU) per cell
+(1.4e-15 at K = 320), and no frame runs a conv or a K-wide softmax.  Each
 requested timestamp then only pays scaling of the one flow it uses, feature
-fusion, decoding, offset gating and, for a t-dependent fuser, the bank
-fuse + resample, plus rasterization.  Stage counters record this split and
-are asserted by the latency tests.
+fusion, decoding, offset gating and that bank softmax, plus rasterization.
+Stage counters record this split and are asserted by the latency tests.
 
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
@@ -42,7 +46,13 @@ from splatvid.core import (
     ValidationError,
     block_mean,
 )
-from splatvid.cpb import FUSER_IN_CHANNELS, CovGrid, CpbBank, FuserWeights
+from splatvid.cpb import (
+    FUSER_IN_CHANNELS,
+    BankCandidates,
+    CovGrid,
+    CpbBank,
+    FuserWeights,
+)
 from splatvid.fit import FitConfig
 from splatvid.motion import (
     DecoderWeights,
@@ -96,8 +106,9 @@ class SharedContext:
     field 1's maps pulled back to the frame-0 anchors through the 0->1 flow.
     ``cov_t`` holds the derived covariances when the fuser's time-channel
     weights are zero at every tap: the logits then do not depend on t, and
-    ``derive_field`` reuses it instead of fusing and resampling per frame.
-    It is None for a t-dependent fuser.
+    ``derive_field`` reuses it at every t.  Otherwise ``cov_t`` is None and
+    ``candidates`` holds the per-cell bank candidates that ``derive_field``
+    resamples at each t.
     """
 
     field0: GaussianField
@@ -113,6 +124,7 @@ class SharedContext:
     param0: FeatureMap | None = None
     param1: FeatureMap | None = None
     cov_t: CovGrid | None = None
+    candidates: BankCandidates | None = None
     stage_counters: dict[str, int] = field(default_factory=dict)
 
     def bump(self, stage: str) -> None:
@@ -206,6 +218,8 @@ def build_shared_context(
         ctx.cov_t = cpb_mod.resample(
             cpb_mod.fuse(ctx.cov0, ctx.cov1, 0.0, fuser), bank
         )
+    else:
+        ctx.candidates = cpb_mod.bank_candidates(ctx.cov0, ctx.cov1, fuser, bank)
     ctx.bump("fit")
 
     logits = motion_mod.flow_magnitude_window_logits(
@@ -240,9 +254,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
 
     cov_grid = ctx.cov_t
     if cov_grid is None:
-        cov_grid = cpb_mod.resample(
-            cpb_mod.fuse(ctx.cov0, ctx.cov1, t, ctx.fuser), ctx.bank
-        )
+        cov_grid = cpb_mod.resample_candidates(ctx.candidates, t, ctx.bank)
     cov_t = cov_grid.params.reshape(-1, 3)
 
     f0 = ctx.field0

@@ -1,4 +1,4 @@
-"""Synthetic frames and exact flow fields for self-contained experiments.
+"""Synthetic frames, exact flows, random kernel fields, seeded banks and fusers.
 
 Flows are inputs to the engine, never estimated; these generators produce
 frame pairs together with the exact bidirectional flows that relate them.
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from splatvid.core import FlowField, FrameBuffer
+from splatvid import cpb
+from splatvid.core import Density, FlowField, FrameBuffer, GaussianField
 
 
 def uniform_flow(width: int, height: int, dx: float, dy: float) -> FlowField:
@@ -105,3 +106,53 @@ def centroid(frame: FrameBuffer, background=None) -> tuple[float, float]:
     total = weight.sum()
     ys, xs = np.mgrid[0 : frame.height, 0 : frame.width].astype(np.float64)
     return float((weight * xs).sum() / total), float((weight * ys).sum() / total)
+
+
+def random_field(
+    rng: np.random.Generator,
+    lr_width: int,
+    lr_height: int,
+    density: Density = Density.ONE_PER_PIXEL,
+    sigma_range: tuple[float, float] = (0.4, 2.0),
+    rho_range: tuple[float, float] = (-0.7, 0.7),
+    offset_range: tuple[float, float] = (0.05, 0.95),
+    color_range: tuple[float, float] = (0.0, 1.0),
+) -> GaussianField:
+    """A valid field with uniform draws: offsets, sigmas, rhos, then colors."""
+    gw, gh = density.grid_shape(lr_width, lr_height)
+    n = gw * gh
+    return GaussianField(
+        lr_width=lr_width,
+        lr_height=lr_height,
+        density=density,
+        offsets=rng.uniform(*offset_range, (n, 2)),
+        sigmas=rng.uniform(*sigma_range, (n, 2)),
+        rhos=rng.uniform(*rho_range, n),
+        colors=rng.uniform(*color_range, (n, 3)),
+    )
+
+
+def jittered_bank(rng: np.random.Generator) -> cpb.CpbBank:
+    """The default bank's 8 x 8 x 5 grid, every entry moved by up to 0.35 of
+    a grid step per axis (below 0.5, entries stay distinct)."""
+    grid = cpb.default_bank().params
+    log_step = np.log(3.0 / 0.3) / 7.0  # default_bank's sigma spacing
+    rho_step = 0.3  # default_bank's rho spacing
+    u = rng.uniform(-0.35, 0.35, grid.shape)
+    sig = grid[:, 0:2] * np.exp(u[:, 0:2] * log_step)
+    rho = grid[:, 2] + u[:, 2] * rho_step
+    return cpb.CpbBank(np.column_stack([sig, rho]))
+
+
+def t_dependent_fuser(rng: np.random.Generator, bank: cpb.CpbBank) -> cpb.FuserWeights:
+    """A 3x3 fuser: the baseline fuser's 1x1 map at the centre tap, plus
+    seeded neighbour taps (std 0.5) and a centre t-channel weight (std 4)."""
+    base = cpb.baseline_fuser(bank)
+    k, c = base.weights.shape[:2]
+    w = np.zeros((k, c, 3, 3))
+    w[:, :, 1, 1] = base.weights[:, :, 0, 0]
+    neighbour = rng.normal(0.0, 0.5, (k, c - 1, 3, 3))
+    neighbour[:, :, 1, 1] = 0.0
+    w[:, : c - 1] += neighbour
+    w[:, c - 1, 1, 1] = rng.normal(0.0, 4.0, k)
+    return cpb.FuserWeights(w, base.bias)

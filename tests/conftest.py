@@ -4,30 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from splatvid.core import Density, GaussianField
-
-
-def random_field(
-    rng: np.random.Generator,
-    lr_width: int,
-    lr_height: int,
-    density: Density = Density.ONE_PER_PIXEL,
-    sigma_range: tuple[float, float] = (0.4, 2.0),
-    rho_range: tuple[float, float] = (-0.7, 0.7),
-    offset_range: tuple[float, float] = (0.05, 0.95),
-    color_range: tuple[float, float] = (0.0, 1.0),
-) -> GaussianField:
-    gw, gh = density.grid_shape(lr_width, lr_height)
-    n = gw * gh
-    return GaussianField(
-        lr_width=lr_width,
-        lr_height=lr_height,
-        density=density,
-        offsets=rng.uniform(*offset_range, (n, 2)),
-        sigmas=rng.uniform(*sigma_range, (n, 2)),
-        rhos=rng.uniform(*rho_range, n),
-        colors=rng.uniform(*color_range, (n, 3)),
-    )
+from splatvid.core import GaussianField
+from splatvid.synth import random_field  # noqa: F401  (re-exported for tests)
 
 
 def fields_equal(a: GaussianField, b: GaussianField) -> bool:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splatvid.core import (
+    RHO_MAX,
+    SIGMA_MIN,
     CovParams,
     Density,
     FlowField,
@@ -13,6 +15,7 @@ from splatvid.core import (
     GaussianField,
     ShapeError,
     ValidationError,
+    Violation,
     cov_det,
     cov_inverse,
     cov_matrix,
@@ -135,6 +138,59 @@ class TestValidateField:
         f = random_field(np.random.default_rng(1), 4, 4)
         with pytest.raises(ShapeError):
             validate_field(f.replace(rhos=np.zeros(3)))
+
+    @staticmethod
+    def reference_report(f):
+        """The per-kernel loop that validate_field replaced."""
+        out = []
+        if not (0.0 <= f.timestamp <= 1.0):
+            out.append(Violation(-1, "timestamp", f.timestamp))
+        for i in range(f.n_gaussians):
+            sx, sy = f.sigmas[i]
+            rho = f.rhos[i]
+            if not np.isfinite(sx) or sx < SIGMA_MIN:
+                out.append(Violation(i, "sigma_x", float(sx)))
+            if not np.isfinite(sy) or sy < SIGMA_MIN:
+                out.append(Violation(i, "sigma_y", float(sy)))
+            if not np.isfinite(rho) or abs(rho) > RHO_MAX:
+                out.append(Violation(i, "rho", float(rho)))
+            for k, comp in enumerate("xy"):
+                v = f.offsets[i, k]
+                if not np.isfinite(v) or v < 0.0 or v > f.max_offset:
+                    out.append(Violation(i, f"offset_{comp}", float(v)))
+            for k, comp in enumerate("rgb"):
+                v = f.colors[i, k]
+                if not np.isfinite(v) or v < 0.0 or v > 1.0:
+                    out.append(Violation(i, f"color_{comp}", float(v)))
+        return out
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(5)
+        f = random_field(rng, 7, 5)
+        bad = [np.nan, np.inf, -np.inf]
+        offs, sig, rho, col = (
+            f.offsets.copy(), f.sigmas.copy(), f.rhos.copy(), f.colors.copy()
+        )
+        # Every field kind gets a NaN, an inf and an out-of-range value, in
+        # cells chosen so that one cell carries several violations.
+        cells = rng.permutation(f.n_gaussians)[:12]
+        for j, v in enumerate(bad + [1e-4]):
+            sig[cells[j], j % 2] = v
+        for j, v in enumerate(bad + [-1.0, 1.0]):
+            rho[cells[j + 2]] = v
+        for j, v in enumerate(bad + [-0.1, 2.5]):
+            offs[cells[j + 4], j % 2] = v
+        for j, v in enumerate(bad + [-0.2, 1.5]):
+            col[cells[j + 6], j % 3] = v
+        g = f.replace(offsets=offs, sigmas=sig, rhos=rho, colors=col, timestamp=1.5)
+        got = validate_field(g)
+        want = self.reference_report(g)
+        assert len(want) == 20
+        assert [str(v) for v in got] == [str(v) for v in want]
+        assert {v.field for v in got} == {
+            "timestamp", "sigma_x", "sigma_y", "rho", "offset_x", "offset_y",
+            "color_r", "color_g", "color_b",
+        }
 
 
 class TestImageTypes:

@@ -1,4 +1,5 @@
-"""Covariance prior bank: construction, projection, fusion, resampling."""
+"""Covariance prior bank: construction, projection, fusion, resampling,
+and the per-cell candidate resample of a t-dependent fuser."""
 
 import math
 
@@ -8,19 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splatvid import synth
 from splatvid.core import CovParams, ShapeError, ValidationError
 from splatvid.cpb import (
+    CANDIDATE_BLOCK,
+    FUSER_IN_CHANNELS,
+    TAU,
     CovGrid,
     CpbBank,
     FuserWeights,
     LogitField,
+    bank_candidates,
     bank_quantization_step,
     baseline_fuser,
     build_bank,
     default_bank,
+    _embed,
     fuse,
+    nearest_entry_indices,
+    project_grid_to_bank,
     project_to_bank,
     resample,
+    resample_candidates,
     softmax,
 )
 
@@ -126,6 +136,18 @@ class TestProjectToBank:
                 best, best_d = i, d
         assert np.argmax(logits) == best
 
+    def test_grid_matches_full_difference(self):
+        # Each cell's nearest entry of a jittered bank must equal the argmin
+        # over the whole (cells, K, 3) difference.
+        bank = synth.jittered_bank(np.random.default_rng(1))
+        grid = random_cov_grid(np.random.default_rng(6), 20, 30).params
+        d = _embed(grid)[..., None, :] - bank.embedding()
+        want = np.argmin(np.sum(d * d, axis=-1), axis=-1)
+        got = nearest_entry_indices(grid, bank)
+        assert got.shape == (20, 30) and np.array_equal(got, want)
+        snapped = project_grid_to_bank(CovGrid(grid), bank).params
+        assert np.array_equal(snapped, bank.params[want])
+
 
 class TestFuse:
     def test_zero_weights_yield_bias(self):
@@ -225,6 +247,121 @@ class TestBaselineFuser:
         out = resample(fuse(CovGrid(base), CovGrid(pert), 0.0, fuser), bank).params
         err = np.abs(out[..., 0:2] - base[..., 0:2]).mean()
         assert err <= step
+
+
+def corner_t_tap_fuser():
+    """TestDeriveCache's fuser (test_pipeline_cli.py): the baseline 1x1 map
+    at the centre of a 3x3 kernel, a t-weight at one corner tap only."""
+    bank = default_bank()
+    base = baseline_fuser(bank)
+    w = np.zeros((bank.size, FUSER_IN_CHANNELS, 3, 3))
+    w[:, :, 1, 1] = base.weights[:, :, 0, 0]
+    w[:, FUSER_IN_CHANNELS - 1, 0, 0] = np.random.default_rng(4).normal(
+        0.0, 100.0, bank.size
+    )
+    return bank, FuserWeights(w, base.bias)
+
+
+def jittered_3x3_fuser():
+    """A jittered K = 320 bank and a seeded 3x3 fuser of t-tap std 4."""
+    rng = np.random.default_rng(7)
+    bank = synth.jittered_bank(rng)
+    return bank, synth.t_dependent_fuser(rng, bank)
+
+
+def all_candidates_fuser():
+    """A soft 1x1 fuser whose t weights keep every entry a candidate."""
+    bank = default_bank()
+    base = baseline_fuser(bank, sharpness=1.0)
+    w = base.weights.copy()
+    w[:, FUSER_IN_CHANNELS - 1] = np.random.default_rng(8).normal(
+        0.0, 8.0, (bank.size, 1, 1)
+    )
+    return bank, FuserWeights(w, base.bias)
+
+
+CANDIDATE_FUSERS = {
+    "corner-t-tap": corner_t_tap_fuser,
+    "jittered-3x3": jittered_3x3_fuser,
+    "all-candidates": all_candidates_fuser,
+}
+CANDIDATE_TIMES = (0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def random_cov_grid(rng, gh=6, gw=7):
+    sigmas = rng.uniform(0.4, 2.0, (gh, gw, 2))
+    return CovGrid(np.dstack([sigmas, rng.uniform(-0.7, 0.7, (gh, gw))]))
+
+
+class TestBankCandidates:
+    @pytest.fixture(params=list(CANDIDATE_FUSERS))
+    def case(self, request):
+        bank, fuser = CANDIDATE_FUSERS[request.param]()
+        rng = np.random.default_rng(2)
+        # 24 rows of 20 cells: five blocks of grid rows, the last one short.
+        cov0, cov1 = random_cov_grid(rng, 24, 20), random_cov_grid(rng, 24, 20)
+        assert CANDIDATE_BLOCK // (bank.size * 20) == 5
+        return bank, fuser, cov0, cov1, bank_candidates(cov0, cov1, fuser, bank)
+
+    def test_matches_full_resample(self, case):
+        bank, fuser, cov0, cov1, cands = case
+        for t in CANDIDATE_TIMES:
+            full = resample(fuse(cov0, cov1, t, fuser), bank).params
+            got = resample_candidates(cands, t, bank).params
+            assert got.shape == full.shape
+            for col in range(3):
+                assert np.abs(got[..., col] - full[..., col]).max() <= 1e-12, (t, col)
+
+    def test_dropped_entries_are_tau_below_max(self, case):
+        bank, fuser, cov0, cov1, cands = case
+        fin = np.isfinite(cands.a)
+        gy, gx, _ = np.nonzero(fin)
+        entry = cands.idx[fin]  # row-major, as nonzero
+        kept = np.zeros(cov0.params.shape[:2] + (bank.size,), dtype=bool)
+        kept[gy, gx, entry] = True
+        logits = {t: fuse(cov0, cov1, t, fuser).logits for t in (0.0, 1.0)}
+        # The kept entries carry the split logits: a at t = 0, a + b at t = 1.
+        a, a1 = cands.a[fin], (cands.a + cands.b)[fin]
+        assert np.allclose(a, logits[0.0][gy, gx, entry], rtol=0, atol=1e-9)
+        assert np.allclose(a1, logits[1.0][gy, gx, entry], rtol=0, atol=1e-9)
+        for t, lg in logits.items():
+            top = lg.max(axis=2, keepdims=True)
+            # 1e-9 leaves room for the rounding of the two logit paths.
+            assert np.all((lg <= top - TAU + 1e-9) | kept), t
+
+    def test_candidate_layout(self, case):
+        _, _, _, _, cands = case
+        counts = np.isfinite(cands.a).sum(axis=2)
+        assert counts.min() >= 1
+        assert cands.idx.shape[2] == counts.max()
+        assert cands.idx.dtype == np.int32
+        # Padding: idx 0, a = -inf, b = 0, after each cell's candidates.
+        pad = ~np.isfinite(cands.a)
+        assert np.all(cands.a[pad] == -np.inf)
+        assert np.all(cands.b[pad] == 0.0) and np.all(cands.idx[pad] == 0)
+        assert np.all(np.diff(pad.astype(np.int8), axis=2) >= 0)
+
+    def test_all_candidates_fuser_keeps_every_entry(self):
+        bank, fuser = all_candidates_fuser()
+        rng = np.random.default_rng(2)
+        cands = bank_candidates(random_cov_grid(rng), random_cov_grid(rng), fuser, bank)
+        assert cands.idx.shape[2] == bank.size
+        assert np.all(np.isfinite(cands.a))
+
+    def test_jittered_fuser_prunes(self):
+        bank, fuser = jittered_3x3_fuser()
+        rng = np.random.default_rng(2)
+        cands = bank_candidates(random_cov_grid(rng), random_cov_grid(rng), fuser, bank)
+        assert cands.idx.shape[2] < bank.size // 4
+
+    def test_shape_and_k_mismatch(self):
+        bank, fuser = corner_t_tap_fuser()
+        rng = np.random.default_rng(2)
+        cov = random_cov_grid(rng)
+        with pytest.raises(ShapeError):
+            bank_candidates(cov, random_cov_grid(rng, 5, 7), fuser, bank)
+        with pytest.raises(ShapeError):
+            bank_candidates(cov, cov, fuser, build_bank([1.0], [0.0]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splatvid.core import Density, FrameBuffer, SIGMA_MIN, validate_field
+from splatvid.core import Density, FrameBuffer, SIGMA_MIN, ShapeError, validate_field
 from splatvid.fit import (
     FitConfig,
     ParamVector,
@@ -333,6 +333,22 @@ class TestFitFrame:
             short = dataclasses.replace(cfg, iterations=k)
             f_k, _ = fit_frame(target, Density.ONE_PER_PIXEL, short)
             assert trace[k - 1] == loss(f_k, target, cfg)[0]
+
+    @pytest.mark.parametrize(
+        "shape, name", [((3, 5), "height"), ((1, 4), "height"), ((4, 1), "width")]
+    )
+    def test_quarter_density_rejects_odd_or_unit_dimension(self, shape, name):
+        target = FrameBuffer(np.full(shape + (3,), 0.5))
+        with pytest.raises(ShapeError, match=f"target {name} is .* to be even"):
+            fit_frame(target, Density.ONE_PER_FOUR_PIXELS, FitConfig(iterations=1))
+
+    def test_quarter_density_even_target_fits(self):
+        target = FrameBuffer(np.random.default_rng(3).uniform(0, 1, (4, 6, 3)))
+        cfg = FitConfig(iterations=2)
+        f, trace = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        assert (f.lr_width, f.lr_height) == (3, 2)
+        assert f.grid_shape == (2, 1)
+        assert len(trace) == 2 and np.all(np.isfinite(trace))
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

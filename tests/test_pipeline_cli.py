@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splatvid import cli, cpb, fileio, motion, pipeline, synth
+from splatvid import cli, cpb, fileio, motion, nnops, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
@@ -183,6 +183,47 @@ class TestDeriveCache:
         assert np.abs(fields[2].offsets - fields[1].offsets).max() > 0.1
 
 
+class TestBankCandidatesDerive:
+    """A t-dependent fuser derives covariances from the context's per-cell
+    bank candidates: no bank conv, fuse or K-wide resample per frame."""
+
+    def t_dependent_options(self):
+        rng = np.random.default_rng(7)
+        bank = synth.jittered_bank(rng)
+        return dataclasses.replace(
+            TestDeriveCache.OPTS, bank=bank, fuser=synth.t_dependent_fuser(rng, bank)
+        )
+
+    def test_context_holds_candidates_only_without_cov_t(self):
+        frame0, frame1, flows = TestDeriveCache().blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, TestDeriveCache.OPTS)
+        assert ctx.cov_t is not None and ctx.candidates is None
+        ctx = build_shared_context(frame0, frame1, flows, self.t_dependent_options())
+        assert ctx.cov_t is None and ctx.candidates is not None
+
+    def test_derive_needs_no_per_frame_fuse_resample_or_conv(self, monkeypatch):
+        frame0, frame1, flows = TestDeriveCache().blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.t_dependent_options())
+        timestamps = [0.0, 0.25, 0.5, 1.0]
+        refs = [TestDeriveCache().reference_cov(ctx, t) for t in timestamps]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-frame bank fuse, resample or conv")
+
+        for mod, name in [
+            (cpb, "fuse"),
+            (cpb, "resample"),
+            (cpb, "conv2d"),
+            (nnops, "conv2d"),
+        ]:
+            monkeypatch.setattr(mod, name, forbidden)
+        fields = TestDeriveCache().derive_and_render(ctx, timestamps)
+        for f, ref in zip(fields, refs):
+            assert np.abs(f.sigmas - ref[:, 0:2]).max() <= 1e-12
+            assert np.abs(f.rhos - ref[:, 2]).max() <= 1e-12
+        assert np.abs(fields[0].sigmas - fields[3].sigmas).max() > 1e-6
+
+
 class TestBench:
     def test_repeats_floor(self):
         with pytest.raises(ValidationError):
@@ -286,3 +327,10 @@ class TestCli:
 
     def test_oracle_check_passes(self):
         assert cli.main(["oracle-check"]) == 0
+
+    def test_oracle_check_reports_bank_candidates(self, capsys):
+        assert cli.main(["oracle-check", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line = next(x for x in lines if x.startswith("bank-candidates-vs-full"))
+        assert float(line.split(":")[1]) <= 1e-12
+        assert lines[-1] == "oracle check: PASS"
