@@ -48,13 +48,18 @@ def _convention(arg: str) -> FlowConvention:
     return FlowConvention.CONSISTENT if arg == "consistent" else FlowConvention.PAPER_LITERAL
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--density", choices=["1", "4"], default="1")
-    p.add_argument(
-        "--normalization", choices=["paper-det", "sqrt-det"], default="paper-det"
-    )
-    p.add_argument("--seed", type=int, default=0)
+_SHARED_FLAGS = {
+    "scale": dict(type=float, default=1.0),
+    "density": dict(choices=["1", "4"], default="1"),
+    "normalization": dict(choices=["paper-det", "sqrt-det"], default="paper-det"),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared flags; each subcommand takes only those it reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _cmd_fit(args) -> int:
@@ -62,7 +67,6 @@ def _cmd_fit(args) -> int:
     cfg = FitConfig(
         iterations=args.iterations,
         normalization=_normalization(args.normalization),
-        scale=args.scale if args.scale != 1.0 else None,
     )
     field, trace = fit_mod.fit_frame(target, _density(args.density), cfg)
     fileio.save_gsf(args.output, field)
@@ -77,7 +81,6 @@ def _cmd_render(args) -> int:
         scale=args.scale,
         normalization=_normalization(args.normalization),
     )
-    cfg.validate(field.density)
     out = render_windows(field, cfg)
     if not np.all(np.isfinite(out.pixels)):
         raise FloatingPointError(
@@ -208,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--iterations", type=int, default=300)
-    _add_common(p)
+    _add_flags(p, "density", "normalization")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("render", help="rasterize a stored field")
     p.add_argument("input")
     p.add_argument("output")
-    _add_common(p)
+    _add_flags(p, "scale", "normalization")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("interpolate", help="render intermediate frames")
@@ -234,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank", default=None)
     p.add_argument("--iterations", type=int, default=300)
     p.add_argument("--format", choices=["ppm", "frm"], default="ppm")
-    _add_common(p)
+    _add_flags(p, "scale", "density", "normalization")
     p.set_defaults(func=_cmd_interpolate)
 
     p = sub.add_parser("corr", help="temporal stability report over a clip")
     p.add_argument("frames", nargs="+")
     p.add_argument("--output", required=True)
     p.add_argument("--iterations", type=int, default=200)
-    _add_common(p)
+    _add_flags(p, "density")
     p.set_defaults(func=_cmd_corr)
 
     p = sub.add_parser("bench", help="latency benchmark")
@@ -249,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temporal-scales", default="2,4,8,16,32")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--output", required=True)
-    _add_common(p)
+    _add_flags(p, "scale")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "oracle-check", help="windowed-vs-dense, gradient and bank-candidate checks"
     )
-    _add_common(p)
+    _add_flags(p, "scale", "seed")
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

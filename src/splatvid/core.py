@@ -3,6 +3,8 @@
 Conventions used everywhere in this package:
   * row-major storage, y-down image coordinates;
   * LR pixel (ix, iy) has geometric center (ix + 0.5, iy + 0.5);
+  * a field's LR size is the size of the frame it represents, at every
+    density; density sets only how many kernels there are;
   * at 1:4 density one kernel covers a 2x2 LR block, centered at
     (2*ix + 1, 2*iy + 1).
 
@@ -42,19 +44,18 @@ class Density(enum.Enum):
             return lr_width, lr_height
         return (lr_width + 1) // 2, (lr_height + 1) // 2
 
+    def anchor_center(self, ix, iy):
+        """(cx, cy) LR-pixel center of grid cell (ix, iy); scalars or arrays."""
+        if self is Density.ONE_PER_PIXEL:
+            return ix + 0.5, iy + 0.5
+        return 2.0 * ix + 1.0, 2.0 * iy + 1.0
+
     def cell_centers(self, lr_width: int, lr_height: int) -> np.ndarray:
         """(N, 2) array of kernel anchor centers in LR pixel coordinates."""
         gw, gh = self.grid_shape(lr_width, lr_height)
         iy, ix = np.mgrid[0:gh, 0:gw]
-        if self is Density.ONE_PER_PIXEL:
-            cx, cy = ix + 0.5, iy + 0.5
-        else:
-            cx, cy = 2.0 * ix + 1.0, 2.0 * iy + 1.0
+        cx, cy = self.anchor_center(ix, iy)
         return np.stack([cx.ravel(), cy.ravel()], axis=1).astype(np.float64)
-
-    def min_scale(self) -> float:
-        """1:4 density forbids rendering below scale 2."""
-        return 2.0 if self is Density.ONE_PER_FOUR_PIXELS else 1.0
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,7 @@ class Gaussian2D:
     color: np.ndarray  # (3,) RGB in [0, 1]
 
     def center(self, density: Density = Density.ONE_PER_PIXEL) -> np.ndarray:
-        ix, iy = self.anchor
-        if density is Density.ONE_PER_PIXEL:
-            base = np.array([ix + 0.5, iy + 0.5])
-        else:
-            base = np.array([2.0 * ix + 1.0, 2.0 * iy + 1.0])
+        base = np.array(density.anchor_center(*self.anchor), dtype=np.float64)
         return base + np.asarray(self.offset, dtype=np.float64)
 
     def validate(self, max_offset: float = 1.0) -> None:

@@ -14,9 +14,11 @@ maps to a valid field by construction:
 
 The analytic gradients differentiate the kernel weight of the rasterizer in
 closed form and are validated against central finite differences.  Fitting
-renders with clamping off (clamping kills gradients in saturated regions)
-and, by default, with a wide truncation radius so the truncated loss is
-smooth to within ~1e-14 of the dense one.
+renders at scale 1, so the field's LR size is the target's size at every
+density; density sets only the kernel count (one per pixel, or one per 2x2
+block).  It renders with clamping off (clamping kills gradients in saturated
+regions) and, by default, with a wide truncation radius so the truncated
+loss is smooth to within ~1e-14 of the dense one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from splatvid.raster import (
     RenderConfig,
     _kernel_terms,
     _window_weights,
-    output_shape,
     render_windows,
 )
 
@@ -56,8 +57,6 @@ class FitConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     freq_loss_weight: float = 0.05
-    # None -> 1 for OnePerPixel, 2 for OnePerFourPixels.
-    scale: float | None = None
     normalization: Normalization = Normalization.PAPER_DET
     truncation_radius: float = 8.0
     # The frequency term is reported but excluded from gradients unless set.
@@ -72,14 +71,10 @@ class FitConfig:
         if self.freq_loss_weight < 0:
             raise ValueError("freq_loss_weight must be non-negative")
 
-    def effective_scale(self, density: Density) -> float:
-        if self.scale is not None:
-            return self.scale
-        return 2.0 if density is Density.ONE_PER_FOUR_PIXELS else 1.0
-
-    def render_config(self, density: Density) -> RenderConfig:
+    def render_config(self) -> RenderConfig:
+        """The unclamped scale-1 render that fitting descends on."""
         return RenderConfig(
-            scale=self.effective_scale(density),
+            scale=1.0,
             truncation_radius=self.truncation_radius,
             normalization=self.normalization,
             clamp_output=False,
@@ -186,7 +181,7 @@ def loss(
 ) -> tuple[float, float, float]:
     """(total, l1, freq): L1 on pixels plus weighted spectral-magnitude L1."""
     cfg.validate()
-    rendered = render_windows(f, cfg.render_config(f.density)).pixels
+    rendered = render_windows(f, cfg.render_config()).pixels
     return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels), cfg)
 
 
@@ -219,17 +214,14 @@ def _field_gradient(
     closed form in six moments of tw = w * sum_c S_c c_c per kernel:
     sum tw dy^i dx^j for i + j <= 2.
     """
-    rcfg = cfg.render_config(f.density)
-    s = rcfg.scale
-    out_w, out_h = output_shape(f.lr_width, f.lr_height, s)
-    if pixel_weight.shape != (out_h, out_w, 3):
-        raise ShapeError(
-            f"pixel weight {pixel_weight.shape} vs render {(out_h, out_w, 3)}"
-        )
-    a = s * f.sigmas[:, 0]
-    b = s * f.sigmas[:, 1]
+    rcfg = cfg.render_config()
+    shape = (f.lr_height, f.lr_width, 3)
+    if pixel_weight.shape != shape:
+        raise ShapeError(f"pixel weight {pixel_weight.shape} vs render {shape}")
+    a = f.sigmas[:, 0]
+    b = f.sigmas[:, 1]
     rho = f.rhos
-    ixx, ixy, iyy, _ = _kernel_terms(f.sigmas, rho, s, cfg.normalization)
+    ixx, ixy, iyy, _ = _kernel_terms(f.sigmas, rho, rcfg.scale, cfg.normalization)
     det_power = 1.0 if cfg.normalization is Normalization.PAPER_DET else 0.5
     colors = f.colors
     n = f.n_gaussians
@@ -258,13 +250,13 @@ def _field_gradient(
     svv = moments[:, 2, 0] / b**2
     suv = moments[:, 1, 1] / (a * b)
     inv = 1.0 / (1.0 - rho**2)
-    # Position: dw/dmu = w * s * (Sinv d).
-    grad[:, 0] = s * (ixx * mx + ixy * my)
-    grad[:, 1] = s * (ixy * mx + iyy * my)
+    # Position: dw/dmu = w * (Sinv d).
+    grad[:, 0] = ixx * mx + ixy * my
+    grad[:, 1] = ixy * mx + iyy * my
     # Scale: q = inv * (u^2 - 2 rho u v + v^2) and ln(amp) = -det_power *
-    # ln(det) + const, chained through a = s * sigma_x (b likewise).
-    grad[:, 2] = s * (-2.0 * det_power * m0 + inv * (suu - rho * suv)) / a
-    grad[:, 3] = s * (-2.0 * det_power * m0 + inv * (svv - rho * suv)) / b
+    # ln(det) + const, with a = sigma_x and b = sigma_y.
+    grad[:, 2] = (-2.0 * det_power * m0 + inv * (suu - rho * suv)) / a
+    grad[:, 3] = (-2.0 * det_power * m0 + inv * (svv - rho * suv)) / b
     grad[:, 4] = 2.0 * det_power * rho * inv * m0 - inv**2 * (
         rho * (suu + svv) - (1.0 + rho**2) * suv
     )
@@ -281,7 +273,7 @@ def _field_gradient(
 def gradients(f: GaussianField, target: FrameBuffer, cfg: FitConfig) -> np.ndarray:
     """(N, 8) gradient of the L1 term w.r.t. the unconstrained parameters."""
     cfg.validate()
-    rendered = render_windows(f, cfg.render_config(f.density)).pixels
+    rendered = render_windows(f, cfg.render_config()).pixels
     if rendered.shape != target.pixels.shape:
         raise ShapeError(f"rendered {rendered.shape} vs target {target.pixels.shape}")
     return _field_gradient(f, _pixel_weight_l1(rendered, target.pixels), cfg)
@@ -292,28 +284,10 @@ def fit_frame(
 ) -> tuple[GaussianField, list[float]]:
     """Adam descent from the deterministic init; returns (field, loss trace).
 
-    At an integer fitting scale s > 1 (1:4 density fits at 2) the target is
-    s times the LR frame, so ShapeError is raised up front unless each
-    target dimension is a positive multiple of s.
+    The field's LR size is the target's size at either density.
     """
     cfg.validate()
-    scale = cfg.effective_scale(density)
-    if scale == 1.0:
-        lr_frame = target
-    else:
-        # Target lives at the fitting scale; initialize from its block mean.
-        step = int(round(scale))
-        need = "even and at least 2" if step == 2 else f"a positive multiple of {step}"
-        for name, size in (("height", target.height), ("width", target.width)):
-            if scale == step and (size < step or size % step):
-                raise ShapeError(
-                    f"target {name} is {size}, but fitting at scale {step}"
-                    f" needs the {name} to be {need}"
-                )
-        gh, gw = target.height // step, target.width // step
-        small = block_mean(target.pixels[: gh * step, : gw * step], gh, gw)
-        lr_frame = FrameBuffer(small)
-    field = init_field(lr_frame, density, cfg.render_config(density))
+    field = init_field(target, density, cfg.render_config())
     return descend(field, target, cfg, cfg.iterations)
 
 
@@ -339,7 +313,7 @@ def descend(
     # losses[k] is the loss after k steps, taken from the same render that
     # the gradient of step k + 1 starts from.
     losses: list[float] = []
-    rcfg = cfg.render_config(field.density)
+    rcfg = cfg.render_config()
     for it in range(iterations + 1):
         cur = ParamVector(theta).to_field(field)
         if freeze_covariance:

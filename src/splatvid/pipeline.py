@@ -301,10 +301,8 @@ def interpolate_with_context(
         raise ValidationError("timestamps must be sorted")
     if any(not 0.0 <= t <= 1.0 for t in timestamps):
         raise ValidationError("timestamps must lie in [0, 1]")
-    if spatial_scale < opts.density.min_scale():
-        raise ValidationError(
-            f"spatial scale {spatial_scale} below density floor {opts.density.min_scale()}"
-        )
+    if spatial_scale < 1.0:
+        raise ValidationError(f"spatial scale {spatial_scale} below 1")
     ctx = build_shared_context(frame0, frame1, flows, opts)
     outputs = [render_at(ctx, derive_field(ctx, t), spatial_scale) for t in timestamps]
     return outputs, ctx

@@ -1,5 +1,9 @@
 """Rasterize a GaussianField to a FrameBuffer at arbitrary spatial scale.
 
+A render at scale s has round(s * LR size) pixels, at every density; s must
+be at least 1.  Fitting renders at scale 1, so a fitted field renders back
+at its target's shape.
+
 Two paths with identical contracts:
   * render_dense   - brute force, every kernel against every pixel (oracle);
   * render_windows - one windowed-kernel core: each kernel is evaluated over
@@ -51,11 +55,9 @@ class RenderConfig:
     normalization: Normalization = Normalization.PAPER_DET
     clamp_output: bool = True
 
-    def validate(self, density: Density = Density.ONE_PER_PIXEL) -> None:
-        if self.scale < density.min_scale():
-            raise ValidationError(
-                f"scale {self.scale} below floor {density.min_scale()} for {density.name}"
-            )
+    def validate(self) -> None:
+        if self.scale < 1.0:
+            raise ValidationError(f"scale {self.scale} below 1")
         if self.truncation_radius < 1.0:
             raise ValidationError(f"truncation_radius {self.truncation_radius} < 1")
 
@@ -91,7 +93,7 @@ def eval_gaussian(
 ) -> np.ndarray:
     """RGB contribution of one kernel at output-pixel coordinates (x, y)."""
     g.validate(max_offset=np.inf)
-    cfg.validate(density)
+    cfg.validate()
     mu = g.center(density) * cfg.scale
     sigmas = np.array([[g.cov.sigma_x, g.cov.sigma_y]])
     rhos = np.array([g.cov.rho])
@@ -102,7 +104,7 @@ def eval_gaussian(
 
 
 def _prepare(f: GaussianField, cfg: RenderConfig):
-    cfg.validate(f.density)
+    cfg.validate()
     mu = f.mu() * cfg.scale  # kernel centers in output pixel coordinates
     ixx, ixy, iyy, amp = _kernel_terms(f.sigmas, f.rhos, cfg.scale, cfg.normalization)
     out_w, out_h = output_shape(f.lr_width, f.lr_height, cfg.scale)

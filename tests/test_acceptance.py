@@ -101,7 +101,7 @@ def test_criterion_03_exact_recovery():
         color_range=(0.1, 0.9),
     )
     cfg = FitConfig(iterations=500)
-    rcfg = cfg.render_config(Density.ONE_PER_PIXEL)
+    rcfg = cfg.render_config()
     target = FrameBuffer(np.clip(render_windows(truth, rcfg).pixels, 0.0, 1.0))
     t0 = time.perf_counter()
     fitted, _ = fit_frame(target, Density.ONE_PER_PIXEL, cfg)

@@ -102,10 +102,6 @@ class TestDensity:
         c4 = Density.ONE_PER_FOUR_PIXELS.cell_centers(4, 2)
         assert np.array_equal(c4, [[1.0, 1.0], [3.0, 1.0]])
 
-    def test_min_scale(self):
-        assert Density.ONE_PER_PIXEL.min_scale() == 1.0
-        assert Density.ONE_PER_FOUR_PIXELS.min_scale() == 2.0
-
 
 class TestValidateField:
     def test_valid_field_empty_report(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splatvid.core import Density, FrameBuffer, SIGMA_MIN, ShapeError, validate_field
+from splatvid import synth
+from splatvid.core import Density, FrameBuffer, SIGMA_MIN, validate_field
 from splatvid.fit import (
     FitConfig,
     ParamVector,
@@ -21,7 +22,7 @@ from splatvid.fit import (
     init_field,
     loss,
 )
-from splatvid.metrics import LUMA_WEIGHTS
+from splatvid.metrics import LUMA_WEIGHTS, psnr_y
 from splatvid.raster import Normalization, render_windows
 from conftest import random_field
 
@@ -35,10 +36,13 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(freq_loss_weight=-0.1).validate()
 
-    def test_default_scale_follows_density(self):
-        cfg = FitConfig()
-        assert cfg.effective_scale(Density.ONE_PER_PIXEL) == 1.0
-        assert cfg.effective_scale(Density.ONE_PER_FOUR_PIXELS) == 2.0
+    def test_fits_at_scale_one(self):
+        # A field's LR size is its target's size at either density.
+        assert FitConfig().render_config().scale == 1.0
+        target = FrameBuffer(np.full((4, 6, 3), 0.5))
+        for density in Density:
+            f, _ = fit_frame(target, density, FitConfig(iterations=0))
+            assert (f.lr_width, f.lr_height) == (6, 4)
 
 
 class TestInitField:
@@ -67,10 +71,8 @@ class TestInitField:
         target = FrameBuffer(np.full((6, 6, 3), 0.5))
         cfg = FitConfig()
         raw = init_field(target, Density.ONE_PER_PIXEL)
-        corrected = init_field(
-            target, Density.ONE_PER_PIXEL, cfg.render_config(Density.ONE_PER_PIXEL)
-        )
-        rcfg = cfg.render_config(Density.ONE_PER_PIXEL)
+        corrected = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
+        rcfg = cfg.render_config()
         err_raw = np.abs(render_windows(raw, rcfg).pixels - 0.5).mean()
         err_corr = np.abs(render_windows(corrected, rcfg).pixels - 0.5).mean()
         assert err_corr < err_raw
@@ -80,14 +82,14 @@ class TestLoss:
     def test_exact_render_zero_loss(self):
         f = random_field(np.random.default_rng(1), 6, 6)
         cfg = FitConfig()
-        target = FrameBuffer(render_windows(f, cfg.render_config(f.density)).pixels)
+        target = FrameBuffer(render_windows(f, cfg.render_config()).pixels)
         total, l1, freq = loss(f, target, cfg)
         assert total == 0.0 and l1 == 0.0 and freq == 0.0
 
     def test_constant_offset(self):
         f = random_field(np.random.default_rng(2), 6, 6, color_range=(0.2, 0.8))
         cfg = FitConfig()
-        rendered = render_windows(f, cfg.render_config(f.density)).pixels
+        rendered = render_windows(f, cfg.render_config()).pixels
         target = FrameBuffer(rendered - 0.1)
         total, l1, freq = loss(f, target, cfg)
         assert l1 == pytest.approx(0.1, abs=1e-12)
@@ -107,7 +109,7 @@ class TestLoss:
         cfg = FitConfig()
         target = FrameBuffer(rng.uniform(0, 1, (8, 8, 3)))
         total, l1, freq = loss(f, target, cfg)
-        rendered = render_windows(f, cfg.render_config(f.density)).pixels
+        rendered = render_windows(f, cfg.render_config()).pixels
         # Independent oracle: mean-abs + O(N^4) direct DFT of the luma planes.
         assert l1 == pytest.approx(np.abs(rendered - target.pixels).mean(), abs=1e-12)
         def naive_spectrum(img):
@@ -134,17 +136,32 @@ def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL, total=False):
     """Worst relative error of the analytic gradient against central FD.
 
     Differentiates the L1 term, or with total=True the full loss including
-    the weighted spectral term.  Parameters whose FD stencil straddles a
-    kink of the loss are skipped; most must be checked.
+    the weighted spectral term.  A mismatch is checked again with a stencil
+    100x narrower, which clears kinks of the loss that lie between the two
+    widths.  Parameters whose stencil still straddles a kink are skipped;
+    most must be checked.
     """
     eps = 1e-4
     col = 0 if total else 1
+
+    def central(f, theta, target, i, j, step):
+        tp = theta.copy()
+        tp[i, j] += step
+        tm = theta.copy()
+        tm[i, j] -= step
+        lp = loss(ParamVector(tp).to_field(f), target, cfg)[col]
+        lm = loss(ParamVector(tm).to_field(f), target, cfg)[col]
+        return (lp - lm) / (2 * step), lp, lm
+
     worst = 0.0
     checked = skipped = 0
     for _ in range(3):
         f = random_field(rng, w, h, density)
-        rcfg = cfg.render_config(density)
-        rendered = render_windows(f, rcfg).pixels
+        theta = ParamVector.from_field(f).raw
+        # Differentiate at the field FD perturbs around: the logit round
+        # trip moves a color within 1e-6 of 0 or 1.
+        f = ParamVector(theta).to_field(f)
+        rendered = render_windows(f, cfg.render_config()).pixels
         target = FrameBuffer(rng.uniform(0, 1, rendered.shape))
         weight = _pixel_weight_l1(rendered, target.pixels)
         if total:
@@ -152,17 +169,12 @@ def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL, total=False):
                 rendered, _luma_spectrum(target.pixels)
             )
         g = _field_gradient(f, weight, cfg)
-        theta = ParamVector.from_field(f).raw
-        mid = loss(ParamVector(theta).to_field(f), target, cfg)[col]
+        mid = loss(f, target, cfg)[col]
         for i in range(theta.shape[0]):
             for j in range(theta.shape[1]):
-                tp = theta.copy()
-                tp[i, j] += eps
-                tm = theta.copy()
-                tm[i, j] -= eps
-                lp = loss(ParamVector(tp).to_field(f), target, cfg)[col]
-                lm = loss(ParamVector(tm).to_field(f), target, cfg)[col]
-                fd = (lp - lm) / (2 * eps)
+                fd, lp, lm = central(f, theta, target, i, j, eps)
+                if abs(fd - g[i, j]) > 1e-3 * max(abs(fd), abs(g[i, j])):
+                    fd = central(f, theta, target, i, j, eps / 100)[0]
                 # Skip parameters straddling a kink.
                 if abs(fd - g[i, j]) > 1e-3 * max(abs(fd), abs(g[i, j])):
                     if abs((lp - mid) + (lm - mid)) > 1e-6:
@@ -179,7 +191,7 @@ class TestGradients:
     def test_exact_recovery_zero_gradient(self):
         f = random_field(np.random.default_rng(4), 4, 4)
         cfg = FitConfig()
-        target = FrameBuffer(render_windows(f, cfg.render_config(f.density)).pixels)
+        target = FrameBuffer(render_windows(f, cfg.render_config()).pixels)
         assert np.array_equal(gradients(f, target, cfg), np.zeros((16, 8)))
 
     def test_position_gradient_sign(self):
@@ -197,7 +209,7 @@ class TestGradients:
             rhos=np.zeros(25),
         )
         cfg = FitConfig()
-        base = render_windows(f, cfg.render_config(f.density)).pixels
+        base = render_windows(f, cfg.render_config()).pixels
         target = FrameBuffer(np.roll(base, 1, axis=1))
         g = gradients(f, target, cfg)
         eps = 1e-4
@@ -246,7 +258,7 @@ class TestGradients:
         assert fd_worst(rng, cfg, 4, 4) <= 1e-3
 
     def test_matches_finite_differences_quarter_density(self):
-        # 1:4 density fits at scale 2: an 8x8 frame of 4x4 kernels.
+        # An 8x8 frame of 4x4 kernels.
         rng = np.random.default_rng(14)
         assert fd_worst(rng, FitConfig(), 8, 8, Density.ONE_PER_FOUR_PIXELS) <= 1e-3
 
@@ -255,11 +267,24 @@ class TestGradients:
         cfg = FitConfig(freq_in_gradient=True)
         assert fd_worst(rng, cfg, 4, 4, total=True) <= 1e-3
 
-    def test_matches_finite_differences_fractional_scale(self):
-        # Scale 2.5 and radius 3: truncation steps are skipped like L1 kinks.
-        rng = np.random.default_rng(16)
-        cfg = FitConfig(scale=2.5, truncation_radius=3.0)
-        assert fd_worst(rng, cfg, 4, 4) <= 1e-3
+    # Each drawn case runs fd_worst: three fields, two losses per parameter.
+    @settings(max_examples=8, deadline=None)
+    @given(
+        normalization=st.sampled_from(Normalization),
+        density=st.sampled_from(Density),
+        radius=st.floats(3.0, 8.0),
+        cells=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_finite_differences_drawn(
+        self, normalization, density, radius, cells, seed
+    ):
+        # Short radii put truncation steps inside the windows; fd_worst skips
+        # them like L1 kinks.
+        k = 1 if density is Density.ONE_PER_PIXEL else 2
+        cfg = FitConfig(normalization=normalization, truncation_radius=radius)
+        rng = np.random.default_rng(seed)
+        assert fd_worst(rng, cfg, k * cells[0], k * cells[1], density) <= 1e-3
 
 
 class TestParamVector:
@@ -301,18 +326,14 @@ class TestFitFrame:
         cfg = FitConfig(iterations=0)
         f, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
         assert trace == []
-        ref = init_field(
-            target, Density.ONE_PER_PIXEL, cfg.render_config(Density.ONE_PER_PIXEL)
-        )
+        ref = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
         assert np.array_equal(f.colors, ref.colors)
 
     def test_descent_on_uniform_target(self):
         target = FrameBuffer(np.full((6, 6, 3), 0.5))
         cfg = FitConfig(iterations=40)
         f, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        init = init_field(
-            target, Density.ONE_PER_PIXEL, cfg.render_config(Density.ONE_PER_PIXEL)
-        )
+        init = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
         l1_init = loss(init, target, cfg)[1]
         l1_final = loss(f, target, cfg)[1]
         assert l1_final <= l1_init
@@ -334,21 +355,34 @@ class TestFitFrame:
             f_k, _ = fit_frame(target, Density.ONE_PER_PIXEL, short)
             assert trace[k - 1] == loss(f_k, target, cfg)[0]
 
-    @pytest.mark.parametrize(
-        "shape, name", [((3, 5), "height"), ((1, 4), "height"), ((4, 1), "width")]
-    )
-    def test_quarter_density_rejects_odd_or_unit_dimension(self, shape, name):
-        target = FrameBuffer(np.full(shape + (3,), 0.5))
-        with pytest.raises(ShapeError, match=f"target {name} is .* to be even"):
-            fit_frame(target, Density.ONE_PER_FOUR_PIXELS, FitConfig(iterations=1))
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 4), (4, 1)])
+    def test_quarter_density_fits_any_shape(self, shape):
+        h, w = shape
+        target = FrameBuffer(np.random.default_rng(3).uniform(0, 1, shape + (3,)))
+        cfg = FitConfig(iterations=2)
+        f, trace = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        assert (f.lr_width, f.lr_height) == (w, h)
+        assert f.grid_shape == ((w + 1) // 2, (h + 1) // 2)
+        rendered = render_windows(f, cfg.render_config()).pixels
+        assert rendered.shape == target.pixels.shape
+        assert len(trace) == 2 and np.all(np.isfinite(trace))
 
     def test_quarter_density_even_target_fits(self):
         target = FrameBuffer(np.random.default_rng(3).uniform(0, 1, (4, 6, 3)))
         cfg = FitConfig(iterations=2)
         f, trace = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
-        assert (f.lr_width, f.lr_height) == (3, 2)
-        assert f.grid_shape == (2, 1)
+        assert (f.lr_width, f.lr_height) == (6, 4)
+        assert f.grid_shape == (3, 2)
         assert len(trace) == 2 and np.all(np.isfinite(trace))
+
+    def test_quarter_density_blob_fit_psnr(self):
+        # 192 kernels for 768 pixels.  Measured: 30.25 dB after 150 steps.
+        target = synth.blob_frame(32, 24, (15.5, 11.5), radius=3.0)
+        cfg = FitConfig(iterations=150)
+        f, _ = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        assert f.n_gaussians == 192
+        rendered = np.clip(render_windows(f, cfg.render_config()).pixels, 0.0, 1.0)
+        assert psnr_y(FrameBuffer(rendered), target) >= 28.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)

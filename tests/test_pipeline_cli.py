@@ -82,8 +82,24 @@ class TestSharedContext:
         with pytest.raises(ValidationError):
             interpolate(frame, frame, (zero, zero), [1.5], 2.0, FAST_OPTS)
         quarter = dataclasses.replace(FAST_OPTS, density=Density.ONE_PER_FOUR_PIXELS)
-        with pytest.raises(ValidationError):
-            interpolate(frame, frame, (zero, zero), [0.5], 1.0, quarter)
+        for opts in (FAST_OPTS, quarter):
+            with pytest.raises(ValidationError, match="below 1"):
+                interpolate(frame, frame, (zero, zero), [0.5], 0.5, opts)
+
+    def test_quarter_density_end_to_end(self):
+        # Fields are fitted at the frames' size, so output scale s gives
+        # round(s * frame size) pixels, as at 1:1.
+        frame, zero = static_scene(w=10, h=8, seed=3)
+        quarter = dataclasses.replace(FAST_OPTS, density=Density.ONE_PER_FOUR_PIXELS)
+        for scale, size in ((1.0, (10, 8)), (2.5, (25, 20))):
+            outputs, ctx = interpolate_with_context(
+                frame, frame, (zero, zero), [0.0, 0.5], scale, quarter
+            )
+            assert ctx.field0.grid_shape == (5, 4)
+            assert [(out.width, out.height) for out in outputs] == [size, size]
+            cfg = RenderConfig(scale=scale, truncation_radius=quarter.truncation_radius)
+            endpoint = render_tiled(ctx.field0, cfg)
+            assert psnr_y(outputs[0], endpoint) >= 50.0
 
     def test_uniform_translation_reaches_frame1_at_t1(self):
         # A field fitted to frame 0, evolved with the exact uniform flow to
@@ -255,8 +271,9 @@ class TestCli:
         rendered = fileio.load_frm(out)
         assert psnr_y(rendered, target) >= 20.0
 
-    def test_interpolate_writes_frames(self, tmp_path):
-        frame0, frame1, m01, m10 = synth.translating_blob_pair(12, 10, (2.0, 0.0))
+    @staticmethod
+    def interpolate_args(tmp_path, w, h):
+        frame0, frame1, m01, m10 = synth.translating_blob_pair(w, h, (2.0, 0.0))
         p0, p1 = tmp_path / "f0.frm", tmp_path / "f1.frm"
         fileio.save_frm(p0, frame0)
         fileio.save_frm(p1, frame1)
@@ -264,21 +281,43 @@ class TestCli:
         fileio.save_flo(fl01, m01)
         fileio.save_flo(fl10, m10)
         out_dir = tmp_path / "out"
-        code = cli.main(
-            [
-                "interpolate",
-                str(p0), str(p1), str(fl01), str(fl10), str(out_dir),
-                "--timestamps", "0.25,0.75",
-                "--scale", "2",
-                "--iterations", "30",
-                "--format", "frm",
-            ]
-        )
+        return out_dir, [
+            "interpolate",
+            str(p0), str(p1), str(fl01), str(fl10), str(out_dir),
+            "--iterations", "30",
+            "--format", "frm",
+        ]
+
+    def test_interpolate_writes_frames(self, tmp_path):
+        out_dir, args = self.interpolate_args(tmp_path, 12, 10)
+        code = cli.main(args + ["--timestamps", "0.25,0.75", "--scale", "2"])
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "t0.2500.frm",
             "t0.7500.frm",
         ]
+
+    def test_interpolate_quarter_density(self, tmp_path):
+        # Odd frame sizes: the last kernel row and column cover one pixel.
+        out_dir, args = self.interpolate_args(tmp_path, 13, 9)
+        code = cli.main(args + ["--timestamps", "0,0.5,1", "--density", "4"])
+        assert code == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["t0.0000.frm", "t0.5000.frm", "t1.0000.frm"]
+        for name in names:
+            assert fileio.load_frm(out_dir / name).pixels.shape == (9, 13, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "in.frm", "out.gsf", "--scale", "2"],
+            ["bench", "--output", "b.csv", "--normalization", "sqrt-det"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     def test_corr_writes_csv(self, tmp_path):
         base = synth.ridge_texture(16, 12, seed=1)
@@ -321,7 +360,7 @@ class TestCli:
         gsf = tmp_path / "f.gsf"
         assert cli.main(["fit", str(frm), str(gsf), "--iterations", "5"]) == 0
         out = tmp_path / "out.frm"
-        # Scale 0.5 is below the per-pixel density floor of 1.
+        # Scale 0.5 is below the scale floor of 1.
         code = cli.main(["render", str(gsf), str(out), "--scale", "0.5"])
         assert code == cli.EXIT_VALIDATION
 

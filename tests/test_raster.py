@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from splatvid import raster
-from splatvid.core import CovParams, Density, FrameBuffer, Gaussian2D, GaussianField
+from splatvid.core import (
+    CovParams,
+    Density,
+    FrameBuffer,
+    Gaussian2D,
+    GaussianField,
+    ValidationError,
+)
 from splatvid.fit import FitConfig, _field_gradient
 from splatvid.raster import (
     Normalization,
@@ -108,11 +115,14 @@ class TestRenderDense:
         assert np.allclose(render_dense(f, cfg).pixels, naive_render(f, cfg), atol=1e-12)
 
     def test_scale_floor_enforced(self):
-        f = random_field(np.random.default_rng(3), 4, 4, Density.ONE_PER_FOUR_PIXELS)
-        from splatvid.core import ValidationError
-
-        with pytest.raises(ValidationError):
-            render_dense(f, RenderConfig(scale=1.0))
+        # The floor is scale 1 at every density, where a field renders at its
+        # LR size.
+        for density in Density:
+            f = random_field(np.random.default_rng(3), 5, 3, density)
+            for render in (render_dense, render_windows):
+                with pytest.raises(ValidationError):
+                    render(f, RenderConfig(scale=0.5))
+                assert render(f, RenderConfig(scale=1.0)).pixels.shape == (3, 5, 3)
 
 
 class TestTruncatedPaths:
@@ -269,9 +279,9 @@ class TestWindowCore:
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
         rng = np.random.default_rng(24)
         f = self.two_level_field(rng)
-        cfg = FitConfig(scale=2.5, truncation_radius=4.0)
-        rcfg = cfg.render_config(f.density)
-        weight = rng.normal(0.0, 1.0, (25, 30, 3))
+        rcfg = RenderConfig(scale=2.5, truncation_radius=4.0, clamp_output=False)
+        cfg = FitConfig(truncation_radius=4.0)
+        weight = rng.normal(0.0, 1.0, (10, 12, 3))
         img = render_windows(f, rcfg).pixels
         grad = _field_gradient(f, weight, cfg)
         monkeypatch.setattr(raster, "CHUNK", chunk)
