@@ -104,7 +104,6 @@ def _cmd_interpolate(args) -> int:
             normalization=_normalization(args.normalization),
         ),
         flow_convention=_convention(args.flow_convention),
-        normalization=_normalization(args.normalization),
         aow=args.aow,
         bank=fileio.load_bank(args.bank) if args.bank else None,
         fuser=fileio.load_fuser(args.weights) if args.weights else None,

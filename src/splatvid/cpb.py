@@ -237,15 +237,6 @@ def nearest_entry_indices(params: np.ndarray, bank: CpbBank) -> np.ndarray:
     return np.argmin(d2, axis=-1)
 
 
-def project_to_bank(p: CovParams, bank: CpbBank) -> np.ndarray:
-    """One-hot logits (+50 at the nearest entry, 0 elsewhere)."""
-    p.validate()
-    idx = int(nearest_entry_indices(np.array([p.sigma_x, p.sigma_y, p.rho]), bank))
-    out = np.zeros(bank.size, dtype=np.float64)
-    out[idx] = ONE_HOT_LOGIT
-    return out
-
-
 def project_grid_to_bank(grid: CovGrid, bank: CpbBank) -> CovGrid:
     """Snap every cell to its nearest bank entry."""
     idx = nearest_entry_indices(grid.params, bank)

@@ -4,6 +4,11 @@ Linear flow scaling, bilinear backward warping (clamp-to-edge), mask plus
 residual feature fusion, parameter decoding, and the motion-adaptive offset
 window that widens each cell's position range in proportion to local flow
 magnitude.
+
+Fusion and decoding are the training-free baseline of the paper's learned
+motion module: the mask is 1 - t with no residual, so the fused map is the
+linear blend of the endpoint maps, and the decoder passes the fused
+(offset, color) channels through, clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import numpy as np
 
 from splatvid.core import Density, FeatureMap, FlowField, ShapeError, ValidationError
 from splatvid.cpb import LogitField, ONE_HOT_LOGIT, softmax
-from splatvid.nnops import conv2d, sigmoid
 
 
 class FlowConvention(enum.Enum):
@@ -61,54 +65,6 @@ class WindowMap:
             raise ValidationError("window map values must be finite and positive")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class FusionHeadWeights:
-    """Conv mapping 2C feature channels -> 1 mask channel + C residuals."""
-
-    weights: np.ndarray  # (1 + C, 2C, kh, kw)
-    bias: np.ndarray  # (1 + C,)
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        b = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if w.ndim != 4 or w.shape[0] != w.shape[1] // 2 + 1 or w.shape[1] % 2 != 0:
-            raise ShapeError(f"fusion head weights shape {w.shape}")
-        if w.shape[2] % 2 != 1 or w.shape[3] % 2 != 1:
-            raise ShapeError("fusion head kernel size must be odd")
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"fusion head bias shape {b.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("non-finite fusion head weights")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-
-
-@dataclass(frozen=True)
-class DecoderWeights:
-    """Conv mapping C feature channels -> (dmu_x, dmu_y, C_r, C_g, C_b)."""
-
-    weights: np.ndarray  # (5, C, kh, kw)
-    bias: np.ndarray  # (5,)
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        b = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if w.ndim != 4 or w.shape[0] != 5:
-            raise ShapeError(f"decoder weights shape {w.shape}")
-        if w.shape[2] % 2 != 1 or w.shape[3] % 2 != 1:
-            raise ShapeError("decoder kernel size must be odd")
-        if b.shape != (5,):
-            raise ShapeError(f"decoder bias shape {b.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("non-finite decoder weights")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
 
 
 def _flow_terms(
@@ -172,32 +128,13 @@ def backward_warp(f: FeatureMap, flow: FlowField) -> FeatureMap:
 
 
 def predict_fusion(
-    f0t: FeatureMap,
-    f1t: FeatureMap,
-    t: float,
-    w: FusionHeadWeights | None = None,
+    f0t: FeatureMap, f1t: FeatureMap, t: float
 ) -> tuple[FeatureMap, FeatureMap]:
-    """Predict the fusion mask (1 channel, in [0,1]) and feature residual.
-
-    With no weights, the training-free baseline: mask = 1 - t everywhere,
-    residual = 0.
-    """
+    """The training-free fusion head: mask = 1 - t everywhere, residual = 0."""
     if f0t.data.shape != f1t.data.shape:
         raise ShapeError("warped endpoint features differ in shape")
-    h, wd, c = f0t.data.shape
-    if w is None:
-        mask = np.full((h, wd, 1), 1.0 - t)
-        residual = np.zeros((h, wd, c))
-        return FeatureMap(mask), FeatureMap(residual)
-    if w.weights.shape[1] != 2 * c or w.weights.shape[0] != 1 + c:
-        raise ShapeError(
-            f"fusion head expects 2*{c} in / {1 + c} out, got {w.weights.shape}"
-        )
-    x = np.concatenate([f0t.data, f1t.data], axis=2)
-    out = conv2d(x, w.weights, w.bias)
-    mask = sigmoid(out[:, :, 0:1])
-    residual = out[:, :, 1:]
-    return FeatureMap(mask), FeatureMap(residual)
+    h, w, c = f0t.data.shape
+    return FeatureMap(np.full((h, w, 1), 1.0 - t)), FeatureMap(np.zeros((h, w, c)))
 
 
 def fuse_features(
@@ -214,26 +151,16 @@ def fuse_features(
     return FeatureMap(m * f0t.data + (1.0 - m) * f1t.data + residual.data)
 
 
-def decode_gaussians(
-    f_t: FeatureMap, w: DecoderWeights | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode per-cell base offsets in [0,1] and colors in [0,1].
+def decode_gaussians(f_t: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
+    """The pass-through decoder of a 5-channel (dmu_x, dmu_y, r, g, b) map.
 
-    With no weights, a 5-channel map (dmu_x, dmu_y, r, g, b) is decoded
-    verbatim, clamped.  Returns (offsets (H, W, 2), colors (H, W, 3)).
+    Returns (offsets (H, W, 2), colors (H, W, 3)), each clamped to [0, 1].
     """
-    if w is None:
-        if f_t.channels != 5:
-            raise ShapeError(f"passthrough decode needs 5 channels, got {f_t.channels}")
-        offsets = np.clip(f_t.data[:, :, 0:2], 0.0, 1.0)
-        colors = np.clip(f_t.data[:, :, 2:5], 0.0, 1.0)
-        return offsets, colors
-    if w.weights.shape[1] != f_t.channels:
-        raise ShapeError(
-            f"decoder expects {w.weights.shape[1]} channels, got {f_t.channels}"
-        )
-    out = sigmoid(conv2d(f_t.data, w.weights, w.bias))
-    return out[:, :, 0:2], out[:, :, 2:5]
+    if f_t.channels != 5:
+        raise ShapeError(f"passthrough decode needs 5 channels, got {f_t.channels}")
+    offsets = np.clip(f_t.data[:, :, 0:2], 0.0, 1.0)
+    colors = np.clip(f_t.data[:, :, 2:5], 0.0, 1.0)
+    return offsets, colors
 
 
 def compute_window_map(v_logits: LogitField, s_win: WindowSet) -> WindowMap:

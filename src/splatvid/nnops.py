@@ -1,4 +1,4 @@
-"""Tiny numpy building blocks shared by the fusion/decoding heads."""
+"""Zero-padded convolution for the covariance-bank fuser."""
 
 from __future__ import annotations
 
@@ -31,13 +31,3 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     out = cols @ weights.reshape(cout, -1).T
     out += bias
     return out.reshape(h, w, cout)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; maps 0 -> 0.5, saturates to (0, 1)."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

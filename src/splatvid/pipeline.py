@@ -19,16 +19,19 @@ Stage counters record this split and are asserted by the latency tests.
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
 the content displacement at time t is carried by the window-gated position
-offsets.  The decoded base offset is the window-normalized total offset
-(fitted sub-cell refinement plus flow displacement), so a unit window map
-reproduces the tight single-cell constraint and the adaptive window is what
-makes large motion trackable.
+offsets.  Fusion and decoding are the training-free baseline of
+``motion``: the (offset, color) maps are blended with weight 1 - t on
+frame 0 and passed through, clamped to [0, 1].  The gated offset is the
+window-normalized total offset (fitted sub-cell refinement plus flow
+displacement), so a unit window map reproduces the tight single-cell
+constraint and the adaptive window is what makes large motion trackable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,32 +57,37 @@ from splatvid.cpb import (
     FuserWeights,
 )
 from splatvid.fit import FitConfig
-from splatvid.motion import (
-    DecoderWeights,
-    FlowConvention,
-    FusionHeadWeights,
-    WindowMap,
-    WindowSet,
-)
+from splatvid.motion import FlowConvention, WindowMap, WindowSet
 from splatvid.raster import Normalization, RenderConfig, render_windows
+
+# The base offset-window sizes {1, ..., 10} LR pixels.
+WINDOWS = WindowSet()
 
 
 @dataclass(frozen=True)
 class PipelineOptions:
+    """The settings of one interpolation run.
+
+    ``render_at`` renders with the class constants ``truncation_radius``
+    and ``clamp_output`` and with ``fit.normalization``, so the endpoint
+    fits and the rendered frames always share one normalization.
+    """
+
+    truncation_radius: ClassVar[float] = 3.0
+    clamp_output: ClassVar[bool] = True
+
     density: Density = Density.ONE_PER_PIXEL
     fit: FitConfig = field(default_factory=lambda: FitConfig(iterations=300))
     # Color/offset-only Adam steps after covariances are snapped to the bank.
     refine_iterations: int = 150
     flow_convention: FlowConvention = FlowConvention.CONSISTENT
-    normalization: Normalization = Normalization.PAPER_DET
-    truncation_radius: float = 3.0
-    clamp_output: bool = True
     aow: bool = True
-    window_set: WindowSet = field(default_factory=WindowSet)
     bank: CpbBank | None = None
     fuser: FuserWeights | None = None
-    fusion_weights: FusionHeadWeights | None = None
-    decoder_weights: DecoderWeights | None = None
+
+    @property
+    def normalization(self) -> Normalization:
+        return self.fit.normalization
 
 
 @dataclass
@@ -223,9 +231,9 @@ def build_shared_context(
     ctx.bump("fit")
 
     logits = motion_mod.flow_magnitude_window_logits(
-        flow01, flow10, opts.window_set, opts.density
+        flow01, flow10, WINDOWS, opts.density
     )
-    ctx.window_map = motion_mod.compute_window_map(logits, opts.window_set)
+    ctx.window_map = motion_mod.compute_window_map(logits, WINDOWS)
     ctx.bump("window-map")
     return ctx
 
@@ -238,9 +246,9 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     m_t0 = motion_mod.scale_flow_t0(ctx.flow01, ctx.flow10, t, opts.flow_convention)
 
     p0, p1 = ctx.param0, ctx.param1
-    mask, residual = motion_mod.predict_fusion(p0, p1, t, opts.fusion_weights)
+    mask, residual = motion_mod.predict_fusion(p0, p1, t)
     fused = motion_mod.fuse_features(p0, p1, mask, residual)
-    base_offsets, colors = motion_mod.decode_gaussians(fused, opts.decoder_weights)
+    base_offsets, colors = motion_mod.decode_gaussians(fused)
 
     # Content displacement carried by the offsets, normalized by the window.
     disp = -_grid_flow(m_t0, opts.density, grid_units=False).vectors
@@ -264,7 +272,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
         rhos=cov_t[:, 2],
         colors=colors.reshape(-1, 3),
         timestamp=float(t),
-        max_offset=float(opts.window_set.max_size),
+        max_offset=WINDOWS.max_size,
     )
     ctx.bump("per-frame-derive")
     return derived

@@ -2,13 +2,19 @@
 
 perfbench/tracing.py wraps each SPANNED function by name and perfbench/run.py
 calls public names, so deleting one of them breaks the benchmark; this test
-makes such a deletion fail here instead.
+makes such a deletion fail here instead.  The same holds for the
+PipelineOptions attributes that perfbench reads and replaces.
 """
 
+import dataclasses
 import importlib
 from pathlib import Path
 
 import splatvid
+from splatvid import cpb
+from splatvid.fit import FitConfig
+from splatvid.pipeline import PipelineOptions
+from splatvid.raster import Normalization, RenderConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,3 +31,33 @@ def test_spanned_names_are_callables(monkeypatch):
 def test_public_names_resolve():
     for name in splatvid.__all__:
         assert hasattr(splatvid, name), name
+
+
+def test_render_options_read_by_quality():
+    # perfbench/run.py quality() renders field 0 with these three values.
+    opts = PipelineOptions()
+    cfg = RenderConfig(
+        scale=2.0,
+        truncation_radius=opts.truncation_radius,
+        normalization=opts.normalization,
+        clamp_output=opts.clamp_output,
+    )
+    assert (cfg.truncation_radius, cfg.normalization, cfg.clamp_output) == (
+        3.0,
+        Normalization.PAPER_DET,
+        True,
+    )
+
+
+def test_options_replaced_by_workloads_and_run():
+    # perfbench/workloads.py and run.py replace these fields on a workload's
+    # options.
+    bank = cpb.default_bank()
+    fuser = cpb.baseline_fuser(bank)
+    fit = FitConfig(iterations=1, normalization=Normalization.SQRT_DET)
+    opts = dataclasses.replace(
+        PipelineOptions(), fit=fit, refine_iterations=1, bank=bank, fuser=fuser
+    )
+    assert opts.fit is fit and opts.refine_iterations == 1
+    assert opts.bank is bank and opts.fuser is fuser
+    assert opts.normalization is Normalization.SQRT_DET

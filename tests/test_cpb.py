@@ -28,7 +28,6 @@ from splatvid.cpb import (
     fuse,
     nearest_entry_indices,
     project_grid_to_bank,
-    project_to_bank,
     resample,
     resample_candidates,
     softmax,
@@ -111,20 +110,17 @@ class TestProjectToBank:
     def test_exact_entry(self):
         bank = default_bank()
         j = 123
-        logits = project_to_bank(bank.entry(j), bank)
-        assert logits[j] == 50.0 and np.count_nonzero(logits) == 1
+        assert nearest_entry_indices(bank.params[j], bank) == j
 
     def test_tie_breaks_low_index(self):
         # Entries 0 and 1 are (sigma_x, sigma_y) transposes, so any isotropic
         # query is exactly equidistant from both; the tie goes to index 0.
         bank = CpbBank(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [3.0, 3.0, 0.0]]))
-        logits = project_to_bank(CovParams(1.5, 1.5, 0.0), bank)
-        assert np.argmax(logits) == 0
+        assert nearest_entry_indices(np.array([1.5, 1.5, 0.0]), bank) == 0
 
     def test_against_exhaustive_scan(self):
         bank = default_bank()
-        p = CovParams(1.1, 1.1, 0.05)
-        logits = project_to_bank(p, bank)
+        idx = nearest_entry_indices(np.array([1.1, 1.1, 0.05]), bank)
         # Independent oracle: plain python linear scan in embedding space.
         q = (math.log(1.1), math.log(1.1), math.atanh(0.05))
         best, best_d = None, float("inf")
@@ -134,7 +130,7 @@ class TestProjectToBank:
             d = sum((a - b) ** 2 for a, b in zip(q, e))
             if d < best_d:
                 best, best_d = i, d
-        assert np.argmax(logits) == best
+        assert idx == best
 
     def test_grid_matches_full_difference(self):
         # Each cell's nearest entry of a jittered bank must equal the argmin

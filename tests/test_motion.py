@@ -17,9 +17,7 @@ from splatvid.core import (
 )
 from splatvid.cpb import LogitField
 from splatvid.motion import (
-    DecoderWeights,
     FlowConvention,
-    FusionHeadWeights,
     WindowMap,
     WindowSet,
     apply_window,
@@ -122,22 +120,14 @@ class TestBackwardWarp:
 class TestPredictFusion:
     def test_baseline_t0(self):
         f = FeatureMap(np.ones((2, 3, 5)))
-        mask, residual = predict_fusion(f, f, 0.0, None)
+        mask, residual = predict_fusion(f, f, 0.0)
         assert np.array_equal(mask.data, np.ones((2, 3, 1)))
         assert np.array_equal(residual.data, np.zeros((2, 3, 5)))
 
     def test_baseline_midpoint(self):
         f = FeatureMap(np.ones((2, 3, 5)))
-        mask, _ = predict_fusion(f, f, 0.5, None)
+        mask, _ = predict_fusion(f, f, 0.5)
         assert np.allclose(mask.data, 0.5)
-
-    def test_zero_conv_weights_give_half_mask(self):
-        c = 5
-        w = FusionHeadWeights(np.zeros((1 + c, 2 * c, 3, 3)), np.zeros(1 + c))
-        f = FeatureMap(np.random.default_rng(1).uniform(0, 1, (3, 3, c)))
-        mask, residual = predict_fusion(f, f, 0.3, w)
-        assert np.allclose(mask.data, 0.5, atol=1e-15)
-        assert np.allclose(residual.data, 0.0, atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -184,32 +174,19 @@ class TestFuseFeatures:
 class TestDecodeGaussians:
     def test_passthrough_constant(self):
         data = np.tile(np.array([0.5, 0.5, 1.0, 0.0, 0.0]), (2, 3, 1))
-        offsets, colors = decode_gaussians(FeatureMap(data), None)
+        offsets, colors = decode_gaussians(FeatureMap(data))
         assert np.allclose(offsets, 0.5)
         assert np.allclose(colors, [1.0, 0.0, 0.0])
 
     def test_passthrough_clamps(self):
         data = np.tile(np.array([1.7, -0.2, 1.7, 0.3, -5.0]), (1, 1, 1))
-        offsets, colors = decode_gaussians(FeatureMap(data), None)
+        offsets, colors = decode_gaussians(FeatureMap(data))
         assert np.allclose(offsets, [[1.0, 0.0]])
         assert np.allclose(colors, [[1.0, 0.3, 0.0]])
 
-    def test_identity_decoder_against_scalar_squash_oracle(self):
-        rng = np.random.default_rng(4)
-        v = rng.normal(0, 2, (3, 4, 5))
-        w = DecoderWeights(np.eye(5).reshape(5, 5, 1, 1), np.zeros(5))
-        offsets, colors = decode_gaussians(FeatureMap(v), w)
-        out = np.concatenate([offsets, colors], axis=2)
-        # Direct per-element scalar oracle.
-        for y in range(3):
-            for x in range(4):
-                for c in range(5):
-                    ref = 1.0 / (1.0 + math.exp(-v[y, x, c]))
-                    assert out[y, x, c] == pytest.approx(ref, abs=1e-12)
-
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            decode_gaussians(FeatureMap(np.zeros((2, 2, 4))), None)
+            decode_gaussians(FeatureMap(np.zeros((2, 2, 4))))
 
 
 class TestWindowMap:

@@ -18,7 +18,7 @@ from splatvid.pipeline import (
     interpolate_with_context,
     render_at,
 )
-from splatvid.raster import RenderConfig, render_tiled
+from splatvid.raster import Normalization, RenderConfig, render_tiled
 
 FAST_OPTS = PipelineOptions(
     fit=FitConfig(iterations=60, truncation_radius=4.0), refine_iterations=20
@@ -63,6 +63,26 @@ class TestSharedContext:
         cfg = RenderConfig(scale=2.0, truncation_radius=FAST_OPTS.truncation_radius)
         endpoint = render_tiled(ctx.field0, cfg)
         assert psnr_y(outputs[0], endpoint) >= 50.0
+
+    def test_render_uses_the_fit_normalization(self):
+        # Setting the normalization on the fit alone renders with it too.
+        frame, zero = static_scene()
+        opts = dataclasses.replace(
+            FAST_OPTS,
+            fit=FitConfig(
+                iterations=60, truncation_radius=4.0, normalization=Normalization.SQRT_DET
+            ),
+        )
+        outputs, ctx = interpolate_with_context(
+            frame, frame, (zero, zero), [0.0], 2.0, opts
+        )
+        assert ctx.options.normalization is Normalization.SQRT_DET
+        cfg = RenderConfig(
+            scale=2.0,
+            truncation_radius=opts.truncation_radius,
+            normalization=Normalization.SQRT_DET,
+        )
+        assert psnr_y(outputs[0], render_tiled(ctx.field0, cfg)) >= 50.0
 
     def test_determinism(self):
         frame0, frame1, m01, m10 = synth.translating_blob_pair(16, 12, (2.0, 0.0))
