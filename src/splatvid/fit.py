@@ -207,8 +207,9 @@ def _field_gradient(
 ) -> np.ndarray:
     """(N, 8) unconstrained-space gradient given dL/d(rendered pixel).
 
-    Accumulates per kernel over its truncation window only (the windows of
-    raster.render_windows); with the default radius of 8 that is
+    Accumulates per kernel over its truncation window only: the windows of
+    raster.render_windows, the tightest pixel boxes around each truncation
+    ellipse, masked to q <= r^2.  With the default radius of 8 that is
     indistinguishable from a dense sum.  The weight derivatives are
     polynomial in the pixel offsets (dx, dy), so every geometric column is a
     closed form in six moments of tw = w * sum_c S_c c_c per kernel:

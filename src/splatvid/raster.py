@@ -7,10 +7,11 @@ at its target's shape.
 Two paths with identical contracts:
   * render_dense   - brute force, every kernel against every pixel (oracle);
   * render_windows - one windowed-kernel core: each kernel is evaluated over
-    the integer pixel window around its truncation ellipse and contributes
-    only within Mahalanobis distance <= truncation_radius.  The same core
-    feeds the fitting gradient (fit._field_gradient).  render_tiled is kept
-    as a name for render_windows.
+    the tightest integer pixel box whose pixel centres can lie inside its
+    truncation ellipse, and contributes only within Mahalanobis distance
+    <= truncation_radius.  The same core feeds the fitting gradient
+    (fit._field_gradient).  render_tiled is kept as a name for
+    render_windows.
 
 The core buckets kernels by window size and evaluates each bucket in chunks
 of at most CHUNK window pixels, in buffers allocated once per call and
@@ -142,8 +143,11 @@ def render_dense(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
 def _windows(mu, half_x, half_y, out_w, out_h):
     """Chunks of same-size pixel windows, and the buffer size they need.
 
-    A kernel's window is the integer box of half-width ceil(half + 1) around
-    floor(mu), where half is the half-extent of its truncation box.  Its size
+    half is the half-extent of a kernel's truncation box, so a pixel p can
+    pass the q <= r^2 mask only if its centre p + 0.5 lies within half of mu,
+    that is p in [mu - half - 0.5, mu + half - 0.5].  A kernel's window is the
+    tightest integer box that holds that interval on each axis: it starts at
+    floor(mu - half - 0.5) and is floor(2 * half) + 2 pixels wide.  Its size
     is capped at the image and its start clamped so the window always covers
     the in-image part of the truncation box, even for kernels centred outside
     the frame.  Kernels are bucketed by window size and each bucket is split
@@ -152,12 +156,12 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     py (G, Wy) are the pixel columns and rows of each kernel's window, and
     size is the largest chunk's pixel count.
     """
-    hx = np.ceil(half_x + 1.0).astype(np.int64)
-    hy = np.ceil(half_y + 1.0).astype(np.int64)
-    wx_all = np.minimum(2 * hx + 1, out_w)
-    wy_all = np.minimum(2 * hy + 1, out_h)
-    sx_all = np.clip(np.floor(mu[:, 0]).astype(np.int64) - hx, 0, out_w - wx_all)
-    sy_all = np.clip(np.floor(mu[:, 1]).astype(np.int64) - hy, 0, out_h - wy_all)
+    wx_all = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
+    wy_all = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
+    sx_all = np.floor(mu[:, 0] - half_x - 0.5).astype(np.int64)
+    sy_all = np.floor(mu[:, 1] - half_y - 0.5).astype(np.int64)
+    sx_all = np.clip(sx_all, 0, out_w - wx_all)
+    sy_all = np.clip(sy_all, 0, out_h - wy_all)
     keys = wx_all * (out_h + 1) + wy_all
     chunks = []
     size = 0

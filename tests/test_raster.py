@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatvid import raster
 from splatvid.core import (
@@ -270,8 +272,9 @@ class TestWindowCore:
 
     @staticmethod
     def two_level_field(rng):
-        # Two sigma levels: four window sizes, each shared by ~30 kernels, so
-        # buckets split into several chunks plus a partial one.
+        # Two sigma levels: four window sizes (12 or 18 px per axis at scale
+        # 2.5 and radius 4), each shared by ~30 kernels, so buckets split
+        # into several chunks plus a partial one.
         f = random_field(rng, 12, 10, offset_range=(-2.0, 3.0))
         return f.replace(sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
 
@@ -308,3 +311,117 @@ class TestWindowCore:
             assert px.min() >= 0 and px.max() < out_w
             assert py.min() >= 0 and py.max() < out_h
         assert size <= max(chunk, biggest_window)
+
+    @staticmethod
+    def core_pairs(f, cfg):
+        """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
+        npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
+        keys = []
+        for gi, _, _, w, flat, _ in raster._window_weights(f, cfg):
+            g, y, x = np.nonzero(w)
+            keys.append(gi[g] * npix + flat[g, y, x])
+        return np.sort(np.concatenate(keys))
+
+    @staticmethod
+    def brute_force_pairs(f, cfg):
+        """Sorted keys kernel * npix + flat pixel with q <= r^2, over every
+        output pixel.
+
+        q is formed with the core's arithmetic, term for term, so that both
+        sides round alike at the q = r^2 boundary.
+        """
+        mu, ixx, ixy, iyy, _, out_w, out_h = raster._prepare(f, cfg)
+        r = cfg.truncation_radius
+        keys = []
+        for g0 in range(0, f.n_gaussians, 32):
+            g = slice(g0, g0 + 32)
+            dx = (np.arange(out_w) + 0.5) - mu[g, 0, None]  # (G, W)
+            dy = (np.arange(out_h) + 0.5) - mu[g, 1, None]  # (G, H)
+            e = (-ixy[g, None] * dy)[:, :, None] * dx[:, None, :]
+            e += (-0.5 * ixx[g, None] * dx**2)[:, None, :]
+            e += (-0.5 * iyy[g, None] * dy**2)[:, :, None]
+            k, y, x = np.nonzero(e >= -0.5 * r * r)
+            keys.append((k + g0) * (out_w * out_h) + y * out_w + x)
+        return np.concatenate(keys)  # ascending: kernel-major, then row-major
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        density=st.sampled_from(Density),
+        scale=st.sampled_from([1.0, 1.5, 2.5, 4.0]),
+        radius=st.floats(1.0, 8.0),
+        size=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_windows_hold_exactly_the_admitted_pixels(
+        self, density, scale, radius, size, seed
+    ):
+        f = random_field(
+            np.random.default_rng(seed),
+            *size,
+            density,
+            sigma_range=(0.3, 3.0),
+            rho_range=(-0.7, 0.7),
+            offset_range=(-4.0, 5.0),
+        )
+        cfg = RenderConfig(scale=scale, truncation_radius=radius, clamp_output=False)
+        assert np.array_equal(self.core_pairs(f, cfg), self.brute_force_pairs(f, cfg))
+
+    BOUNDARY_SIGMAS = (0.5, 0.75, 1.0, 1.25, 2.0)
+
+    @staticmethod
+    def boundary_field(sx, sy, r, s, rng):
+        """rho = 0 kernels with an extreme of the truncation box on a pixel
+        centre: per kernel, in turn, its left, right, top or bottom extreme
+        (the other axis's centre on a pixel centre too, so the extreme pixel
+        has q = r^2 exactly), or its top-left corner.  Centres reach two
+        pixels beyond the frame.  Returns the field and the keys (as in
+        core_pairs) of the in-frame extreme pixels of the edge kernels."""
+        hx, hy = r * s * sx, r * s * sy
+        lr = int(np.ceil((2.0 * max(hx, hy) + 6.0) / s))  # no window is capped
+        f = random_field(rng, lr, lr, Density.ONE_PER_FOUR_PIXELS)
+        out = output_shape(lr, lr, s)[0]
+        n = f.n_gaussians
+        px, py = rng.integers(-2, out + 2, (2, n))
+        side = np.arange(n) % 5
+        mux = px + 0.5 + np.select([side == 0, side == 1, side == 4], [hx, -hx, hx], 0.0)
+        muy = py + 0.5 + np.select([side == 2, side == 3, side == 4], [hy, -hy, hy], 0.0)
+        mu = np.column_stack([mux, muy])
+        f = f.replace(
+            offsets=mu / s - f.cell_centers(),
+            sigmas=np.tile([sx, sy], (n, 1)),
+            rhos=np.zeros(n),
+        )
+        assert np.array_equal(f.mu() * s, mu)  # every extreme sits exactly
+        inside = (side < 4) & (px >= 0) & (px < out) & (py >= 0) & (py < out)
+        g = np.nonzero(inside)[0]
+        return f, g * out * out + py[g] * out + px[g]
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+    def test_windows_hold_pixels_on_the_truncation_boundary(self, r, s):
+        rng = np.random.default_rng(int(10 * r + s))
+        cfg = RenderConfig(scale=s, truncation_radius=float(r), clamp_output=False)
+        for sx in self.BOUNDARY_SIGMAS:
+            for sy in self.BOUNDARY_SIGMAS:
+                f, extremes = self.boundary_field(sx, sy, r, s, rng)
+                keys = self.brute_force_pairs(f, cfg)
+                assert np.array_equal(self.core_pairs(f, cfg), keys)
+                if sx in (0.5, 1.0, 2.0) and sy in (0.5, 1.0, 2.0):
+                    # Powers of two: q = r^2 is computed exactly, so the
+                    # mask admits every in-frame extreme pixel.
+                    assert extremes.size and np.isin(extremes, keys).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 2.5, 4.0])
+    @pytest.mark.parametrize("radius", [1.0, 3.0, 8.0])
+    def test_windows_are_tight(self, scale, radius):
+        rng = np.random.default_rng(26)
+        f = random_field(rng, 9, 7, sigma_range=(0.3, 3.0), offset_range=(-4.0, 5.0))
+        half = radius * scale * f.sigmas
+        out_w, out_h = output_shape(9, 7, scale)
+        chunks, _ = raster._windows(
+            f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h
+        )
+        for gi, px, py in chunks:
+            tight = np.floor(2.0 * half[gi]).astype(np.int64) + 2
+            assert np.all(px.shape[1] <= np.minimum(tight[:, 0], out_w))
+            assert np.all(py.shape[1] <= np.minimum(tight[:, 1], out_h))
