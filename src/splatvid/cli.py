@@ -16,7 +16,6 @@ import numpy as np
 from splatvid import cpb, fileio, fit as fit_mod, metrics, pipeline, synth
 from splatvid.core import Density, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig, ParamVector, gradients
-from splatvid.motion import FlowConvention
 from splatvid.raster import Normalization, RenderConfig, render_dense, render_windows
 
 EXIT_OK = 0
@@ -42,10 +41,6 @@ def _density(arg: str) -> Density:
 
 def _normalization(arg: str) -> Normalization:
     return Normalization.PAPER_DET if arg == "paper-det" else Normalization.SQRT_DET
-
-
-def _convention(arg: str) -> FlowConvention:
-    return FlowConvention.CONSISTENT if arg == "consistent" else FlowConvention.PAPER_LITERAL
 
 
 _SHARED_FLAGS = {
@@ -103,7 +98,6 @@ def _cmd_interpolate(args) -> int:
             iterations=args.iterations,
             normalization=_normalization(args.normalization),
         ),
-        flow_convention=_convention(args.flow_convention),
         aow=args.aow,
         bank=fileio.load_bank(args.bank) if args.bank else None,
         fuser=fileio.load_fuser(args.weights) if args.weights else None,
@@ -226,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("flow10")
     p.add_argument("output_dir")
     p.add_argument("--timestamps", required=True, help="comma-separated, in [0,1]")
-    p.add_argument(
-        "--flow-convention", choices=["consistent", "paper"], default="consistent"
-    )
     aow = p.add_mutually_exclusive_group()
     aow.add_argument("--aow", dest="aow", action="store_true", default=True)
     aow.add_argument("--no-aow", dest="aow", action="store_false")

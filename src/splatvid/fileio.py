@@ -4,20 +4,29 @@ JSON weight/bank documents, and the bench/stability CSVs.
 All binary formats are little-endian.  Save followed by load reproduces the
 in-memory object bit-exactly (in-memory float64 values are expected to be
 f32-representable for the f32-on-disk formats; loaders always produce such
-values).  Malformed magic numbers and truncated payloads raise FormatError
-naming the byte offset.
+values).  Malformed files (bad magic numbers, truncated payloads, bad
+declared sizes, JSON documents of the wrong structure) raise FormatError
+naming the byte offset; a JSON structure error names offset 0.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from splatvid.core import Density, FlowField, FrameBuffer, GaussianField
+from splatvid.core import (
+    Density,
+    FlowField,
+    FrameBuffer,
+    GaussianField,
+    ShapeError,
+    ValidationError,
+)
 from splatvid.cpb import CpbBank, FuserWeights
 from splatvid.metrics import StabilityReport
 
@@ -190,6 +199,8 @@ def load_frm(path) -> FrameBuffer:
     if _read_exact(data, 0, 4, "magic") != FRM_MAGIC:
         raise FormatError(f"bad FRM magic {data[:4]!r}", 0)
     w, h = struct.unpack("<II", _read_exact(data, 4, 8, "dimensions"))
+    if w == 0 or h == 0:
+        raise FormatError(f"bad FRM dimensions {w}x{h}", 4)
     payload = _read_exact(data, 12, w * h * 12, "pixel data")
     px = np.frombuffer(payload, dtype="<f4").reshape(h, w, 3).astype(np.float64)
     _check_finite(px, "pixel data", 12)
@@ -212,29 +223,42 @@ def save_weights(path, entries: dict[str, np.ndarray]) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _entry_array(name: str, entry) -> np.ndarray:
+    """One {"shape": [...], "data": [...]} entry as a float64 array."""
+    if not isinstance(entry, dict) or entry.keys() != {"shape", "data"}:
+        raise FormatError(f"entry {name!r} is not a {{shape, data}} object", 0)
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise FormatError(f"entry {name!r}: bad shape {shape!r}", 0)
+    try:
+        arr = np.array(data) if isinstance(data, list) else None
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise FormatError(f"entry {name!r}: data is not a flat list of numbers", 0)
+    if arr.size != math.prod(shape):
+        raise FormatError(f"entry {name!r}: {arr.size} values for shape {shape}", 0)
+    arr = arr.astype(np.float64)
+    _check_finite(arr, f"entry {name!r}", 0)
+    return arr.reshape(shape)
+
+
 def load_weights(path) -> dict[str, np.ndarray]:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad weights JSON: {exc}", exc.pos) from exc
-    if not isinstance(doc, dict) or doc.get("format") != WEIGHTS_FORMAT:
+    if not isinstance(doc, dict):
+        raise FormatError("weights document is not a JSON object", 0)
+    if doc.get("format") != WEIGHTS_FORMAT:
         raise FormatError(f"bad weights format tag {doc.get('format')!r}", 0)
     unknown = set(doc) - {"format", "entries"}
     if unknown:
         raise FormatError(f"unknown top-level keys {sorted(unknown)}", 0)
-    out = {}
-    for name, entry in doc.get("entries", {}).items():
-        bad = set(entry) - {"shape", "data"}
-        if bad:
-            raise FormatError(f"unknown keys {sorted(bad)} in entry {name!r}", 0)
-        arr = np.array(entry["data"], dtype=np.float64)
-        if arr.size != int(np.prod(entry["shape"])):
-            raise FormatError(
-                f"entry {name!r}: {arr.size} values for shape {entry['shape']}", 0
-            )
-        _check_finite(arr, f"entry {name!r}", 0)
-        out[name] = arr.reshape(entry["shape"])
-    return out
+    entries = doc.get("entries", {})
+    if not isinstance(entries, dict):
+        raise FormatError("'entries' is not an object", 0)
+    return {name: _entry_array(name, entry) for name, entry in entries.items()}
 
 
 def save_bank(path, bank: CpbBank) -> None:
@@ -245,7 +269,10 @@ def load_bank(path) -> CpbBank:
     entries = load_weights(path)
     if "bank" not in entries:
         raise FormatError("bank file missing 'bank' entry", 0)
-    return CpbBank(entries["bank"])
+    try:
+        return CpbBank(entries["bank"])
+    except (ShapeError, ValidationError) as exc:
+        raise FormatError(f"bad bank entry: {exc}", 0) from exc
 
 
 def save_fuser(path, w: FuserWeights) -> None:
@@ -258,6 +285,8 @@ def load_fuser(path) -> FuserWeights:
         return FuserWeights(entries["fuser.weight"], entries["fuser.bias"])
     except KeyError as exc:
         raise FormatError(f"fuser file missing entry {exc}", 0) from exc
+    except (ShapeError, ValidationError) as exc:
+        raise FormatError(f"bad fuser entries: {exc}", 0) from exc
 
 
 # --- CSV reports -----------------------------------------------------------

@@ -12,13 +12,18 @@ maps to a valid field by construction:
     rho    = rho_max * tanh(r)     in (-1, 1)
     color  = sigmoid(c)            in [0, 1]
 
-The analytic gradients differentiate the kernel weight of the rasterizer in
-closed form and are validated against central finite differences.  Fitting
-renders at scale 1, so the field's LR size is the target's size at every
-density; density sets only the kernel count (one per pixel, or one per 2x2
-block).  It renders with clamping off (clamping kills gradients in saturated
-regions) and, by default, with a wide truncation radius so the truncated
-loss is smooth to within ~1e-14 of the dense one.
+The loss is L1 on pixels plus FREQ_LOSS_WEIGHT times an L1 on luma
+spectral magnitudes.  Descent follows the gradient of the L1 term alone: the
+spectral term is reported in the loss and the trace but never
+differentiated.  The analytic gradients differentiate the kernel weight of
+the rasterizer in closed form and are validated against central finite
+differences.
+
+Fitting renders at scale 1, so the field's LR size is the target's size at
+every density; density sets only the kernel count (one per pixel, or one per
+2x2 block).  It renders with clamping off (clamping kills gradients in
+saturated regions) and, by default, with a wide truncation radius so the
+truncated loss is smooth to within ~1e-14 of the dense one.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from splatvid.core import (
     RHO_MAX,
     SIGMA_MIN,
     ShapeError,
+    ValidationError,
     block_mean,
 )
 from splatvid.metrics import LUMA_WEIGHTS
@@ -47,29 +53,24 @@ from splatvid.raster import (
 
 INIT_SIGMA = 0.7
 INIT_OFFSET = 0.5
+# Adam step size and moment constants.
+LEARNING_RATE = 1e-2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Weight of the spectral term in the reported loss.
+FREQ_LOSS_WEIGHT = 0.05
 
 
 @dataclass(frozen=True)
 class FitConfig:
     iterations: int = 500
-    learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    freq_loss_weight: float = 0.05
     normalization: Normalization = Normalization.PAPER_DET
     truncation_radius: float = 8.0
-    # The frequency term is reported but excluded from gradients unless set.
-    freq_in_gradient: bool = False
 
     def validate(self) -> None:
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.freq_loss_weight < 0:
-            raise ValueError("freq_loss_weight must be non-negative")
+            raise ValidationError("iterations must be >= 0")
 
     def render_config(self) -> RenderConfig:
         """The unclamped scale-1 render that fitting descends on."""
@@ -166,40 +167,27 @@ def _loss_terms(
     rendered: np.ndarray,
     target: np.ndarray,
     target_spectrum: np.ndarray,
-    cfg: FitConfig,
 ) -> tuple[float, float, float]:
     """(total, l1, freq) of a render against the target and its luma spectrum."""
     if rendered.shape != target.shape:
         raise ShapeError(f"rendered {rendered.shape} vs target {target.shape}")
     l1 = float(np.mean(np.abs(rendered - target)))
     freq = float(np.mean(np.abs(_luma_spectrum(rendered) - target_spectrum)))
-    return l1 + cfg.freq_loss_weight * freq, l1, freq
+    return l1 + FREQ_LOSS_WEIGHT * freq, l1, freq
 
 
 def loss(
     f: GaussianField, target: FrameBuffer, cfg: FitConfig
 ) -> tuple[float, float, float]:
-    """(total, l1, freq): L1 on pixels plus weighted spectral-magnitude L1."""
+    """(total, l1, freq): L1 on pixels plus FREQ_LOSS_WEIGHT * spectral L1."""
     cfg.validate()
     rendered = render_windows(f, cfg.render_config()).pixels
-    return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels), cfg)
+    return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels))
 
 
 def _pixel_weight_l1(rendered: np.ndarray, target: np.ndarray) -> np.ndarray:
     """dL1/d(rendered): sign of the residual, subgradient 0 at exact zero."""
     return np.sign(rendered - target) / rendered.size
-
-
-def _pixel_weight_freq(rendered: np.ndarray, target_spectrum: np.ndarray) -> np.ndarray:
-    """Gradient of the spectral-magnitude L1 with respect to rendered pixels."""
-    a = np.fft.fft2(rendered @ LUMA_WEIGHTS)
-    bmag = target_spectrum
-    amag = np.abs(a)
-    s = np.sign(amag - bmag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(amag > 0, np.conj(a) / amag, 0.0)
-    dy = np.real(np.fft.fft2(s * phase)) / a.size
-    return dy[..., None] * LUMA_WEIGHTS
 
 
 def _field_gradient(
@@ -320,18 +308,13 @@ def descend(
         if freeze_covariance:
             cur = cur.replace(sigmas=field.sigmas, rhos=field.rhos)
         rendered = render_windows(cur, rcfg).pixels
-        losses.append(_loss_terms(rendered, target.pixels, target_spectrum, cfg)[0])
+        losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
         if it == iterations:
             break
-        weight = _pixel_weight_l1(rendered, target.pixels)
-        if cfg.freq_in_gradient and cfg.freq_loss_weight > 0:
-            weight = weight + cfg.freq_loss_weight * _pixel_weight_freq(
-                rendered, target_spectrum
-            )
-        g = _field_gradient(cur, weight, cfg)
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * g
-        v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = m / (1.0 - cfg.adam_beta1 ** (it + 1))
-        v_hat = v / (1.0 - cfg.adam_beta2 ** (it + 1))
-        theta = theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        g = _field_gradient(cur, _pixel_weight_l1(rendered, target.pixels), cfg)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
+        v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
+        theta = theta - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return cur, losses[1:]

@@ -5,6 +5,10 @@ residual feature fusion, parameter decoding, and the motion-adaptive offset
 window that widens each cell's position range in proportion to local flow
 magnitude.
 
+One flow scaling serves every time step: the flows from time t back to the
+endpoints are m_t0 = t * m10 and m_t1 = (1 - t) * m01, so each is zero at
+its own endpoint and warping at t = 0 or t = 1 is the identity.
+
 Fusion and decoding are the training-free baseline of the paper's learned
 motion module: the mask is 1 - t with no residual, so the fused map is the
 linear blend of the endpoint maps, and the decoder passes the fused
@@ -13,21 +17,12 @@ linear blend of the endpoint maps, and the decoder passes the fused
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from splatvid.core import Density, FeatureMap, FlowField, ShapeError, ValidationError
 from splatvid.cpb import LogitField, ONE_HOT_LOGIT, softmax
-
-
-class FlowConvention(enum.Enum):
-    # CONSISTENT satisfies the endpoint identities (warp at t=0 and t=1 is
-    # the identity); PAPER_LITERAL keeps the printed subscript assignment
-    # for fidelity audits.
-    CONSISTENT = "consistent"
-    PAPER_LITERAL = "paper"
 
 
 @dataclass(frozen=True)
@@ -67,42 +62,19 @@ class WindowMap:
         object.__setattr__(self, "values", arr)
 
 
-def _flow_terms(
-    m01: FlowField, m10: FlowField, t: float, convention: FlowConvention
-) -> tuple[tuple[FlowField, float], tuple[FlowField, float]]:
-    """((flow, factor) for m_t0, (flow, factor) for m_t1) under the convention."""
+def scale_flows(
+    m01: FlowField, m10: FlowField, t: float
+) -> tuple[FlowField, FlowField]:
+    """Linearly scale the endpoint flows to intermediate time t.
+
+    Returns (m_t0, m_t1) = (t * m10, (1 - t) * m01): flows pointing from
+    time t back to frames 0 and 1.
+    """
     if m01.vectors.shape != m10.vectors.shape:
         raise ShapeError("flow fields differ in shape")
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t={t} outside [0, 1]")
-    if convention is FlowConvention.CONSISTENT:
-        return (m10, t), (m01, 1.0 - t)
-    return (m01, 1.0 - t), (m10, t)
-
-
-def scale_flows(
-    m01: FlowField,
-    m10: FlowField,
-    t: float,
-    convention: FlowConvention = FlowConvention.CONSISTENT,
-) -> tuple[FlowField, FlowField]:
-    """Linearly scale the endpoint flows to intermediate time t.
-
-    Returns (m_t0, m_t1): flows pointing from time t back to frames 0 and 1.
-    """
-    (f0, k0), (f1, k1) = _flow_terms(m01, m10, t, convention)
-    return FlowField(k0 * f0.vectors), FlowField(k1 * f1.vectors)
-
-
-def scale_flow_t0(
-    m01: FlowField,
-    m10: FlowField,
-    t: float,
-    convention: FlowConvention = FlowConvention.CONSISTENT,
-) -> FlowField:
-    """m_t0 of scale_flows alone, without scaling the other flow."""
-    (f0, k0), _ = _flow_terms(m01, m10, t, convention)
-    return FlowField(k0 * f0.vectors)
+    return FlowField(t * m10.vectors), FlowField((1.0 - t) * m01.vectors)
 
 
 def backward_warp(f: FeatureMap, flow: FlowField) -> FeatureMap:

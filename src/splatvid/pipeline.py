@@ -57,7 +57,7 @@ from splatvid.cpb import (
     FuserWeights,
 )
 from splatvid.fit import FitConfig
-from splatvid.motion import FlowConvention, WindowMap, WindowSet
+from splatvid.motion import WindowMap, WindowSet
 from splatvid.raster import Normalization, RenderConfig, render_windows
 
 # The base offset-window sizes {1, ..., 10} LR pixels.
@@ -80,7 +80,6 @@ class PipelineOptions:
     fit: FitConfig = field(default_factory=lambda: FitConfig(iterations=300))
     # Color/offset-only Adam steps after covariances are snapped to the bank.
     refine_iterations: int = 150
-    flow_convention: FlowConvention = FlowConvention.CONSISTENT
     aow: bool = True
     bank: CpbBank | None = None
     fuser: FuserWeights | None = None
@@ -243,7 +242,8 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"timestamp {t} outside [0, 1]")
     opts = ctx.options
-    m_t0 = motion_mod.scale_flow_t0(ctx.flow01, ctx.flow10, t, opts.flow_convention)
+    # m_t0 = t * m10, the flow from time t back to frame 0 (motion.scale_flows).
+    m_t0 = FlowField(t * ctx.flow10.vectors)
 
     p0, p1 = ctx.param0, ctx.param1
     mask, residual = motion_mod.predict_fusion(p0, p1, t)
@@ -329,25 +329,27 @@ def interpolate(
     )[0]
 
 
+# The bench measures the cost structure, not fit quality: a couple of descent
+# steps produce a representative field at a fraction of the time.
+BENCH_OPTIONS = PipelineOptions(
+    fit=FitConfig(iterations=2, truncation_radius=3.0), refine_iterations=0
+)
+
+
 def run_bench(
     resolution: tuple[int, int],
     spatial_scale: float,
     temporal_scales: list[int],
     repeats: int = 3,
-    options: PipelineOptions | None = None,
 ) -> list[BenchRecord]:
     """Time the shared stage vs the per-frame stage for each temporal scale.
 
-    The first repeat is discarded as warm-up; means are over the rest.
+    Runs with BENCH_OPTIONS.  The first repeat is discarded as warm-up;
+    means are over the rest.
     """
     if repeats < 3:
         raise ValidationError("repeats must be >= 3")
     w, h = resolution
-    # Bench measures the cost structure, not fit quality: a couple of descent
-    # steps produce a representative field at a fraction of the time.
-    opts = options or PipelineOptions(
-        fit=FitConfig(iterations=2, truncation_radius=3.0), refine_iterations=0
-    )
     frame0, frame1, m01, m10 = synth.translating_blob_pair(
         w, h, (4.0, 0.0), radius=max(2.0, min(w, h) / 12.0)
     )
@@ -357,7 +359,7 @@ def run_bench(
         frame_times = []
         for rep in range(repeats):
             t0 = time.perf_counter()
-            ctx = build_shared_context(frame0, frame1, (m01, m10), opts)
+            ctx = build_shared_context(frame0, frame1, (m01, m10), BENCH_OPTIONS)
             t1 = time.perf_counter()
             timestamps = [i / n for i in range(1, n)]
             t2 = time.perf_counter()

@@ -163,10 +163,14 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     sx_all = np.clip(sx_all, 0, out_w - wx_all)
     sy_all = np.clip(sy_all, 0, out_h - wy_all)
     keys = wx_all * (out_h + 1) + wy_all
+    # One stable sort groups the kernels by window size, ascending, each
+    # bucket in kernel order.
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     chunks = []
     size = 0
-    for key in np.unique(keys):
-        bucket = np.nonzero(keys == key)[0]
+    for b0, b1 in zip(starts, np.append(starts[1:], keys.size)):
+        bucket = order[b0:b1]
         wx, wy = int(wx_all[bucket[0]]), int(wy_all[bucket[0]])
         step = max(1, CHUNK // (wx * wy))
         for lo in range(0, bucket.size, step):

@@ -3,15 +3,20 @@
 perfbench/tracing.py wraps each SPANNED function by name and perfbench/run.py
 calls public names, so deleting one of them breaks the benchmark; this test
 makes such a deletion fail here instead.  The same holds for the
-PipelineOptions attributes that perfbench reads and replaces.
+PipelineOptions attributes that perfbench reads and replaces, the keywords
+it builds FitConfig and PipelineOptions with, and the arguments it calls
+motion.scale_flows with.
 """
 
 import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import splatvid
-from splatvid import cpb
+from splatvid import cpb, motion, synth
+from splatvid.core import Density
 from splatvid.fit import FitConfig
 from splatvid.pipeline import PipelineOptions
 from splatvid.raster import Normalization, RenderConfig
@@ -61,3 +66,28 @@ def test_options_replaced_by_workloads_and_run():
     assert opts.fit is fit and opts.refine_iterations == 1
     assert opts.bank is bank and opts.fuser is fuser
     assert opts.normalization is Normalization.SQRT_DET
+
+
+def test_keywords_perfbench_builds_options_with():
+    # perfbench/workloads.py _opts and perfbench/smoke.py build options with
+    # exactly these keywords.
+    fit = FitConfig(iterations=2, truncation_radius=3.0)
+    opts = PipelineOptions(fit=fit, refine_iterations=0)
+    assert opts.fit.iterations == 2 and opts.fit.truncation_radius == 3.0
+    opts = PipelineOptions(
+        density=Density.ONE_PER_FOUR_PIXELS, fit=fit, refine_iterations=0
+    )
+    assert opts.density is Density.ONE_PER_FOUR_PIXELS
+    opts = PipelineOptions(fit=FitConfig(iterations=1), refine_iterations=0)
+    assert opts.fit.iterations == 1 and opts.refine_iterations == 0
+    # perfbench/run.py shortens a workload's fit for its warm-up pair.
+    assert dataclasses.replace(fit, iterations=1).iterations == 1
+
+
+def test_scale_flows_takes_the_spanned_arguments():
+    # perfbench/tracing.py spans motion.scale_flows(m01, m10, t).
+    m01 = synth.uniform_flow(4, 3, 2.0, 0.0)
+    m10 = synth.uniform_flow(4, 3, -2.0, 0.0)
+    m_t0, m_t1 = motion.scale_flows(m01, m10, 0.25)
+    assert np.array_equal(m_t0.vectors, 0.25 * m10.vectors)
+    assert np.array_equal(m_t1.vectors, 0.75 * m01.vectors)

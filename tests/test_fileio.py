@@ -1,5 +1,7 @@
 """Serialization round-trips and malformed-file diagnostics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -95,8 +97,6 @@ class TestFlo:
             fileio.load_flo(p)
 
     def test_bad_dims(self, tmp_path):
-        import struct
-
         p = tmp_path / "bad.flo"
         p.write_bytes(struct.pack("<fii", 202021.25, -1, 4))
         with pytest.raises(FormatError):
@@ -125,6 +125,14 @@ class TestFrames:
         p.write_bytes(b"XXXX" + b"\0" * 20)
         with pytest.raises(FormatError):
             fileio.load_frm(p)
+
+    @pytest.mark.parametrize("w, h", [(0, 5), (5, 0), (0, 0)])
+    def test_frm_empty_frame(self, tmp_path, w, h):
+        p = tmp_path / "empty.frm"
+        p.write_bytes(b"FRM1" + struct.pack("<II", w, h))
+        with pytest.raises(FormatError) as exc:
+            fileio.load_frm(p)
+        assert exc.value.offset == 4
 
     def test_ppm_quantized_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -226,6 +234,63 @@ class TestWeights:
         p.write_text('{"format": "gsw1", "entries": {"a": {"shape": [3], "data": [1.0]}}}')
         with pytest.raises(FormatError):
             fileio.load_weights(p)
+
+    @pytest.mark.parametrize(
+        "loader", [fileio.load_weights, fileio.load_bank, fileio.load_fuser]
+    )
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param("[1, 2]", id="top-level-list"),
+            pytest.param('{"format": "gsw1", "entries": [1]}', id="entries-list"),
+        ]
+        + [
+            pytest.param(f'{{"format": "gsw1", "entries": {{"bank": {e}}}}}', id=name)
+            for name, e in [
+                ("entry-number", "5"),
+                ("no-shape", '{"data": [1.0]}'),
+                ("no-data", '{"shape": [1]}'),
+                ("shape-number", '{"shape": 4, "data": [1.0]}'),
+                ("negative-shape", '{"shape": [-2, -2], "data": [1, 2, 3, 4]}'),
+                ("float-shape", '{"shape": [1.0], "data": [1.0]}'),
+                ("bool-shape", '{"shape": [true], "data": [1.0]}'),
+                ("string-data", '{"shape": [1], "data": ["x"]}'),
+                ("null-data", '{"shape": [1], "data": [null]}'),
+                ("scalar-data", '{"shape": [1], "data": 1.0}'),
+                ("ragged-data", '{"shape": [3], "data": [[1], [2, 3]]}'),
+                ("nested-data", '{"shape": [2, 1], "data": [[1], [2]]}'),
+            ]
+        ],
+    )
+    def test_malformed_documents_raise_format_error(self, tmp_path, loader, doc):
+        # Every malformed document is a FormatError with an offset, never a
+        # stray exception from the JSON values.
+        p = tmp_path / "w.json"
+        p.write_text(doc)
+        with pytest.raises(FormatError) as exc:
+            loader(p)
+        assert exc.value.offset is not None
+
+    @pytest.mark.parametrize(
+        "load, entries",
+        [
+            (fileio.load_bank, {"bank": np.ones(2)}),
+            (fileio.load_bank, {"bank": np.ones((2, 3))}),  # duplicate entries
+            (fileio.load_fuser, {"fuser.weight": np.ones(2), "fuser.bias": np.ones(2)}),
+            (  # even kernel size
+                fileio.load_fuser,
+                {"fuser.weight": np.ones((2, 7, 2, 2)), "fuser.bias": np.ones(2)},
+            ),
+        ],
+    )
+    def test_entries_that_make_no_bank_or_fuser(self, tmp_path, load, entries):
+        # load_weights accepts these documents, but they hold no valid bank
+        # or fuser; the typed loaders say so with a FormatError.
+        p = tmp_path / "w.json"
+        fileio.save_weights(p, entries)
+        with pytest.raises(FormatError) as exc:
+            load(p)
+        assert exc.value.offset is not None
 
 
 class TestCsv:

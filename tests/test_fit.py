@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splatvid import synth
-from splatvid.core import Density, FrameBuffer, SIGMA_MIN, validate_field
+from splatvid.core import (
+    Density,
+    FrameBuffer,
+    SIGMA_MIN,
+    ValidationError,
+    validate_field,
+)
 from splatvid.fit import (
+    FREQ_LOSS_WEIGHT,
     FitConfig,
     ParamVector,
     _field_gradient,
-    _luma_spectrum,
-    _pixel_weight_freq,
     _pixel_weight_l1,
     fit_frame,
     gradients,
@@ -29,12 +34,8 @@ from conftest import random_field
 
 class TestFitConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             FitConfig(iterations=-1).validate()
-        with pytest.raises(ValueError):
-            FitConfig(learning_rate=0.0).validate()
-        with pytest.raises(ValueError):
-            FitConfig(freq_loss_weight=-0.1).validate()
 
     def test_fits_at_scale_one(self):
         # A field's LR size is its target's size at either density.
@@ -101,7 +102,7 @@ class TestLoss:
         assert d[0, 0] > 1e-6
         d[0, 0] = 0.0
         assert d.max() <= 1e-9
-        assert total == pytest.approx(l1 + cfg.freq_loss_weight * freq, abs=1e-12)
+        assert total == pytest.approx(l1 + FREQ_LOSS_WEIGHT * freq, abs=1e-12)
 
     def test_against_naive_dft_oracle(self):
         rng = np.random.default_rng(3)
@@ -132,25 +133,23 @@ class TestLoss:
         assert freq == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
-def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL, total=False):
+def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL):
     """Worst relative error of the analytic gradient against central FD.
 
-    Differentiates the L1 term, or with total=True the full loss including
-    the weighted spectral term.  A mismatch is checked again with a stencil
-    100x narrower, which clears kinks of the loss that lie between the two
-    widths.  Parameters whose stencil still straddles a kink are skipped;
-    most must be checked.
+    Differentiates the L1 term, the only one descent follows.  A mismatch is
+    checked again with a stencil 100x narrower, which clears kinks of the
+    loss that lie between the two widths.  Parameters whose stencil still
+    straddles a kink are skipped; most must be checked.
     """
     eps = 1e-4
-    col = 0 if total else 1
 
     def central(f, theta, target, i, j, step):
         tp = theta.copy()
         tp[i, j] += step
         tm = theta.copy()
         tm[i, j] -= step
-        lp = loss(ParamVector(tp).to_field(f), target, cfg)[col]
-        lm = loss(ParamVector(tm).to_field(f), target, cfg)[col]
+        lp = loss(ParamVector(tp).to_field(f), target, cfg)[1]
+        lm = loss(ParamVector(tm).to_field(f), target, cfg)[1]
         return (lp - lm) / (2 * step), lp, lm
 
     worst = 0.0
@@ -163,13 +162,8 @@ def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL, total=False):
         f = ParamVector(theta).to_field(f)
         rendered = render_windows(f, cfg.render_config()).pixels
         target = FrameBuffer(rng.uniform(0, 1, rendered.shape))
-        weight = _pixel_weight_l1(rendered, target.pixels)
-        if total:
-            weight = weight + cfg.freq_loss_weight * _pixel_weight_freq(
-                rendered, _luma_spectrum(target.pixels)
-            )
-        g = _field_gradient(f, weight, cfg)
-        mid = loss(f, target, cfg)[col]
+        g = _field_gradient(f, _pixel_weight_l1(rendered, target.pixels), cfg)
+        mid = loss(f, target, cfg)[1]
         for i in range(theta.shape[0]):
             for j in range(theta.shape[1]):
                 fd, lp, lm = central(f, theta, target, i, j, eps)
@@ -262,11 +256,6 @@ class TestGradients:
         rng = np.random.default_rng(14)
         assert fd_worst(rng, FitConfig(), 8, 8, Density.ONE_PER_FOUR_PIXELS) <= 1e-3
 
-    def test_matches_finite_differences_with_freq_term(self):
-        rng = np.random.default_rng(15)
-        cfg = FitConfig(freq_in_gradient=True)
-        assert fd_worst(rng, cfg, 4, 4, total=True) <= 1e-3
-
     # Each drawn case runs fd_worst: three fields, two losses per parameter.
     @settings(max_examples=8, deadline=None)
     @given(
@@ -341,7 +330,10 @@ class TestFitFrame:
 
     @pytest.mark.parametrize(
         "cfg",
-        [FitConfig(iterations=6), FitConfig(iterations=6, freq_in_gradient=True)],
+        [
+            FitConfig(iterations=6),
+            FitConfig(iterations=6, normalization=Normalization.SQRT_DET),
+        ],
     )
     def test_trace_matches_recomputed_loss(self, cfg):
         # Step k of a longer run is the whole of a k-step run, so entry k-1

@@ -17,7 +17,6 @@ from splatvid.core import (
 )
 from splatvid.cpb import LogitField
 from splatvid.motion import (
-    FlowConvention,
     WindowMap,
     WindowSet,
     apply_window,
@@ -27,7 +26,6 @@ from splatvid.motion import (
     flow_magnitude_window_logits,
     fuse_features,
     predict_fusion,
-    scale_flow_t0,
     scale_flows,
 )
 from splatvid import synth
@@ -44,38 +42,22 @@ class TestScaleFlows:
         assert np.array_equal(mt1.vectors, self.m01.vectors)
 
     def test_midpoint_halves_magnitudes(self):
-        for conv in FlowConvention:
-            mt0, mt1 = scale_flows(self.m01, self.m10, 0.5, conv)
-            assert np.allclose(np.abs(mt0.vectors), 0.5 * np.abs(self.m10.vectors))
-            assert np.allclose(np.abs(mt1.vectors), 0.5 * np.abs(self.m01.vectors))
+        mt0, mt1 = scale_flows(self.m01, self.m10, 0.5)
+        assert np.allclose(np.abs(mt0.vectors), 0.5 * np.abs(self.m10.vectors))
+        assert np.allclose(np.abs(mt1.vectors), 0.5 * np.abs(self.m01.vectors))
 
     def test_linear_scaling(self):
         m10 = synth.uniform_flow(4, 3, 4.0, 0.0)
-        mt0, _ = scale_flows(self.m01, m10, 0.25, FlowConvention.CONSISTENT)
+        mt0, mt1 = scale_flows(self.m01, m10, 0.25)
         assert np.allclose(mt0.vectors, [1.0, 0.0])
-
-    def test_paper_literal_swaps_roles(self):
-        mt0, mt1 = scale_flows(self.m01, self.m10, 0.25, FlowConvention.PAPER_LITERAL)
-        assert np.allclose(mt0.vectors, 0.75 * self.m01.vectors)
-        assert np.allclose(mt1.vectors, 0.25 * self.m10.vectors)
+        assert np.allclose(mt1.vectors, 0.75 * self.m01.vectors)
 
     def test_errors(self):
         with pytest.raises(ShapeError):
             scale_flows(self.m01, synth.uniform_flow(5, 3, 0, 0), 0.5)
-        with pytest.raises(ValidationError):
-            scale_flows(self.m01, self.m10, 1.5)
-
-    def test_t0_alone_is_first_of_pair(self):
-        for conv in FlowConvention:
-            for t in (0.0, 0.3, 1.0):
-                alone = scale_flow_t0(self.m01, self.m10, t, conv)
-                assert np.array_equal(
-                    alone.vectors, scale_flows(self.m01, self.m10, t, conv)[0].vectors
-                )
-        with pytest.raises(ShapeError):
-            scale_flow_t0(self.m01, synth.uniform_flow(5, 3, 0, 0), 0.5)
-        with pytest.raises(ValidationError):
-            scale_flow_t0(self.m01, self.m10, -0.1)
+        for t in (-0.1, 1.5):
+            with pytest.raises(ValidationError):
+                scale_flows(self.m01, self.m10, t)
 
 
 class TestBackwardWarp:

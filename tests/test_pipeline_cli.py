@@ -202,20 +202,23 @@ class TestDeriveCache:
         assert np.abs(fields[0].sigmas - fields[1].sigmas).max() > 1e-6
 
 
-    @pytest.mark.parametrize("convention", list(motion.FlowConvention))
-    def test_offsets_match_scaling_both_flows(self, monkeypatch, convention):
-        # derive_field scales only m_t0; the offsets must equal those derived
-        # from the m_t0 half of scale_flows, as before.
-        opts = dataclasses.replace(self.OPTS, flow_convention=convention)
+    def test_offsets_follow_scale_flows(self):
+        # derive_field scales only m_t0; its offsets must equal the window-
+        # gated offsets built from the m_t0 half of scale_flows, bit for bit.
         frame0, frame1, flows = self.blob_pair()
-        ctx = build_shared_context(frame0, frame1, flows, opts)
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         timestamps = [0.0, 0.3, 1.0]
         fields = [derive_field(ctx, t) for t in timestamps]
-        monkeypatch.setattr(
-            motion, "scale_flow_t0", lambda *args: motion.scale_flows(*args)[0]
-        )
+        p0, p1 = ctx.param0, ctx.param1
+        wmap = ctx.window_map
         for t, f in zip(timestamps, fields):
-            assert np.array_equal(f.offsets, derive_field(ctx, t).offsets)
+            m_t0, _ = motion.scale_flows(ctx.flow01, ctx.flow10, t)
+            mask, residual = motion.predict_fusion(p0, p1, t)
+            fused = motion.fuse_features(p0, p1, mask, residual)
+            base, _ = motion.decode_gaussians(fused)
+            gated = np.clip((base - m_t0.vectors) / wmap.values[..., None], 0.0, 1.0)
+            ref = motion.apply_window(gated, wmap).reshape(-1, 2)
+            assert np.array_equal(f.offsets, ref)
         assert np.abs(fields[2].offsets - fields[1].offsets).max() > 0.1
 
 
@@ -371,6 +374,21 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNK")
         out = tmp_path / "out.frm"
         assert cli.main(["render", str(bad), str(out)]) == cli.EXIT_FORMAT
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1, 2]",
+            '{"format": "gsw1", "entries": [1]}',
+            '{"format": "gsw1", "entries": {"bank": 5}}',
+        ],
+    )
+    def test_malformed_bank_exit_code(self, tmp_path, doc):
+        out_dir, args = self.interpolate_args(tmp_path, 8, 6)
+        bank = tmp_path / "bank.json"
+        bank.write_text(doc)
+        code = cli.main(args + ["--timestamps", "0.5", "--bank", str(bank)])
+        assert code == cli.EXIT_FORMAT
 
     def test_validation_error_exit_code(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -312,6 +312,32 @@ class TestWindowCore:
             assert py.min() >= 0 and py.max() < out_h
         assert size <= max(chunk, biggest_window)
 
+    @pytest.mark.parametrize("chunk", [300, raster.CHUNK])
+    def test_buckets_match_a_per_key_grouping(self, monkeypatch, chunk):
+        # Reference: scan every kernel's key once per distinct window size.
+        monkeypatch.setattr(raster, "CHUNK", chunk)
+        rng = np.random.default_rng(26)
+        f = random_field(rng, 30, 20, sigma_range=(0.4, 2.0))
+        s, r = 4.0, 3.0
+        mu = f.mu() * s
+        half_x, half_y = r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1]
+        out_w, out_h = output_shape(30, 20, s)
+        chunks, size = raster._windows(mu, half_x, half_y, out_w, out_h)
+        wx = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
+        wy = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
+        keys = wx * (out_h + 1) + wy
+        assert np.unique(keys).size >= 100
+        ref = []
+        for key in np.unique(keys):
+            bucket = np.nonzero(keys == key)[0]
+            step = max(1, chunk // (wx[bucket[0]] * wy[bucket[0]]))
+            ref += [bucket[lo : lo + step] for lo in range(0, bucket.size, step)]
+        assert len(chunks) == len(ref)
+        for (gi, px, py), want in zip(chunks, ref):
+            assert np.array_equal(gi, want)
+            assert px.shape == (gi.size, wx[gi[0]]) and py.shape == (gi.size, wy[gi[0]])
+        assert size == max(gi.size * px.shape[1] * py.shape[1] for gi, px, py in chunks)
+
     @staticmethod
     def core_pairs(f, cfg):
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
