@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""A/B benchmark: alternating perfbench runs of a parent revision and this checkout.
+
+    python3 scripts/ab_bench.py --parent HEAD --workload fit-ridge --seeds 10 --seconds 36
+
+The parent side is the parent revision's committed files, exported with
+``git archive`` into a temporary directory, as a benchmark of a commit sees
+them.  The change side is this checkout's working tree.  Pair i runs
+
+    python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
+
+once on each side, the parent first on odd seeds, so that slow drifts of
+the machine's speed fall on both sides alike.  The result is written to
+BENCH_<workload>.json at the root of this checkout: every run's
+result line, the machine line of the first run and, per end-to-end metric,
+each side's quartiles (linear interpolation), the number of pairs in which
+the change is better or worse by the direction BENCHMARK.json gives, and
+the largest difference within one seed.  A run that fails stops the script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write rev's committed files under dest."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(machine, result) of one perfbench run in the checkout at root."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"ab_bench: {' '.join(cmd)} in {root} failed:\n{proc.stderr}")
+    machine = json.loads(lines[0])["machine"]
+    return machine, json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per end-to-end metric: both sides' quartiles and the per-seed pairs."""
+    by_side: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
+    for r in runs:
+        by_side[r["side"]][r["seed"]] = r["result"]["metrics"]
+    seeds = sorted(by_side["parent"])
+    summary = {}
+    for name in by_side["parent"][seeds[0]]:
+        par = [by_side["parent"][s][name]["value"] for s in seeds]
+        chg = [by_side["change"][s][name]["value"] for s in seeds]
+        sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+        gains = [sign * (p - c) for p, c in zip(par, chg)]
+        summary[name] = {
+            "parent": quartiles(par),
+            "change": quartiles(chg),
+            "pairs_change_better": sum(g > 0 for g in gains),
+            "pairs_change_worse": sum(g < 0 for g in gains),
+            "max_abs_seed_diff": max(abs(g) for g in gains),
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, default=10, help="pairs, seeds 1..N")
+    ap.add_argument("--seconds", type=float, default=36.0, help="--seconds of each run")
+    ap.add_argument("--parent-label", help="describes the parent (default: its subject)")
+    ap.add_argument("--change-label", help="describes the change (default: HEAD + edits)")
+    args = ap.parse_args(argv)
+    if args.seeds < 2:
+        ap.error("--seeds must be at least 2 for quartiles")
+
+    parent_label = args.parent_label or git("log", "-1", "--format=%h %s", args.parent)
+    change_label = args.change_label or "working tree on " + git(
+        "log", "-1", "--format=%h %s", "HEAD"
+    )
+    better = {
+        m["name"]: m["better"]
+        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    }
+    runs, machine = [], None
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        parent_root = Path(tmp)
+        export(args.parent, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for seed in range(1, args.seeds + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            pair = {}
+            for side in order:
+                machine_now, result = run_once(
+                    roots[side], args.workload, seed, args.seconds
+                )
+                machine = machine or machine_now
+                pair[side] = {
+                    "seed": seed,
+                    "side": side,
+                    "ran_first": side == order[0],
+                    "result": result,
+                }
+                print(f"ab_bench: {args.workload} seed {seed} {side} done", file=sys.stderr)
+            runs += [pair["parent"], pair["change"]]
+
+    summary = summarize(runs, better)
+    doc = {
+        "workload": args.workload,
+        "command": "python3 perfbench/run.py --workload "
+        f"{args.workload} --seed SEED --seconds {args.seconds:g} --trace 0",
+        "design": f"{args.seeds} alternating parent/change pairs, seeds 1-{args.seeds}, "
+        "seed i on both sides of pair i, parent first on odd seeds; quartiles by "
+        "linear interpolation",
+        "parent": parent_label,
+        "change": change_label,
+        "machine": machine,
+        "runs": runs,
+        "summary": summary,
+    }
+    out = ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        rel = (c["median"] / p["median"] - 1.0) * 100.0 if p["median"] else 0.0
+        print(
+            f"{name:18s} {p['median']:.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> "
+            f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] ({rel:+.1f} %), "
+            f"better {s['pairs_change_better']}/{args.seeds}, "
+            f"worse {s['pairs_change_worse']}/{args.seeds}"
+        )
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,13 @@
 the deterministic init; the pipeline's bank refine runs it from a snapped
 field with the covariances frozen, so only offsets and colors move.
 
+Each step (``_step``) evaluates every kernel's window weights once: the
+render that gives the loss and the residual sign keeps them, and the
+gradient reuses them.  The kept weights take at most raster.STORE_CAP
+window pixels (16 MiB); a step with more windowed pixels keeps none and
+evaluates them again, so a step's memory is that cap or the raster core's
+per-chunk buffers.
+
 Optimization runs in an unconstrained reparameterization so every iterate
 maps to a valid field by construction:
 
@@ -46,8 +53,8 @@ from splatvid.metrics import LUMA_WEIGHTS
 from splatvid.raster import (
     Normalization,
     RenderConfig,
-    _kernel_terms,
-    _window_weights,
+    _Weights,
+    _render,
     render_windows,
 )
 
@@ -117,13 +124,22 @@ class ParamVector:
         raw[:, 5:8] = _logit(f.colors)
         return ParamVector(raw)
 
-    def to_field(self, template: GaussianField) -> GaussianField:
+    def to_field(
+        self, template: GaussianField, freeze_covariance: bool = False
+    ) -> GaussianField:
+        """The field these parameters map to; with freeze_covariance it keeps
+        template's sigmas and rhos and maps only offsets and colors."""
         raw = self.raw
+        cov = {}
+        if not freeze_covariance:
+            cov = dict(
+                sigmas=np.logaddexp(0.0, raw[:, 2:4]) + SIGMA_MIN,
+                rhos=RHO_MAX * np.tanh(raw[:, 4]),
+            )
         return template.replace(
             offsets=1.0 / (1.0 + np.exp(-raw[:, 0:2])),
-            sigmas=np.logaddexp(0.0, raw[:, 2:4]) + SIGMA_MIN,
-            rhos=RHO_MAX * np.tanh(raw[:, 4]),
             colors=1.0 / (1.0 + np.exp(-raw[:, 5:8])),
+            **cov,
         )
 
 
@@ -202,15 +218,25 @@ def _field_gradient(
     polynomial in the pixel offsets (dx, dy), so every geometric column is a
     closed form in six moments of tw = w * sum_c S_c c_c per kernel:
     sum tw dy^i dx^j for i + j <= 2.
+
+    Evaluates the window weights afresh; descent takes the same gradient
+    from its render's weights (_step), and this is its reference.
     """
-    rcfg = cfg.render_config()
     shape = (f.lr_height, f.lr_width, 3)
     if pixel_weight.shape != shape:
         raise ShapeError(f"pixel weight {pixel_weight.shape} vs render {shape}")
+    weights = _Weights(f, cfg.render_config(), n_scratch=2)
+    return _window_gradient(f, weights, pixel_weight, cfg)
+
+
+def _window_gradient(
+    f: GaussianField, weights: _Weights, pixel_weight: np.ndarray, cfg: FitConfig
+) -> np.ndarray:
+    """_field_gradient from one pass over f's window weights (two scratch)."""
     a = f.sigmas[:, 0]
     b = f.sigmas[:, 1]
     rho = f.rhos
-    ixx, ixy, iyy, _ = _kernel_terms(f.sigmas, rho, rcfg.scale, cfg.normalization)
+    ixx, ixy, iyy = weights.ixx, weights.ixy, weights.iyy
     det_power = 1.0 if cfg.normalization is Normalization.PAPER_DET else 0.5
     colors = f.colors
     n = f.n_gaussians
@@ -218,7 +244,7 @@ def _field_gradient(
     # moments[g, i, j] = sum over the window of tw * dy^i * dx^j.
     moments = np.zeros((n, 3, 3), dtype=np.float64)
     planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 2, 0)).reshape(3, -1)
-    for gi, dx, dy, w, flat, (sw, tw) in _window_weights(f, rcfg, n_scratch=2):
+    for gi, dx, dy, w, flat, (sw, tw) in weights:
         for c in range(3):
             np.take(planes[c], flat, out=sw, mode="clip")
             sw *= w
@@ -259,13 +285,28 @@ def _field_gradient(
     return grad
 
 
+def _step(
+    f: GaussianField, target: np.ndarray, cfg: FitConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One descent step's kernel work: (unclamped scale-1 render, L1 gradient).
+
+    Each chunk's window weights are evaluated once: the render keeps them
+    and the gradient reuses them, unless the windows hold more than
+    raster.STORE_CAP pixels, when both passes evaluate them.  The result is
+    bit-equal to render_windows followed by _field_gradient.
+    """
+    weights = _Weights(f, cfg.render_config(), n_scratch=2, keep=True)
+    rendered = _render(weights, f.colors)
+    if rendered.shape != target.shape:
+        raise ShapeError(f"rendered {rendered.shape} vs target {target.shape}")
+    pixel_weight = _pixel_weight_l1(rendered, target)
+    return rendered, _window_gradient(f, weights, pixel_weight, cfg)
+
+
 def gradients(f: GaussianField, target: FrameBuffer, cfg: FitConfig) -> np.ndarray:
     """(N, 8) gradient of the L1 term w.r.t. the unconstrained parameters."""
     cfg.validate()
-    rendered = render_windows(f, cfg.render_config()).pixels
-    if rendered.shape != target.pixels.shape:
-        raise ShapeError(f"rendered {rendered.shape} vs target {target.pixels.shape}")
-    return _field_gradient(f, _pixel_weight_l1(rendered, target.pixels), cfg)
+    return _step(f, target.pixels, cfg)[1]
 
 
 def fit_frame(
@@ -299,22 +340,20 @@ def descend(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     target_spectrum = _luma_spectrum(target.pixels)
-    # losses[k] is the loss after k steps, taken from the same render that
-    # the gradient of step k + 1 starts from.
+    # The loss after k steps comes from the render that step k + 1 takes its
+    # gradient from; only the last one needs a render of its own.
     losses: list[float] = []
-    rcfg = cfg.render_config()
-    for it in range(iterations + 1):
-        cur = ParamVector(theta).to_field(field)
-        if freeze_covariance:
-            cur = cur.replace(sigmas=field.sigmas, rhos=field.rhos)
-        rendered = render_windows(cur, rcfg).pixels
-        losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
-        if it == iterations:
-            break
-        g = _field_gradient(cur, _pixel_weight_l1(rendered, target.pixels), cfg)
+    for it in range(iterations):
+        cur = ParamVector(theta).to_field(field, freeze_covariance)
+        rendered, g = _step(cur, target.pixels, cfg)
+        if it:
+            losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
         theta = theta - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return cur, losses[1:]
+    cur = ParamVector(theta).to_field(field, freeze_covariance)
+    rendered = render_windows(cur, cfg.render_config()).pixels
+    losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
+    return cur, losses

@@ -10,12 +10,18 @@ Two paths with identical contracts:
     the tightest integer pixel box whose pixel centres can lie inside its
     truncation ellipse, and contributes only within Mahalanobis distance
     <= truncation_radius.  The same core feeds the fitting gradient
-    (fit._field_gradient).  render_tiled is kept as a name for
+    (fit._step, fit._field_gradient).  render_tiled is kept as a name for
     render_windows.
 
-The core buckets kernels by window size and evaluates each bucket in chunks
-of at most CHUNK window pixels, in buffers allocated once per call and
-reused for every chunk, so memory stays bounded at any scale and sigma.
+The core (_Weights) lays a field's windows out once: it buckets kernels by
+window size and splits each bucket into chunks of at most CHUNK window
+pixels, whose weights _chunk_weights evaluates into buffers allocated once
+and reused for every chunk.  A fit step whose windows hold at most
+STORE_CAP pixels (16 MiB of weights and indices) evaluates each chunk once:
+its render keeps every chunk's weights for its gradient.  A larger step
+keeps none and evaluates every chunk again.  So memory stays bounded at any
+scale and sigma: buffers of one chunk's size, or at most STORE_CAP kept
+pixels in a fit step.
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
 scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
@@ -42,6 +48,10 @@ from splatvid.core import (
 
 # Window pixels evaluated per chunk; a single larger window is its own chunk.
 CHUNK = 1 << 17
+# Most window pixels whose weights a fit step keeps from its render for its
+# gradient (see _Weights): a float64 weight and an int64 pixel index each,
+# so at most 16 MiB.  A step with more windowed pixels keeps none.
+STORE_CAP = 1 << 20
 
 
 class Normalization(enum.Enum):
@@ -182,56 +192,107 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     return chunks, size
 
 
-def _window_weights(f: GaussianField, cfg: RenderConfig, n_scratch: int = 0):
-    """Truncated kernel weights over every window, one chunk at a time.
+class _Weights:
+    """A field's truncated window weights at one render config, by chunk.
 
-    Yields (gi, dx, dy, w, flat, scratch) per chunk of _windows: dx (G, Wx)
+    Construction is the layout: _prepare and _windows, computed once.  Each
+    iteration then yields (gi, dx, dy, w, flat, scratch) per chunk of
+    _windows, every chunk's weights coming from _chunk_weights: dx (G, Wx)
     and dy (G, Wy) are the pixel-centre offsets from each kernel centre,
     w (G, Wy, Wx) the weights and flat (G, Wy, Wx) each weight's row-major
     pixel index.  scratch holds n_scratch float arrays shaped like w for the
-    caller.  w, flat and scratch are views of buffers allocated once per call
-    and overwritten by the next chunk.
+    caller.  w, flat and scratch are views of buffers allocated once and
+    overwritten by the next chunk, unless kept (below).
+
+    With keep, and when all windows hold at most STORE_CAP pixels, the
+    first iteration writes every chunk's weights to buffers of their own and
+    a later iteration yields them again instead of evaluating them: a fit
+    step renders and then takes its gradient from one evaluation.  Above
+    the cap nothing is kept and every iteration evaluates every chunk.
     """
-    mu, ixx, ixy, iyy, amp, out_w, out_h = _prepare(f, cfg)
-    r = cfg.truncation_radius
-    half = r * cfg.scale * f.sigmas
-    chunks, size = _windows(mu, half[:, 0], half[:, 1], out_w, out_h)
-    e_buf = np.empty(size)
-    mask_buf = np.empty(size, dtype=bool)
-    flat_buf = np.empty(size, dtype=np.int64)
-    scratch_bufs = [np.empty(size) for _ in range(n_scratch)]
-    for gi, px, py in chunks:
-        shape = (gi.size, py.shape[1], px.shape[1])
-        n = shape[0] * shape[1] * shape[2]
-        dx = (px + 0.5) - mu[gi, 0][:, None]
-        dy = (py + 0.5) - mu[gi, 1][:, None]
-        # e = -q/2 directly: halving is exact, so e equals -0.5 * q bit for bit.
-        e = e_buf[:n].reshape(shape)
-        np.multiply((-ixy[gi, None] * dy)[:, :, None], dx[:, None, :], out=e)
-        e += (-0.5 * ixx[gi, None] * dx**2)[:, None, :]
-        e += (-0.5 * iyy[gi, None] * dy**2)[:, :, None]
-        mask = mask_buf[:n].reshape(shape)
-        np.greater_equal(e, -0.5 * r * r, out=mask)  # q <= r^2
-        np.exp(e, out=e)
-        e *= mask
-        e *= amp[gi, None, None]
-        flat = flat_buf[:n].reshape(shape)
-        np.add((py * out_w)[:, :, None], px[:, None, :], out=flat)
-        scratch = [b[:n].reshape(shape) for b in scratch_bufs]
-        yield gi, dx, dy, e, flat, scratch
+
+    def __init__(
+        self, f: GaussianField, cfg: RenderConfig, n_scratch: int = 0, keep: bool = False
+    ):
+        self.mu, self.ixx, self.ixy, self.iyy, self.amp, self.out_w, self.out_h = (
+            _prepare(f, cfg)
+        )
+        self.radius = cfg.truncation_radius
+        half = self.radius * cfg.scale * f.sigmas
+        self.chunks, size = _windows(
+            self.mu, half[:, 0], half[:, 1], self.out_w, self.out_h
+        )
+        px = sum(g.size * x.shape[1] * y.shape[1] for g, x, y in self.chunks)
+        self.keep = keep and px <= STORE_CAP
+        self.stored_px = px if self.keep else 0
+        self._kept: list[tuple] = []
+        self._e_buf = np.empty(max(self.stored_px, size))
+        self._flat_buf = np.empty(self._e_buf.size, dtype=np.int64)
+        self._mask_buf = np.empty(size, dtype=bool)
+        self._scratch_bufs = [np.empty(size) for _ in range(n_scratch)]
+
+    def __iter__(self):
+        at = 0  # where the next kept chunk starts in the buffers
+        for j, chunk in enumerate(self.chunks):
+            if j < len(self._kept):
+                dx, dy, w, flat = self._kept[j]
+            else:
+                dx, dy, w, flat = _chunk_weights(
+                    self, chunk, self._e_buf[at:], self._mask_buf, self._flat_buf[at:]
+                )
+                if self.keep:
+                    self._kept.append((dx, dy, w, flat))
+            if self.keep:
+                at += w.size
+            scratch = [b[: w.size].reshape(w.shape) for b in self._scratch_bufs]
+            yield chunk[0], dx, dy, w, flat, scratch
 
 
-def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
-    """Windowed fast path; matches render_dense within truncation error."""
-    out_w, out_h = output_shape(f.lr_width, f.lr_height, cfg.scale)
-    img = np.zeros((3, out_h * out_w), dtype=np.float64)
-    colors = f.colors
-    for gi, _, _, w, flat, (cw,) in _window_weights(f, cfg, n_scratch=1):
+def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
+    """Truncated kernel weights of one chunk of lay's windows.
+
+    The one copy of the weight math.  Returns (dx, dy, w, flat) as _Weights
+    yields them; w is written into the head of e_buf, flat into the head of
+    flat_buf, and mask_buf is overwritten.
+    """
+    gi, px, py = chunk
+    shape = (gi.size, py.shape[1], px.shape[1])
+    n = shape[0] * shape[1] * shape[2]
+    dx = (px + 0.5) - lay.mu[gi, 0][:, None]
+    dy = (py + 0.5) - lay.mu[gi, 1][:, None]
+    # e = -q/2 directly: halving is exact, so e equals -0.5 * q bit for bit.
+    e = e_buf[:n].reshape(shape)
+    np.multiply((-lay.ixy[gi, None] * dy)[:, :, None], dx[:, None, :], out=e)
+    e += (-0.5 * lay.ixx[gi, None] * dx**2)[:, None, :]
+    e += (-0.5 * lay.iyy[gi, None] * dy**2)[:, :, None]
+    mask = mask_buf[:n].reshape(shape)
+    np.greater_equal(e, -0.5 * lay.radius * lay.radius, out=mask)  # q <= r^2
+    np.exp(e, out=e)
+    e *= mask
+    e *= lay.amp[gi, None, None]
+    flat = flat_buf[:n].reshape(shape)
+    np.add((py * lay.out_w)[:, :, None], px[:, None, :], out=flat)
+    return dx, dy, e, flat
+
+
+def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
+    """Unclamped (H, W, 3) sum of every chunk's weights times its colours.
+
+    One pass over weights, which needs at least one scratch array.
+    """
+    img = np.zeros((3, weights.out_h * weights.out_w), dtype=np.float64)
+    for gi, _, _, w, flat, (cw, *_) in weights:
         idx = flat.ravel()
         for c in range(3):
             np.multiply(w, colors[gi, c, None, None], out=cw)
             np.add.at(img[c], idx, cw.ravel())
-    img = np.ascontiguousarray(img.reshape(3, out_h, out_w).transpose(1, 2, 0))
+    img = img.reshape(3, weights.out_h, weights.out_w).transpose(1, 2, 0)
+    return np.ascontiguousarray(img)
+
+
+def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
+    """Windowed fast path; matches render_dense within truncation error."""
+    img = _render(_Weights(f, cfg, n_scratch=1), f.colors)
     if cfg.clamp_output:
         img = np.clip(img, 0.0, 1.0)
     return FrameBuffer(img)

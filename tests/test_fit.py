@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splatvid import synth
+from splatvid import raster, synth
 from splatvid.core import (
     Density,
     FrameBuffer,
@@ -22,13 +22,15 @@ from splatvid.fit import (
     ParamVector,
     _field_gradient,
     _pixel_weight_l1,
+    _step,
+    descend,
     fit_frame,
     gradients,
     init_field,
     loss,
 )
 from splatvid.metrics import LUMA_WEIGHTS, psnr_y
-from splatvid.raster import Normalization, render_windows
+from splatvid.raster import Normalization, _Weights, render_windows
 from conftest import random_field
 
 
@@ -276,6 +278,90 @@ class TestGradients:
         assert fd_worst(rng, cfg, k * cells[0], k * cells[1], density) <= 1e-3
 
 
+class TestStep:
+    """One descent step evaluates each chunk's window weights once."""
+
+    CFG = FitConfig(truncation_radius=3.0)
+
+    @staticmethod
+    def many_sizes(density):
+        # sigma uniform in [0.4, 2] at radius 3: windows 4 to 14 px per axis.
+        rng = np.random.default_rng(30)
+        f = synth.random_field(rng, 16, 12, density, offset_range=(-0.5, 1.5))
+        return f, rng.uniform(0.0, 1.0, (12, 16, 3))
+
+    @staticmethod
+    def chunk_px(f, cfg):
+        chunks = _Weights(f, cfg.render_config()).chunks
+        return np.cumsum([gi.size * x.shape[1] * y.shape[1] for gi, x, y in chunks])
+
+    @pytest.mark.parametrize("chunk", [raster.CHUNK, 40])
+    @pytest.mark.parametrize("cap", ["all", "none", "middle"])
+    @pytest.mark.parametrize("density", list(Density))
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_bit_equal_to_render_and_reference_gradient(
+        self, monkeypatch, chunk, cap, density, normalization
+    ):
+        monkeypatch.setattr(raster, "CHUNK", chunk)
+        cfg = dataclasses.replace(self.CFG, normalization=normalization)
+        f, target = self.many_sizes(density)
+        px = self.chunk_px(f, cfg)
+        if cap == "none":
+            monkeypatch.setattr(raster, "STORE_CAP", 0)
+        elif cap == "middle":  # below the total, so nothing is kept
+            monkeypatch.setattr(raster, "STORE_CAP", int(px[px.size // 2 - 1]))
+        kept = _Weights(f, cfg.render_config(), keep=True).keep
+        assert kept == (cap == "all")
+        assert px.size >= 4
+        rendered, grad = _step(f, target, cfg)
+        ref = render_windows(f, cfg.render_config()).pixels
+        assert np.array_equal(rendered, ref)
+        ref_grad = _field_gradient(f, _pixel_weight_l1(ref, target), cfg)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_keeps_every_chunk_or_none(self, monkeypatch):
+        f, _ = self.many_sizes(Density.ONE_PER_PIXEL)
+        px = self.chunk_px(f, self.CFG)
+        for cap in (0, int(px[0]), int(px[-1]) - 1, int(px[-1]), int(px[-1]) + 1):
+            monkeypatch.setattr(raster, "STORE_CAP", cap)
+            w = _Weights(f, self.CFG.render_config(), keep=True)
+            assert w.keep == (cap >= px[-1])
+            assert w.stored_px == (int(px[-1]) if w.keep else 0)
+            list(w)
+            assert len(w._kept) == (px.size if w.keep else 0)
+
+    @pytest.mark.parametrize("freeze_covariance", [False, True])
+    @pytest.mark.parametrize("above_cap", [False, True])
+    def test_descend_evaluates_each_chunk_once_per_step(
+        self, monkeypatch, freeze_covariance, above_cap
+    ):
+        f, target = self.many_sizes(Density.ONE_PER_PIXEL)
+        if above_cap:
+            monkeypatch.setattr(
+                raster, "STORE_CAP", int(self.chunk_px(f, self.CFG)[-1]) // 2
+            )
+        evaluations = {}  # id(layout) -> [layout, evaluated chunks]
+        evaluate = raster._chunk_weights
+
+        def counting(lay, chunk, *bufs):
+            evaluations.setdefault(id(lay), [lay, []])[1].append(chunk)
+            return evaluate(lay, chunk, *bufs)
+
+        monkeypatch.setattr(raster, "_chunk_weights", counting)
+        k = 3
+        descend(f, FrameBuffer(target), self.CFG, k, freeze_covariance)
+        layouts = list(evaluations.values())
+        # k steps and the final loss-only render: k + 1 layouts, each chunk
+        # of a step evaluated once, or twice above the cap.
+        assert len(layouts) == k + 1
+        for i, (lay, chunks) in enumerate(layouts):
+            assert lay.stored_px <= raster.STORE_CAP
+            assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
+            assert lay.keep == (i < k and not above_cap)
+            once = i == k or not above_cap
+            assert len(chunks) == (1 if once else 2) * len(lay.chunks)
+
+
 class TestParamVector:
     def test_round_trip(self):
         f = random_field(np.random.default_rng(7), 4, 4)
@@ -300,6 +386,17 @@ class TestParamVector:
         assert np.all((offsets >= 0) & (offsets <= 1))
         assert np.all(sigmas >= SIGMA_MIN)
         assert np.all(np.abs(rhos) <= 1.0)
+
+    def test_frozen_covariance_maps_offsets_and_colors_only(self):
+        rng = np.random.default_rng(10)
+        template = random_field(rng, 4, 3)
+        pv = ParamVector(rng.normal(0, 2, (12, 8)))
+        full = pv.to_field(template)
+        frozen = pv.to_field(template, freeze_covariance=True)
+        assert np.array_equal(frozen.sigmas, template.sigmas)
+        assert np.array_equal(frozen.rhos, template.rhos)
+        assert np.array_equal(frozen.offsets, full.offsets)
+        assert np.array_equal(frozen.colors, full.colors)
 
     @settings(max_examples=100, deadline=None)
     @given(row=arrays(np.float64, (8,), elements=st.floats(-50, 50, allow_nan=False)))

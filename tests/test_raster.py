@@ -343,7 +343,7 @@ class TestWindowCore:
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
         npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
         keys = []
-        for gi, _, _, w, flat, _ in raster._window_weights(f, cfg):
+        for gi, _, _, w, flat, _ in raster._Weights(f, cfg):
             g, y, x = np.nonzero(w)
             keys.append(gi[g] * npix + flat[g, y, x])
         return np.sort(np.concatenate(keys))
