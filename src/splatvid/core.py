@@ -9,7 +9,8 @@ Conventions used everywhere in this package:
     (2*ix + 1, 2*iy + 1).
 
 All types are immutable value objects after construction and safe to share
-read-only across workers.
+read-only across workers: each stores its arrays through ``frozen_array``,
+the one place that converts, checks and write-protects them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,42 @@ class ValidationError(ValueError):
 
 class ShapeError(ValueError):
     """Array arguments have inconsistent shapes."""
+
+
+def frozen_array(
+    what: str,
+    arr,
+    ndim: int,
+    last: int | None = None,
+    finite: bool = True,
+    dtype=np.float64,
+) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array.
+
+    Converts without copying when ``arr`` already is one.  Raises ShapeError
+    unless it has ``ndim`` axes (and ``last`` entries on the last axis, when
+    given), and ValidationError for a non-finite value when ``finite``.
+    """
+    # asarray, not ascontiguousarray, which would lift a 0-d array to 1-d.
+    arr = np.asarray(arr, dtype=dtype, order="C")
+    if arr.ndim != ndim:
+        raise ShapeError(f"{what}: shape {arr.shape}, expected {ndim} axes")
+    if last is not None and arr.shape[-1] != last:
+        raise ShapeError(f"{what}: shape {arr.shape}, expected last axis {last}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what}: non-finite values")
+    arr.setflags(write=False)
+    return arr
+
+
+def covariance_violations(params: np.ndarray) -> np.ndarray:
+    """Per-value flags of (..., 3) (sigma_x, sigma_y, rho) rows that break
+    CovParams.validate's rule: non-finite, sigma < SIGMA_MIN or
+    |rho| > RHO_MAX."""
+    bad = ~np.isfinite(params)
+    bad[..., 0:2] |= params[..., 0:2] < SIGMA_MIN
+    bad[..., 2] |= np.abs(params[..., 2]) > RHO_MAX
+    return bad
 
 
 class Density(enum.Enum):
@@ -147,9 +184,10 @@ class GaussianField:
     max_offset: float = 1.0
 
     def __post_init__(self):
-        for name in ("offsets", "sigmas", "rhos", "colors"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
+        # Values are not checked here: validate_field reports them.
+        for name, ndim in (("offsets", 2), ("sigmas", 2), ("rhos", 1), ("colors", 2)):
+            arr = getattr(self, name)
+            arr = frozen_array(f"GaussianField.{name}", arr, ndim, finite=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -176,21 +214,6 @@ class GaussianField:
             cov=CovParams(float(self.sigmas[i, 0]), float(self.sigmas[i, 1]), float(self.rhos[i])),
             color=self.colors[i].copy(),
         )
-
-    def replace(self, **kwargs) -> "GaussianField":
-        data = dict(
-            lr_width=self.lr_width,
-            lr_height=self.lr_height,
-            density=self.density,
-            offsets=self.offsets,
-            sigmas=self.sigmas,
-            rhos=self.rhos,
-            colors=self.colors,
-            timestamp=self.timestamp,
-            max_offset=self.max_offset,
-        )
-        data.update(kwargs)
-        return GaussianField(**data)
 
 
 def block_mean(img: np.ndarray, gh: int, gw: int) -> np.ndarray:
@@ -247,8 +270,7 @@ def validate_field(f: GaussianField) -> list[Violation]:
         out.append(Violation(-1, "timestamp", f.timestamp))
     values = np.column_stack([f.sigmas, f.rhos, f.offsets, f.colors])
     bad = ~np.isfinite(values)
-    bad[:, 0:2] |= values[:, 0:2] < SIGMA_MIN
-    bad[:, 2] |= np.abs(values[:, 2]) > RHO_MAX
+    bad[:, 0:3] = covariance_violations(values[:, 0:3])
     bad[:, 3:5] |= (values[:, 3:5] < 0.0) | (values[:, 3:5] > f.max_offset)
     bad[:, 5:8] |= (values[:, 5:8] < 0.0) | (values[:, 5:8] > 1.0)
     # nonzero runs row-major: kernel index first, then the column order.
@@ -260,18 +282,6 @@ def validate_field(f: GaussianField) -> list[Violation]:
     return out
 
 
-def _finite_image(name: str, arr: np.ndarray, channels: int | None) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if arr.ndim != (2 if channels is None else 3):
-        raise ShapeError(f"{name}: bad ndim {arr.ndim}")
-    if channels is not None and arr.shape[2] != channels:
-        raise ShapeError(f"{name}: expected {channels} channels, got {arr.shape[2]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: non-finite values")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class FlowField:
     """Per-pixel (dx, dy) displacement map, row-major, y-down."""
@@ -279,7 +289,7 @@ class FlowField:
     vectors: np.ndarray  # (H, W, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _finite_image("FlowField", self.vectors, 2))
+        object.__setattr__(self, "vectors", frozen_array("FlowField", self.vectors, 3, last=2))
 
     @property
     def width(self) -> int:
@@ -297,7 +307,7 @@ class FrameBuffer:
     pixels: np.ndarray  # (H, W, 3)
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", _finite_image("FrameBuffer", self.pixels, 3))
+        object.__setattr__(self, "pixels", frozen_array("FrameBuffer", self.pixels, 3, last=3))
 
     @property
     def width(self) -> int:
@@ -315,13 +325,9 @@ class FeatureMap:
     data: np.ndarray  # (H, W, C)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] < 1:
-            raise ShapeError(f"FeatureMap: bad shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("FeatureMap: non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", frozen_array("FeatureMap", self.data, 3))
+        if self.channels < 1:
+            raise ShapeError(f"FeatureMap: bad shape {self.data.shape}")
 
     @property
     def width(self) -> int:

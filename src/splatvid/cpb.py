@@ -14,6 +14,11 @@ softmax per frame, with M the widest cell's candidate count (M = 42 of
 K = 320 on a jittered bank with a t-dependent 3x3 fuser).  A dropped entry
 sits at least TAU below the cell maximum at every t in [0, 1], so the
 dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at K = 320).
+
+The value types below store their arrays through ``core.frozen_array``, and
+a bank's entries obey the covariance rule of ``core.validate_field``
+(``core.covariance_violations``).  Every softmax here is the one in-place
+max-subtract / exp / divide of ``_softmax_in_place``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splatvid.core import CovParams, ShapeError, ValidationError
+from splatvid.core import (
+    CovParams,
+    ShapeError,
+    ValidationError,
+    covariance_violations,
+    frozen_array,
+)
 from splatvid.nnops import conv2d, conv_windows
 
 FUSER_IN_CHANNELS = 7  # (sx0, sy0, rho0, sx1, sy1, rho1, t)
@@ -42,22 +53,19 @@ class CpbBank:
     params: np.ndarray  # (K, 3) columns: sigma_x, sigma_y, rho
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.params, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-            raise ShapeError(f"bank params shape {arr.shape}")
-        for row in arr:
-            CovParams(*row).validate()
+        arr = frozen_array("CpbBank", self.params, 2, last=3, finite=False)
+        if arr.shape[0] < 1:
+            raise ShapeError(f"CpbBank: shape {arr.shape}, expected K >= 1")
+        bad = np.flatnonzero(covariance_violations(arr).any(axis=1))
+        if bad.size:
+            raise ValidationError(f"bank entry {bad[0]} is {CovParams(*arr[bad[0]])}")
         if len({tuple(r) for r in arr.tolist()}) != arr.shape[0]:
             raise ValidationError("bank entries must be distinct")
-        arr.setflags(write=False)
         object.__setattr__(self, "params", arr)
 
     @property
     def size(self) -> int:
         return self.params.shape[0]
-
-    def entry(self, i: int) -> CovParams:
-        return CovParams(*self.params[i])
 
     def embedding(self) -> np.ndarray:
         """(K, 3) entries mapped to (log sx, log sy, atanh rho) space."""
@@ -71,13 +79,7 @@ class LogitField:
     logits: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.logits, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"logits shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("non-finite logits")
-        arr.setflags(write=False)
-        object.__setattr__(self, "logits", arr)
+        object.__setattr__(self, "logits", frozen_array("LogitField", self.logits, 3))
 
     @property
     def k(self) -> int:
@@ -91,13 +93,7 @@ class CovGrid:
     params: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.params, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ShapeError(f"cov grid shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("non-finite covariance grid")
-        arr.setflags(write=False)
-        object.__setattr__(self, "params", arr)
+        object.__setattr__(self, "params", frozen_array("CovGrid", self.params, 3, last=3))
 
 
 @dataclass(frozen=True)
@@ -108,18 +104,14 @@ class FuserWeights:
     bias: np.ndarray  # (K,)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        b = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if w.ndim != 4 or w.shape[1] != FUSER_IN_CHANNELS:
+        w = frozen_array("FuserWeights.weights", self.weights, 4)
+        b = frozen_array("FuserWeights.bias", self.bias, 1)
+        if w.shape[1] != FUSER_IN_CHANNELS:
             raise ShapeError(f"fuser weights shape {w.shape}")
         if w.shape[2] % 2 != 1 or w.shape[3] % 2 != 1:
             raise ShapeError("fuser kernel size must be odd")
         if b.shape != (w.shape[0],):
             raise ShapeError(f"fuser bias shape {b.shape} vs K={w.shape[0]}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("non-finite fuser weights")
-        w.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -142,16 +134,13 @@ class BankCandidates:
     b: np.ndarray
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(self.idx, dtype=np.int32)
-        a = np.ascontiguousarray(self.a, dtype=np.float64)
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
-        if idx.ndim != 3 or a.shape != idx.shape or b.shape != idx.shape:
-            raise ShapeError(f"candidate shapes {idx.shape}, {a.shape}, {b.shape}")
-        for arr in (idx, a, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "idx", idx)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        # a holds -inf padding, so values are not checked.
+        for name, dtype in (("idx", np.int32), ("a", np.float64), ("b", np.float64)):
+            arr = getattr(self, name)
+            arr = frozen_array(f"BankCandidates.{name}", arr, 3, finite=False, dtype=dtype)
+            object.__setattr__(self, name, arr)
+        if not self.idx.shape == self.a.shape == self.b.shape:
+            raise ShapeError(f"candidate shapes {self.idx.shape}, {self.a.shape}, {self.b.shape}")
 
 
 def _embed(params: np.ndarray) -> np.ndarray:
@@ -163,11 +152,17 @@ def _embed(params: np.ndarray) -> np.ndarray:
     return out
 
 
+def _softmax_in_place(w: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax of w along axis, written into w; returns w."""
+    w -= np.max(w, axis=axis, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=axis, keepdims=True)
+    return w
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; weights strictly positive, sum to 1."""
-    z = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return _softmax_in_place(np.array(logits, dtype=np.float64), axis)
 
 
 def build_bank(sigma_levels, rho_levels) -> CpbBank:
@@ -187,24 +182,13 @@ def default_bank() -> CpbBank:
     return build_bank(sig, rho)
 
 
-def bank_quantization_step(bank: CpbBank) -> float:
-    """Largest gap between adjacent sigma levels (worst-case rounding error)."""
-    levels = np.unique(bank.params[:, 0])
-    if levels.size < 2:
-        return float(levels[0])
-    return float(np.max(np.diff(levels)))
-
-
 def resample(e: LogitField, bank: CpbBank) -> CovGrid:
     """Softmax-weighted recombination of bank entries, per cell."""
     if e.k != bank.size:
         raise ShapeError(f"logit K={e.k} != bank K={bank.size}")
     gh, gw, k = e.logits.shape
-    # softmax() on one writable copy, in place, then one (N, K) @ (K, 3).
-    w = e.logits.reshape(gh * gw, k).copy()
-    w -= np.max(w, axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= np.sum(w, axis=1, keepdims=True)
+    # The softmax on one writable copy, then one (N, K) @ (K, 3).
+    w = _softmax_in_place(e.logits.reshape(gh * gw, k).copy(), axis=1)
     return CovGrid((w @ bank.params).reshape(gh, gw, 3))
 
 
@@ -214,9 +198,7 @@ def resample_candidates(c: BankCandidates, t: float, bank: CpbBank) -> CovGrid:
     weight per cell."""
     w = c.b * float(t)
     w += c.a
-    w -= np.max(w, axis=2, keepdims=True)
-    np.exp(w, out=w)
-    w /= np.sum(w, axis=2, keepdims=True)
+    _softmax_in_place(w, axis=2)
     # take() along the bank's columns gathers far faster than params[idx].
     cols = np.take(bank.params.T, c.idx, axis=1)  # (3, gh, gw, M)
     return CovGrid(np.einsum("hwm,chwm->hwc", w, cols))

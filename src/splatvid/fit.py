@@ -35,7 +35,7 @@ truncated loss is smooth to within ~1e-14 of the dense one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,7 +136,8 @@ class ParamVector:
                 sigmas=np.logaddexp(0.0, raw[:, 2:4]) + SIGMA_MIN,
                 rhos=RHO_MAX * np.tanh(raw[:, 4]),
             )
-        return template.replace(
+        return replace(
+            template,
             offsets=1.0 / (1.0 + np.exp(-raw[:, 0:2])),
             colors=1.0 / (1.0 + np.exp(-raw[:, 5:8])),
             **cov,
@@ -170,9 +171,9 @@ def init_field(
     )
     if render_config is None:
         return f
-    gain = render_windows(f.replace(colors=np.ones((n, 3))), render_config).pixels
+    gain = render_windows(replace(f, colors=np.ones((n, 3))), render_config).pixels
     pooled = block_mean(np.maximum(gain, 1e-6), gh, gw).reshape(n, 3)
-    return f.replace(colors=np.clip(colors / pooled, 0.0, 1.0))
+    return replace(f, colors=np.clip(colors / pooled, 0.0, 1.0))
 
 
 def _luma_spectrum(img: np.ndarray) -> np.ndarray:

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splatvid.core import Density, FeatureMap, FlowField, ShapeError, ValidationError
+from splatvid.core import (
+    Density,
+    FeatureMap,
+    FlowField,
+    ShapeError,
+    ValidationError,
+    frozen_array,
+)
 from splatvid.cpb import LogitField, ONE_HOT_LOGIT, softmax
 
 
@@ -53,13 +60,9 @@ class WindowMap:
     values: np.ndarray  # (grid_h, grid_w)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"window map shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValidationError("window map values must be finite and positive")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_array("WindowMap", self.values, 2))
+        if np.any(self.values <= 0):
+            raise ValidationError("window map values must be positive")
 
 
 def scale_flows(

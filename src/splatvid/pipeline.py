@@ -1,12 +1,14 @@
 """End-to-end orchestration with a shared-once / per-frame-cheap structure.
 
-A SharedContext is built exactly once per input pair.  It holds the endpoint
-fits (snapped to the bank and refined), the flows, the window map, and every
-input of the per-frame step that does not depend on t: the frame-0
-parameter map, the frame-1 parameter and covariance maps pulled back to the
-frame-0 anchors, and the bank side of the covariance derivation.  When the
-fuser gives the time channel zero weight at every tap, that is the derived
-covariances themselves: one fuse + resample serves every timestamp.
+A SharedContext is built exactly once per input pair: ``build_shared_context``
+computes every part, then makes the frozen context in one constructor call.
+It holds the endpoint fits (snapped to the bank and refined), the flows, the
+window map, and every input of the per-frame step that does not depend on
+t: the frame-0 parameter map, the frame-1 parameter and covariance maps
+pulled back to the frame-0 anchors (one warp of their stacked channels), and
+the bank side of the covariance derivation.  When the fuser gives the time
+channel zero weight at every tap, that is the derived covariances
+themselves: one fuse + resample serves every timestamp.
 Otherwise it is the per-cell bank candidates of ``cpb.bank_candidates``.
 The fused logits are linear in t, so each frame pays only an (N, M)
 softmax over the entries that can come within ``cpb.TAU`` = 40 of a cell's
@@ -14,7 +16,8 @@ maximum logit; the dropped softmax mass is at most K * exp(-TAU) per cell
 (1.4e-15 at K = 320), and no frame runs a conv or a K-wide softmax.  Each
 requested timestamp then only pays scaling of the one flow it uses, feature
 fusion, decoding, offset gating and that bank softmax, plus rasterization.
-Stage counters record this split and are asserted by the latency tests.
+Stage counters record this split and are asserted by the latency tests;
+they are the one part of a context that changes after it is built.
 
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
@@ -30,7 +33,7 @@ constraint and the adaptive window is what makes large motion trackable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -105,7 +108,7 @@ class BenchRecord:
             raise ValidationError("total_ms must be >= shared_ms")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SharedContext:
     """Everything one input pair computes once, for any number of timestamps.
 
@@ -115,7 +118,8 @@ class SharedContext:
     weights are zero at every tap: the logits then do not depend on t, and
     ``derive_field`` reuses it at every t.  Otherwise ``cov_t`` is None and
     ``candidates`` holds the per-cell bank candidates that ``derive_field``
-    resamples at each t.
+    resamples at each t.  Only ``stage_counters`` changes after
+    construction, through ``bump``.
     """
 
     field0: GaussianField
@@ -127,28 +131,23 @@ class SharedContext:
     fuser: FuserWeights
     cov0: CovGrid
     cov1: CovGrid
+    param0: FeatureMap
+    param1: FeatureMap
+    cov_t: CovGrid | None
+    candidates: BankCandidates | None
     options: PipelineOptions
-    param0: FeatureMap | None = None
-    param1: FeatureMap | None = None
-    cov_t: CovGrid | None = None
-    candidates: BankCandidates | None = None
-    stage_counters: dict[str, int] = field(default_factory=dict)
+    stage_counters: dict[str, int]
 
     def bump(self, stage: str) -> None:
         self.stage_counters[stage] = self.stage_counters.get(stage, 0) + 1
 
 
-def _cov_grid(f: GaussianField) -> CovGrid:
+def _cell_maps(f: GaussianField) -> np.ndarray:
+    """(gh, gw, 8) channels: the covariance (sigma_x, sigma_y, rho), then
+    the (offset_x, offset_y, r, g, b) parameter map."""
     gw, gh = f.grid_shape
-    params = np.concatenate([f.sigmas, f.rhos[:, None]], axis=1)
-    return CovGrid(params.reshape(gh, gw, 3))
-
-
-def _param_map(f: GaussianField) -> FeatureMap:
-    """(gh, gw, 5) channels: offset_x, offset_y, r, g, b."""
-    gw, gh = f.grid_shape
-    data = np.concatenate([f.offsets, f.colors], axis=1)
-    return FeatureMap(data.reshape(gh, gw, 5))
+    data = np.concatenate([f.sigmas, f.rhos[:, None], f.offsets, f.colors], axis=1)
+    return data.reshape(gh, gw, 8)
 
 
 def _grid_flow(flow: FlowField, density: Density, grid_units: bool) -> FlowField:
@@ -168,9 +167,9 @@ def _snap_and_refine(
     f: GaussianField, target: FrameBuffer, bank: CpbBank, opts: PipelineOptions
 ) -> GaussianField:
     """Project covariances onto the bank, then re-fit colors/offsets only."""
-    grid = _cov_grid(f)
+    grid = CovGrid(_cell_maps(f)[..., 0:3])
     snapped = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
-    f = f.replace(sigmas=snapped[:, 0:2], rhos=snapped[:, 2])
+    f = replace(f, sigmas=snapped[:, 0:2], rhos=snapped[:, 2])
     iters = opts.refine_iterations
     return fit_mod.descend(f, target, opts.fit, iters, freeze_covariance=True)[0]
 
@@ -192,49 +191,43 @@ def build_shared_context(
     bank = opts.bank or cpb_mod.default_bank()
     fuser = opts.fuser or cpb_mod.baseline_fuser(bank)
 
-    ctx = SharedContext(
-        field0=None,  # type: ignore[arg-type]
-        field1=None,  # type: ignore[arg-type]
-        flow01=flow01,
-        flow10=flow10,
-        window_map=None,  # type: ignore[arg-type]
-        bank=bank,
-        fuser=fuser,
-        cov0=None,  # type: ignore[arg-type]
-        cov1=None,  # type: ignore[arg-type]
-        options=opts,
-    )
-    ctx.bump("flow-load")
-
     f0, _ = fit_mod.fit_frame(frame0, opts.density, opts.fit)
     f1, _ = fit_mod.fit_frame(frame1, opts.density, opts.fit)
     f0 = _snap_and_refine(f0, frame0, bank, opts)
     f1 = _snap_and_refine(f1, frame1, bank, opts)
-    ctx.field0, ctx.field1 = f0, f1
     # Frame-1 parameters pulled back to frame-0 anchors so fusion compares
-    # parameters of the same content, not the same grid position.
+    # parameters of the same content, not the same grid position.  The warp
+    # is per channel, so one warp of all eight serves both maps.
     grid_m01 = _grid_flow(flow01, opts.density, grid_units=True)
-    cov1_aligned = motion_mod.backward_warp(
-        FeatureMap(_cov_grid(f1).params), grid_m01
-    ).data
-    ctx.cov0, ctx.cov1 = _cov_grid(f0), CovGrid(cov1_aligned)
-    ctx.param0 = _param_map(f0)
-    ctx.param1 = motion_mod.backward_warp(_param_map(f1), grid_m01)
+    maps0 = _cell_maps(f0)
+    maps1 = motion_mod.backward_warp(FeatureMap(_cell_maps(f1)), grid_m01).data
+    cov0, cov1 = CovGrid(maps0[..., 0:3]), CovGrid(maps1[..., 0:3])
+    cov_t = candidates = None
     if not np.any(fuser.weights[:, FUSER_IN_CHANNELS - 1]):
         # The t channel carries no weight, so the logits are the same at any t.
-        ctx.cov_t = cpb_mod.resample(
-            cpb_mod.fuse(ctx.cov0, ctx.cov1, 0.0, fuser), bank
-        )
+        cov_t = cpb_mod.resample(cpb_mod.fuse(cov0, cov1, 0.0, fuser), bank)
     else:
-        ctx.candidates = cpb_mod.bank_candidates(ctx.cov0, ctx.cov1, fuser, bank)
-    ctx.bump("fit")
-
+        candidates = cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
     logits = motion_mod.flow_magnitude_window_logits(
         flow01, flow10, WINDOWS, opts.density
     )
-    ctx.window_map = motion_mod.compute_window_map(logits, WINDOWS)
-    ctx.bump("window-map")
-    return ctx
+    return SharedContext(
+        field0=f0,
+        field1=f1,
+        flow01=flow01,
+        flow10=flow10,
+        window_map=motion_mod.compute_window_map(logits, WINDOWS),
+        bank=bank,
+        fuser=fuser,
+        cov0=cov0,
+        cov1=cov1,
+        param0=FeatureMap(maps0[..., 3:8]),
+        param1=FeatureMap(maps1[..., 3:8]),
+        cov_t=cov_t,
+        candidates=candidates,
+        options=opts,
+        stage_counters={"flow-load": 1, "fit": 1, "window-map": 1},
+    )
 
 
 def derive_field(ctx: SharedContext, t: float) -> GaussianField:
@@ -242,8 +235,8 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"timestamp {t} outside [0, 1]")
     opts = ctx.options
-    # m_t0 = t * m10, the flow from time t back to frame 0 (motion.scale_flows).
-    m_t0 = FlowField(t * ctx.flow10.vectors)
+    # m_t0 = t * m10, the flow from time t back to frame 0.
+    m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)[0]
 
     p0, p1 = ctx.param0, ctx.param1
     mask, residual = motion_mod.predict_fusion(p0, p1, t)
@@ -265,8 +258,8 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
         cov_grid = cpb_mod.resample_candidates(ctx.candidates, t, ctx.bank)
     cov_t = cov_grid.params.reshape(-1, 3)
 
-    f0 = ctx.field0
-    derived = f0.replace(
+    derived = replace(
+        ctx.field0,
         offsets=offsets.reshape(-1, 2),
         sigmas=cov_t[:, 0:2],
         rhos=cov_t[:, 2],

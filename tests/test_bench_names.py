@@ -4,8 +4,8 @@ perfbench/tracing.py wraps each SPANNED function by name and perfbench/run.py
 calls public names, so deleting one of them breaks the benchmark; this test
 makes such a deletion fail here instead.  The same holds for the
 PipelineOptions attributes that perfbench reads and replaces, the keywords
-it builds FitConfig and PipelineOptions with, and the arguments it calls
-motion.scale_flows with.
+it builds FitConfig and PipelineOptions with, the arguments it calls
+motion.scale_flows with, and the SharedContext attributes it reads.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import splatvid
-from splatvid import cpb, motion, synth
+from splatvid import cpb, motion, pipeline, synth
 from splatvid.core import Density
 from splatvid.fit import FitConfig
 from splatvid.pipeline import PipelineOptions
@@ -91,3 +91,18 @@ def test_scale_flows_takes_the_spanned_arguments():
     m_t0, m_t1 = motion.scale_flows(m01, m10, 0.25)
     assert np.array_equal(m_t0.vectors, 0.25 * m10.vectors)
     assert np.array_equal(m_t1.vectors, 0.75 * m01.vectors)
+
+
+def test_context_attributes_read_by_run():
+    # perfbench/run.py reads these from a built context; acceptance
+    # criterion 7 replaces the options of a built (frozen) context.
+    frame0, frame1, m01, m10 = synth.translating_blob_pair(8, 6, (1.0, 0.0), radius=1.5)
+    opts = PipelineOptions(fit=FitConfig(iterations=1), refine_iterations=0)
+    ctx = pipeline.build_shared_context(frame0, frame1, (m01, m10), opts)
+    assert ctx.field0.lr_width == ctx.field1.lr_width == 8
+    assert ctx.options is opts
+    assert ctx.stage_counters == {"flow-load": 1, "fit": 1, "window-map": 1}
+    other = dataclasses.replace(opts, aow=False)
+    local = dataclasses.replace(ctx, options=other)
+    assert local.options is other and local.field0 is ctx.field0
+    assert ctx.options is opts

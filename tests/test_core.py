@@ -1,5 +1,7 @@
 """Covariance algebra, domain-type invariants, and field validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from splatvid.core import (
     SIGMA_MIN,
     CovParams,
     Density,
+    FeatureMap,
     FlowField,
     FrameBuffer,
     GaussianField,
@@ -19,8 +22,12 @@ from splatvid.core import (
     cov_det,
     cov_inverse,
     cov_matrix,
+    covariance_violations,
+    frozen_array,
     validate_field,
 )
+from splatvid.cpb import BankCandidates, CovGrid, CpbBank, FuserWeights, LogitField
+from splatvid.motion import WindowMap
 from conftest import random_field
 
 
@@ -112,7 +119,7 @@ class TestValidateField:
         f = random_field(np.random.default_rng(1), 4, 4)
         rhos = f.rhos.copy()
         rhos[5] = 1.0
-        report = validate_field(f.replace(rhos=rhos))
+        report = validate_field(dataclasses.replace(f, rhos=rhos))
         assert len(report) == 1
         assert report[0].cell == 5 and report[0].field == "rho"
 
@@ -120,7 +127,7 @@ class TestValidateField:
         f = random_field(np.random.default_rng(1), 4, 4)
         offs = f.offsets.copy()
         offs[3] = [1.5, 0.2]
-        report = validate_field(f.replace(offsets=offs))
+        report = validate_field(dataclasses.replace(f, offsets=offs))
         assert len(report) == 1
         assert report[0].cell == 3 and report[0].field == "offset_x"
 
@@ -128,12 +135,12 @@ class TestValidateField:
         f = random_field(np.random.default_rng(1), 4, 4)
         offs = f.offsets.copy()
         offs[3] = [4.5, 0.2]
-        assert validate_field(f.replace(offsets=offs, max_offset=10.0)) == []
+        assert validate_field(dataclasses.replace(f, offsets=offs, max_offset=10.0)) == []
 
     def test_shape_error(self):
         f = random_field(np.random.default_rng(1), 4, 4)
         with pytest.raises(ShapeError):
-            validate_field(f.replace(rhos=np.zeros(3)))
+            validate_field(dataclasses.replace(f, rhos=np.zeros(3)))
 
     @staticmethod
     def reference_report(f):
@@ -178,7 +185,9 @@ class TestValidateField:
             offs[cells[j + 4], j % 2] = v
         for j, v in enumerate(bad + [-0.2, 1.5]):
             col[cells[j + 6], j % 3] = v
-        g = f.replace(offsets=offs, sigmas=sig, rhos=rho, colors=col, timestamp=1.5)
+        g = dataclasses.replace(
+            f, offsets=offs, sigmas=sig, rhos=rho, colors=col, timestamp=1.5
+        )
         got = validate_field(g)
         want = self.reference_report(g)
         assert len(want) == 20
@@ -187,6 +196,134 @@ class TestValidateField:
             "timestamp", "sigma_x", "sigma_y", "rho", "offset_x", "offset_y",
             "color_r", "color_g", "color_b",
         }
+
+
+# Every value type that stores arrays: (type, valid arrays, other fields,
+# arrays whose last axis is checked, arrays whose values must be finite).
+# GaussianField and BankCandidates leave values unchecked: validate_field
+# reports a field's, and candidates are padded with -inf.
+VALUE_TYPES = [
+    (FlowField, {"vectors": np.zeros((3, 4, 2))}, {}, {"vectors"}, {"vectors"}),
+    (FrameBuffer, {"pixels": np.zeros((3, 4, 3))}, {}, {"pixels"}, {"pixels"}),
+    (FeatureMap, {"data": np.zeros((3, 4, 5))}, {}, set(), {"data"}),
+    (
+        GaussianField,
+        {
+            "offsets": np.full((6, 2), 0.5),
+            "sigmas": np.full((6, 2), 0.7),
+            "rhos": np.zeros(6),
+            "colors": np.full((6, 3), 0.2),
+        },
+        {"lr_width": 3, "lr_height": 2, "density": Density.ONE_PER_PIXEL},
+        set(),
+        set(),
+    ),
+    (
+        CpbBank,
+        {"params": np.array([[1.0, 1.0, 0.0], [0.5, 2.0, 0.3]])},
+        {},
+        {"params"},
+        {"params"},
+    ),
+    (LogitField, {"logits": np.zeros((2, 3, 4))}, {}, set(), {"logits"}),
+    (CovGrid, {"params": np.full((2, 3, 3), 0.5)}, {}, {"params"}, {"params"}),
+    (
+        FuserWeights,
+        {"weights": np.zeros((2, 7, 3, 1)), "bias": np.zeros(2)},
+        {},
+        set(),
+        {"weights", "bias"},
+    ),
+    (
+        BankCandidates,
+        {
+            "idx": np.zeros((2, 3, 4), dtype=np.int32),
+            "a": np.full((2, 3, 4), -np.inf),
+            "b": np.zeros((2, 3, 4)),
+        },
+        {},
+        set(),
+        set(),
+    ),
+    (WindowMap, {"values": np.ones((2, 3))}, {}, set(), {"values"}),
+]
+
+
+def build_value(case, name=None, value=None):
+    """The case's object, with array ``name`` (if given) set to ``value``."""
+    cls, arrays, other = case[:3]
+    kwargs = {**other, **{k: v.copy() for k, v in arrays.items()}}
+    if name is not None:
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+@pytest.mark.parametrize("case", VALUE_TYPES, ids=[c[0].__name__ for c in VALUE_TYPES])
+class TestFrozenValueTypes:
+    def test_stores_read_only_contiguous_arrays(self, case):
+        obj = build_value(case)
+        for name, given in case[1].items():
+            arr = getattr(obj, name)
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.dtype == given.dtype and np.array_equal(arr, given)
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+    def test_wrong_ndim_raises_shape_error(self, case):
+        for name, given in case[1].items():
+            for bad in (given[..., None], given[0]):
+                with pytest.raises(ShapeError):
+                    build_value(case, name, bad)
+
+    def test_wrong_last_axis_raises_shape_error(self, case):
+        for name in case[3]:
+            given = case[1][name]
+            wider = np.concatenate([given, given[..., :1]], axis=-1)
+            with pytest.raises(ShapeError):
+                build_value(case, name, wider)
+
+    def test_non_finite_values(self, case):
+        for name, given in case[1].items():
+            if given.dtype != np.float64:
+                continue
+            for v in (np.nan, np.inf):
+                bad = given.copy()
+                bad.flat[-1] = v
+                if name in case[4]:
+                    with pytest.raises(ValidationError):
+                        build_value(case, name, bad)
+                else:
+                    stored = getattr(build_value(case, name, bad), name)
+                    assert np.array_equal(stored, bad, equal_nan=True)
+
+
+class TestFrozenArray:
+    def test_keeps_a_conforming_array_without_copying(self):
+        a = np.zeros((2, 3))
+        assert frozen_array("a", a, 2, last=3) is a
+        assert not a.flags.writeable
+
+    def test_converts_dtype_and_layout(self):
+        a = np.arange(6, dtype=np.int64).reshape(2, 3).T
+        out = frozen_array("a", a, 2)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, a) and a.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        row=st.tuples(
+            st.sampled_from([0.0, 1e-4, SIGMA_MIN, 0.7, np.nan, np.inf]),
+            st.sampled_from([-np.inf, 1e-4, SIGMA_MIN, 2.0]),
+            st.sampled_from([-1.0, -RHO_MAX, 0.0, 0.999999, 1.0, np.nan]),
+        )
+    )
+    def test_covariance_rule_matches_cov_params(self, row):
+        try:
+            CovParams(*row).validate()
+            valid = True
+        except ValidationError:
+            valid = False
+        assert valid == (not covariance_violations(np.array([row])).any())
 
 
 class TestImageTypes:

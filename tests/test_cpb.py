@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splatvid import synth
-from splatvid.core import CovParams, ShapeError, ValidationError
+from splatvid.core import ShapeError, ValidationError
 from splatvid.cpb import (
     CANDIDATE_BLOCK,
     FUSER_IN_CHANNELS,
@@ -20,7 +20,6 @@ from splatvid.cpb import (
     FuserWeights,
     LogitField,
     bank_candidates,
-    bank_quantization_step,
     baseline_fuser,
     build_bank,
     default_bank,
@@ -38,7 +37,7 @@ class TestBuildBank:
     def test_single_entry(self):
         bank = build_bank([1.0], [0.0])
         assert bank.size == 1
-        assert bank.entry(0) == CovParams(1.0, 1.0, 0.0)
+        assert tuple(bank.params[0]) == (1.0, 1.0, 0.0)
 
     def test_lexicographic_enumeration(self):
         bank = build_bank([0.5, 1.0], [0.0])
@@ -66,6 +65,10 @@ class TestBuildBank:
             build_bank([1.0], [1.0])
         with pytest.raises(ValidationError):
             CpbBank(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))  # duplicate
+        with pytest.raises(ValidationError):
+            build_bank([1.0, 1e-4], [0.0])  # sigma below SIGMA_MIN
+        with pytest.raises(ValidationError):
+            CpbBank(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -1.0]]))  # |rho| = 1
 
 
 class TestResample:
@@ -228,7 +231,8 @@ class TestBaselineFuser:
         rng = np.random.default_rng(3)
         bank = default_bank()
         fuser = baseline_fuser(bank)
-        step = bank_quantization_step(bank)
+        # Largest gap between adjacent sigma levels: the worst rounding error.
+        step = np.max(np.diff(np.unique(bank.params[:, 0])))
         # Temporally stable covariances: endpoint 1 is a small perturbation.
         base = np.stack(
             [

@@ -198,7 +198,8 @@ class TestGradients:
         )
         colors = f.colors.copy()
         colors[12] = [1.0, 1.0, 1.0]
-        f = f.replace(
+        f = dataclasses.replace(
+            f,
             colors=colors,
             offsets=np.full((25, 2), 0.5),
             sigmas=np.full((25, 2), 0.7),

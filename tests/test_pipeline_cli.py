@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splatvid import cli, cpb, fileio, motion, nnops, pipeline, synth
-from splatvid.core import Density, FrameBuffer, ValidationError
+from splatvid.core import Density, FeatureMap, FrameBuffer, ValidationError
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
 from splatvid.pipeline import (
@@ -220,6 +220,45 @@ class TestDeriveCache:
             ref = motion.apply_window(gated, wmap).reshape(-1, 2)
             assert np.array_equal(f.offsets, ref)
         assert np.abs(fields[2].offsets - fields[1].offsets).max() > 0.1
+
+    def test_one_scale_flows_call_per_timestamp(self, monkeypatch):
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        calls = []
+        original = motion.scale_flows
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(motion, "scale_flows", counted)
+        timestamps = [0.0, 0.25, 0.5, 1.0]
+        for t in timestamps:
+            derive_field(ctx, t)
+        assert calls == timestamps
+
+    def test_one_warp_pulls_back_both_maps_of_field1(self, monkeypatch):
+        # The stacked 8-channel warp equals warping the covariance and the
+        # (offset, color) maps one by one, bit for bit.
+        frame0, frame1, flows = self.blob_pair()
+        calls = []
+        original = motion.backward_warp
+
+        def counted(*args):
+            calls.append(args[0].channels)
+            return original(*args)
+
+        monkeypatch.setattr(motion, "backward_warp", counted)
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        assert calls == [8]
+        f1 = ctx.field1
+        gw, gh = f1.grid_shape
+        cov = np.column_stack([f1.sigmas, f1.rhos]).reshape(gh, gw, 3)
+        par = np.column_stack([f1.offsets, f1.colors]).reshape(gh, gw, 5)
+        assert np.array_equal(
+            original(FeatureMap(cov), ctx.flow01).data, ctx.cov1.params
+        )
+        assert np.array_equal(original(FeatureMap(par), ctx.flow01).data, ctx.param1.data)
 
 
 class TestBankCandidatesDerive:

@@ -1,5 +1,6 @@
 """Rasterizer: kernel evaluation, dense oracle, truncated fast paths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,7 +102,7 @@ class TestRenderDense:
         f = random_field(rng, 4, 4, color_range=(0.0, 0.0))
         colors = f.colors.copy()
         colors[5] = [0.8, 0.4, 0.2]
-        f = f.replace(colors=colors)
+        f = dataclasses.replace(f, colors=colors)
         cfg = RenderConfig(scale=2.0, clamp_output=False)
         img = render_dense(f, cfg)
         assert img.pixels.shape == (8, 8, 3)
@@ -156,7 +157,8 @@ class TestTruncatedPaths:
         colors = f.colors.copy()
         colors[40] = [1.0, 1.0, 1.0]  # center cell of the 9x9 grid
         sigmas = np.full_like(f.sigmas, 0.8)
-        f = f.replace(
+        f = dataclasses.replace(
+            f,
             colors=colors,
             sigmas=sigmas,
             rhos=np.zeros(81),
@@ -177,13 +179,15 @@ class TestRenderProperties:
         f = random_field(rng, 6, 6)
         cfg = RenderConfig(scale=1.0, truncation_radius=5.0, clamp_output=False)
         base = render_tiled(f, cfg).pixels
-        scaled = render_tiled(f.replace(colors=0.37 * f.colors), cfg).pixels
+        dimmed = dataclasses.replace(f, colors=0.37 * f.colors)
+        scaled = render_tiled(dimmed, cfg).pixels
         assert np.abs(scaled - 0.37 * base).max() <= 1e-9
 
     def test_additivity(self):
         rng = np.random.default_rng(9)
         a = random_field(rng, 6, 6)
-        b = a.replace(
+        b = dataclasses.replace(
+            a,
             colors=rng.uniform(0, 1, a.colors.shape),
             offsets=rng.uniform(0.05, 0.95, a.offsets.shape),
         )
@@ -204,7 +208,8 @@ class TestRenderProperties:
         # Re-anchor by rolling the grid: kernel (ix, iy) -> (ix+1, iy).
         idx = np.arange(gw * gh).reshape(gh, gw)
         src = np.roll(idx, 1, axis=1).ravel()
-        shifted = f.replace(
+        shifted = dataclasses.replace(
+            f,
             offsets=f.offsets[src],
             sigmas=f.sigmas[src],
             rhos=f.rhos[src],
@@ -276,7 +281,7 @@ class TestWindowCore:
         # 2.5 and radius 4), each shared by ~30 kernels, so buckets split
         # into several chunks plus a partial one.
         f = random_field(rng, 12, 10, offset_range=(-2.0, 3.0))
-        return f.replace(sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
+        return dataclasses.replace(f, sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
 
     @pytest.mark.parametrize("chunk", [1, 300, 2000])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
@@ -412,7 +417,8 @@ class TestWindowCore:
         mux = px + 0.5 + np.select([side == 0, side == 1, side == 4], [hx, -hx, hx], 0.0)
         muy = py + 0.5 + np.select([side == 2, side == 3, side == 4], [hy, -hy, hy], 0.0)
         mu = np.column_stack([mux, muy])
-        f = f.replace(
+        f = dataclasses.replace(
+            f,
             offsets=mu / s - f.cell_centers(),
             sigmas=np.tile([sx, sy], (n, 1)),
             rhos=np.zeros(n),

@@ -38,7 +38,8 @@ class TestSnapAndRefine:
     def test_zero_iterations_is_the_bare_snap(self, fitted):
         f, _, bank = fitted
         snapped = refine(fitted, 0)
-        grid = pipeline._cov_grid(f)
+        gw, gh = f.grid_shape
+        grid = cpb.CovGrid(cov_rows(f).reshape(gh, gw, 3))
         expected = cpb.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
         assert np.array_equal(cov_rows(snapped), expected)
         assert np.array_equal(snapped.offsets, f.offsets)
