@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Same-outputs check: digests of every array an interpolation run produces.
+
+    python3 scripts/output_digest.py --workload fit-ridge --seeds 1-10 --parent HEAD
+
+For each seed the inputs come from perfbench/workloads.py and pass through
+PPM, FLO and JSON files as perfbench/run.py passes them.  The run then
+builds the shared context, derives and renders every timestamp, and hashes
+(SHA-256 of dtype, shape and bytes) both endpoint fields, every
+derive_field array, every render_at frame and the stage counters.
+
+Each tree runs in an interpreter of its own, on one BLAS thread, with
+splatvid imported from its own src/ and the workloads from its own
+perfbench/.  Without --parent the script prints this checkout's digests,
+one combined digest per seed.  With --parent it exports REV with
+``git archive``, as scripts/ab_bench.py does, and compares both trees'
+digests in order: it exits 1 and names the first array that differs, or
+reports how many arrays are bit-equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELD_ARRAYS = ("offsets", "sigmas", "rhos", "colors")
+
+
+def seed_range(arg: str) -> list[int]:
+    """'3' or '1-10' as a list of seeds."""
+    lo, _, hi = arg.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write rev's committed files under dest."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def digest(data) -> str:
+    """SHA-256 of a string, or of an array's dtype, shape and bytes."""
+    import numpy as np  # not at the top: run.import_program sets BLAS threads first
+
+    if isinstance(data, str):
+        return hashlib.sha256(data.encode()).hexdigest()
+    arr = np.ascontiguousarray(data)
+    h = hashlib.sha256(f"{arr.dtype.str} {arr.shape} ".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def field_digests(name: str, f) -> list[tuple[str, str]]:
+    meta = repr((f.lr_width, f.lr_height, f.density.value, f.timestamp, f.max_offset))
+    out = [(f"{name}.meta", digest(meta))]
+    out += [(f"{name}.{a}", digest(getattr(f, a))) for a in FIELD_ARRAYS]
+    return out
+
+
+def tree_digests(tree: Path, workload: str, seeds: list[int]) -> list[tuple[str, str]]:
+    """Every (name, digest) of the runs of tree's program, in run order."""
+    sys.path[:0] = [str(tree / "perfbench")]
+    import run  # tree's perfbench/run.py
+
+    if Path(run.__file__).resolve().parent != tree / "perfbench":
+        sys.exit(f"output_digest: imported run.py from {run.__file__}, not {tree}")
+    run.import_program()  # one BLAS thread, then splatvid from tree's src/
+    import workloads
+
+    from splatvid import fileio, pipeline
+
+    w = workloads.WORKLOADS[workload]
+    out = []
+    for seed in seeds:
+        with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
+            paths = run.write_inputs(fileio, w.make(seed, *w.size), Path(tmp))
+            frames = fileio.load_ppm(paths.frame0), fileio.load_ppm(paths.frame1)
+            flows = fileio.load_flo(paths.m01), fileio.load_flo(paths.m10)
+            opts = dataclasses.replace(
+                w.options,
+                bank=fileio.load_bank(paths.bank),
+                fuser=fileio.load_fuser(paths.fuser),
+            )
+        ctx = pipeline.build_shared_context(*frames, flows, opts)
+        rows = field_digests("field0", ctx.field0) + field_digests("field1", ctx.field1)
+        for t in w.timestamps:
+            f = pipeline.derive_field(ctx, t)
+            rows += field_digests(f"t={t:g} derive", f)
+            rows.append((f"t={t:g} frame", digest(pipeline.render_at(ctx, f, w.scale).pixels)))
+        rows.append(("stage_counters", digest(json.dumps(ctx.stage_counters, sort_keys=True))))
+        out += [(f"seed {seed} {name}", d) for name, d in rows]
+    return out
+
+
+def run_tree(tree: Path, workload: str, seeds: str) -> list[tuple[str, str]]:
+    """tree_digests in a fresh interpreter, so each tree imports only its own code."""
+    cmd = [sys.executable, __file__, "--workload", workload, "--seeds", seeds,
+           "--tree", str(tree)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"output_digest: the run in {tree} failed:\n{proc.stderr}")
+    return [tuple(row) for row in json.loads(proc.stdout.strip().splitlines()[-1])]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", default="1-10", help="N or A-B (default 1-10)")
+    ap.add_argument("--parent", help="git revision to compare this checkout with")
+    ap.add_argument("--tree", type=Path, help=argparse.SUPPRESS)  # worker mode
+    args = ap.parse_args(argv)
+    seeds = seed_range(args.seeds)
+
+    if args.tree is not None:
+        print(json.dumps(tree_digests(args.tree.resolve(), args.workload, seeds)))
+        return 0
+
+    change = run_tree(ROOT, args.workload, args.seeds)
+    if args.parent is None:
+        for seed in seeds:
+            rows = [d for name, d in change if name.startswith(f"seed {seed} ")]
+            print(f"seed {seed}: {len(rows)} arrays, sha256 {digest(''.join(rows))}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
+        export(args.parent, Path(tmp))
+        parent = run_tree(Path(tmp), args.workload, args.seeds)
+    for (p_name, p_digest), (c_name, c_digest) in zip(parent, change):
+        if p_name != c_name or p_digest != c_digest:
+            where = c_name if p_name == c_name else f"{c_name} (parent: {p_name})"
+            print(f"{args.workload}: first difference at {where}")
+            return 1
+    if len(parent) != len(change):
+        print(f"{args.workload}: {len(parent)} arrays at the parent, {len(change)} here")
+        return 1
+    print(f"{args.workload}: all {len(change)} arrays bit-equal to {args.parent}, "
+          f"seeds {args.seeds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,18 +35,10 @@ def _save_frame(path, frame: FrameBuffer) -> None:
         fileio.save_frm(path, frame)
 
 
-def _density(arg: str) -> Density:
-    return Density.ONE_PER_PIXEL if arg == "1" else Density.ONE_PER_FOUR_PIXELS
-
-
-def _normalization(arg: str) -> Normalization:
-    return Normalization.PAPER_DET if arg == "paper-det" else Normalization.SQRT_DET
-
-
 _SHARED_FLAGS = {
     "scale": dict(type=float, default=1.0),
-    "density": dict(choices=["1", "4"], default="1"),
-    "normalization": dict(choices=["paper-det", "sqrt-det"], default="paper-det"),
+    "density": dict(choices=[str(d.value) for d in Density], default="1"),
+    "normalization": dict(choices=[n.value for n in Normalization], default="paper-det"),
     "seed": dict(type=int, default=0),
 }
 
@@ -61,9 +53,9 @@ def _cmd_fit(args) -> int:
     target = _load_frame(args.input)
     cfg = FitConfig(
         iterations=args.iterations,
-        normalization=_normalization(args.normalization),
+        normalization=Normalization(args.normalization),
     )
-    field, trace = fit_mod.fit_frame(target, _density(args.density), cfg)
+    field, trace = fit_mod.fit_frame(target, Density(int(args.density)), cfg)
     fileio.save_gsf(args.output, field)
     if trace:
         print(f"final loss {trace[-1]:.6f} after {len(trace)} iterations")
@@ -74,15 +66,9 @@ def _cmd_render(args) -> int:
     field = fileio.load_gsf(args.input)
     cfg = RenderConfig(
         scale=args.scale,
-        normalization=_normalization(args.normalization),
+        normalization=Normalization(args.normalization),
     )
-    out = render_windows(field, cfg)
-    if not np.all(np.isfinite(out.pixels)):
-        raise FloatingPointError(
-            f"render: non-finite pixels rendering the field at t={field.timestamp}"
-            f" at scale {cfg.scale}"
-        )
-    _save_frame(args.output, out)
+    _save_frame(args.output, render_windows(field, cfg))
     return EXIT_OK
 
 
@@ -93,10 +79,10 @@ def _cmd_interpolate(args) -> int:
     flow10 = fileio.load_flo(args.flow10)
     timestamps = [float(t) for t in args.timestamps.split(",")]
     opts = pipeline.PipelineOptions(
-        density=_density(args.density),
+        density=Density(int(args.density)),
         fit=FitConfig(
             iterations=args.iterations,
-            normalization=_normalization(args.normalization),
+            normalization=Normalization(args.normalization),
         ),
         aow=args.aow,
         bank=fileio.load_bank(args.bank) if args.bank else None,
@@ -116,7 +102,7 @@ def _cmd_interpolate(args) -> int:
 def _cmd_corr(args) -> int:
     frames = [_load_frame(p) for p in args.frames]
     cfg = FitConfig(iterations=args.iterations)
-    density = _density(args.density)
+    density = Density(int(args.density))
     fields = [fit_mod.fit_frame(f, density, cfg)[0] for f in frames]
     report = metrics.stability_report(frames, fields)
     fileio.save_stability_csv(args.output, report)

@@ -11,12 +11,15 @@ Conventions used everywhere in this package:
 All types are immutable value objects after construction and safe to share
 read-only across workers: each stores its arrays through ``frozen_array``,
 the one place that converts, checks and write-protects them.
+
+Each kernel validity rule is written once, here: ``covariance_violations``,
+and ``kernel_violations``, which adds the offset and color ranges.  Every
+check of a kernel, a field, a bank or a GSF record applies them.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +66,35 @@ def frozen_array(
 
 def covariance_violations(params: np.ndarray) -> np.ndarray:
     """Per-value flags of (..., 3) (sigma_x, sigma_y, rho) rows that break
-    CovParams.validate's rule: non-finite, sigma < SIGMA_MIN or
-    |rho| > RHO_MAX."""
+    the covariance rule: non-finite, sigma < SIGMA_MIN or |rho| > RHO_MAX."""
     bad = ~np.isfinite(params)
     bad[..., 0:2] |= params[..., 0:2] < SIGMA_MIN
     bad[..., 2] |= np.abs(params[..., 2]) > RHO_MAX
     return bad
+
+
+# Columns of a kernel row, the order kernel_violations and validate_field use.
+_FIELD_COLUMNS = (
+    "sigma_x", "sigma_y", "rho", "offset_x", "offset_y", "color_r", "color_g", "color_b"
+)
+
+
+def kernel_violations(values: np.ndarray, max_offset: float) -> np.ndarray:
+    """Per-value flags of (..., 8) kernel rows in _FIELD_COLUMNS order that
+    break the kernel rule: the covariance rule, offsets in [0, max_offset]
+    and colors in [0, 1], all finite."""
+    bad = ~np.isfinite(values)
+    bad[..., 0:3] = covariance_violations(values[..., 0:3])
+    bad[..., 3:5] |= (values[..., 3:5] < 0.0) | (values[..., 3:5] > max_offset)
+    bad[..., 5:8] |= (values[..., 5:8] < 0.0) | (values[..., 5:8] > 1.0)
+    return bad
+
+
+def _first_violation(what: str, values: np.ndarray, bad: np.ndarray) -> None:
+    """Raise ValidationError naming the first flagged value of a row."""
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValidationError(f"{what}: {_FIELD_COLUMNS[j]}={float(values[j])!r}")
 
 
 class Density(enum.Enum):
@@ -104,12 +130,8 @@ class CovParams:
     rho: float
 
     def validate(self) -> None:
-        if not (math.isfinite(self.sigma_x) and math.isfinite(self.sigma_y) and math.isfinite(self.rho)):
-            raise ValidationError(f"non-finite covariance params {self}")
-        if self.sigma_x < SIGMA_MIN or self.sigma_y < SIGMA_MIN:
-            raise ValidationError(f"sigma below {SIGMA_MIN}: {self}")
-        if abs(self.rho) > RHO_MAX:
-            raise ValidationError(f"|rho| exceeds {RHO_MAX}: {self}")
+        row = np.array([self.sigma_x, self.sigma_y, self.rho], dtype=np.float64)
+        _first_violation(f"{self}", row, covariance_violations(row))
 
 
 def cov_matrix(p: CovParams) -> np.ndarray:
@@ -127,8 +149,7 @@ def cov_det(p: CovParams) -> float:
 
 def cov_inverse(p: CovParams) -> np.ndarray:
     """Closed-form inverse of cov_matrix(p)."""
-    p.validate()
-    det = p.sigma_x**2 * p.sigma_y**2 * (1.0 - p.rho**2)
+    det = cov_det(p)
     off = -p.rho * p.sigma_x * p.sigma_y
     return np.array([[p.sigma_y**2, off], [off, p.sigma_x**2]], dtype=np.float64) / det
 
@@ -151,17 +172,13 @@ class Gaussian2D:
         return base + np.asarray(self.offset, dtype=np.float64)
 
     def validate(self, max_offset: float = 1.0) -> None:
-        self.cov.validate()
         off = np.asarray(self.offset, dtype=np.float64)
         col = np.asarray(self.color, dtype=np.float64)
         if off.shape != (2,) or col.shape != (3,):
             raise ValidationError(f"bad shapes offset={off.shape} color={col.shape}")
-        if not (np.all(np.isfinite(off)) and np.all(np.isfinite(col))):
-            raise ValidationError("non-finite gaussian fields")
-        if np.any(off < 0.0) or np.any(off > max_offset):
-            raise ValidationError(f"offset {off} outside [0, {max_offset}]")
-        if np.any(col < 0.0) or np.any(col > 1.0):
-            raise ValidationError(f"color {col} outside [0, 1]")
+        c = self.cov
+        row = np.concatenate([[c.sigma_x, c.sigma_y, c.rho], off, col])
+        _first_violation(f"kernel {self.anchor}", row, kernel_violations(row, max_offset))
 
 
 @dataclass(frozen=True)
@@ -184,10 +201,14 @@ class GaussianField:
     max_offset: float = 1.0
 
     def __post_init__(self):
-        # Values are not checked here: validate_field reports them.
-        for name, ndim in (("offsets", 2), ("sigmas", 2), ("rhos", 1), ("colors", 2)):
-            arr = getattr(self, name)
-            arr = frozen_array(f"GaussianField.{name}", arr, ndim, finite=False)
+        # Shapes are checked here; values are not: validate_field reports them.
+        n = self.n_gaussians
+        shapes = {"offsets": (n, 2), "sigmas": (n, 2), "rhos": (n,), "colors": (n, 3)}
+        for name, shape in shapes.items():
+            what = f"GaussianField.{name}"
+            arr = frozen_array(what, getattr(self, name), len(shape), finite=False)
+            if arr.shape != shape:
+                raise ShapeError(f"{what}: shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
 
     @property
@@ -239,40 +260,13 @@ class Violation:
         return f"cell {self.cell}: {self.field}={self.value!r}"
 
 
-_FIELD_COLUMNS = (
-    "sigma_x",
-    "sigma_y",
-    "rho",
-    "offset_x",
-    "offset_y",
-    "color_r",
-    "color_g",
-    "color_b",
-)
-
-
 def validate_field(f: GaussianField) -> list[Violation]:
     """Report every per-kernel invariant violation; empty list iff valid."""
     out: list[Violation] = []
-    gw, gh = f.grid_shape
-    n = gw * gh
-    shapes = {
-        "offsets": (n, 2),
-        "sigmas": (n, 2),
-        "rhos": (n,),
-        "colors": (n, 3),
-    }
-    for name, shape in shapes.items():
-        arr = getattr(f, name)
-        if arr.shape != shape:
-            raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
     if not (0.0 <= f.timestamp <= 1.0):
         out.append(Violation(-1, "timestamp", f.timestamp))
     values = np.column_stack([f.sigmas, f.rhos, f.offsets, f.colors])
-    bad = ~np.isfinite(values)
-    bad[:, 0:3] = covariance_violations(values[:, 0:3])
-    bad[:, 3:5] |= (values[:, 3:5] < 0.0) | (values[:, 3:5] > f.max_offset)
-    bad[:, 5:8] |= (values[:, 5:8] < 0.0) | (values[:, 5:8] > 1.0)
+    bad = kernel_violations(values, f.max_offset)
     # nonzero runs row-major: kernel index first, then the column order.
     cells, cols = np.nonzero(bad)
     out.extend(

@@ -26,6 +26,7 @@ from splatvid.core import (
     GaussianField,
     ShapeError,
     ValidationError,
+    covariance_violations,
 )
 from splatvid.cpb import CpbBank, FuserWeights
 from splatvid.metrics import StabilityReport
@@ -93,6 +94,15 @@ def load_gsf(path) -> GaussianField:
     payload = _read_exact(data, 21, count * 32, "gaussian records")
     rec = np.frombuffer(payload, dtype="<f4").reshape(count, 8).astype(np.float64)
     _check_finite(rec, "gaussian records", 21)
+    # Columns 2:5 are (sigma_x, sigma_y, rho); offsets and colors are only checked finite.
+    bad = np.flatnonzero(covariance_violations(rec[:, 2:5]))
+    if bad.size:
+        i, j = divmod(int(bad[0]), 3)
+        name = ("sigma_x", "sigma_y", "rho")[j]
+        raise FormatError(
+            f"record {i}: {name}={float(rec[i, 2 + j])!r} breaks the covariance rule",
+            21 + 4 * (8 * i + 2 + j),
+        )
     return GaussianField(
         lr_width=lr_w,
         lr_height=lr_h,

@@ -75,9 +75,10 @@ class FitConfig:
     normalization: Normalization = Normalization.PAPER_DET
     truncation_radius: float = 8.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
+        self.render_config()  # RenderConfig checks the truncation radius.
 
     def render_config(self) -> RenderConfig:
         """The unclamped scale-1 render that fitting descends on."""
@@ -197,7 +198,6 @@ def loss(
     f: GaussianField, target: FrameBuffer, cfg: FitConfig
 ) -> tuple[float, float, float]:
     """(total, l1, freq): L1 on pixels plus FREQ_LOSS_WEIGHT * spectral L1."""
-    cfg.validate()
     rendered = render_windows(f, cfg.render_config()).pixels
     return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels))
 
@@ -306,7 +306,6 @@ def _step(
 
 def gradients(f: GaussianField, target: FrameBuffer, cfg: FitConfig) -> np.ndarray:
     """(N, 8) gradient of the L1 term w.r.t. the unconstrained parameters."""
-    cfg.validate()
     return _step(f, target.pixels, cfg)[1]
 
 
@@ -317,7 +316,6 @@ def fit_frame(
 
     The field's LR size is the target's size at either density.
     """
-    cfg.validate()
     field = init_field(target, density, cfg.render_config())
     return descend(field, target, cfg, cfg.iterations)
 
@@ -336,7 +334,6 @@ def descend(
     """
     if iterations <= 0:
         return field, []
-    cfg.validate()
     theta = ParamVector.from_field(field).raw.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)

@@ -19,6 +19,9 @@ fusion, decoding, offset gating and that bank softmax, plus rasterization.
 Stage counters record this split and are asserted by the latency tests;
 they are the one part of a context that changes after it is built.
 
+PipelineOptions checks itself when built, so a fuser whose K is not its
+bank's fails before any fitting.
+
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
 the content displacement at time t is carried by the window-gated position
@@ -86,6 +89,14 @@ class PipelineOptions:
     aow: bool = True
     bank: CpbBank | None = None
     fuser: FuserWeights | None = None
+
+    def __post_init__(self):
+        if self.refine_iterations < 0:
+            raise ValidationError("refine_iterations must be >= 0")
+        if self.fuser is not None:
+            k = (self.bank or cpb_mod.default_bank()).size
+            if self.fuser.k != k:
+                raise ShapeError(f"fuser K={self.fuser.k} != bank K={k}")
 
     @property
     def normalization(self) -> Normalization:
@@ -232,10 +243,9 @@ def build_shared_context(
 
 def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     """Assemble the GaussianField at time t from the shared context."""
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"timestamp {t} outside [0, 1]")
     opts = ctx.options
-    # m_t0 = t * m10, the flow from time t back to frame 0.
+    # m_t0 = t * m10, the flow from time t back to frame 0; scale_flows also
+    # rejects a t outside [0, 1].
     m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)[0]
 
     p0, p1 = ctx.param0, ctx.param1
@@ -280,11 +290,6 @@ def render_at(ctx: SharedContext, f: GaussianField, spatial_scale: float) -> Fra
         clamp_output=opts.clamp_output,
     )
     out = render_windows(f, cfg)
-    if not np.all(np.isfinite(out.pixels)):
-        raise FloatingPointError(
-            f"rasterize: non-finite pixels rendering the field at t={f.timestamp}"
-            f" at scale {spatial_scale}"
-        )
     ctx.bump("rasterize")
     return out
 
@@ -302,8 +307,7 @@ def interpolate_with_context(
         raise ValidationError("timestamps must be sorted")
     if any(not 0.0 <= t <= 1.0 for t in timestamps):
         raise ValidationError("timestamps must lie in [0, 1]")
-    if spatial_scale < 1.0:
-        raise ValidationError(f"spatial scale {spatial_scale} below 1")
+    RenderConfig(scale=spatial_scale)  # checks the scale before the shared stage
     ctx = build_shared_context(frame0, frame1, flows, opts)
     outputs = [render_at(ctx, derive_field(ctx, t), spatial_scale) for t in timestamps]
     return outputs, ctx

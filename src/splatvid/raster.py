@@ -28,7 +28,8 @@ scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
 sqrt(det(S)) (SQRT_DET, the standard bivariate normal constant).
 
 Accumulation is in 64-bit floats; clamping (when enabled) happens exactly
-once at the end, never mid-accumulation.
+once at the end, never mid-accumulation.  Both paths end in _finish, whose
+non-finite check raises FloatingPointError naming ``rasterize``.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class RenderConfig:
     normalization: Normalization = Normalization.PAPER_DET
     clamp_output: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.scale < 1.0:
             raise ValidationError(f"scale {self.scale} below 1")
         if self.truncation_radius < 1.0:
@@ -104,7 +105,6 @@ def eval_gaussian(
 ) -> np.ndarray:
     """RGB contribution of one kernel at output-pixel coordinates (x, y)."""
     g.validate(max_offset=np.inf)
-    cfg.validate()
     mu = g.center(density) * cfg.scale
     sigmas = np.array([[g.cov.sigma_x, g.cov.sigma_y]])
     rhos = np.array([g.cov.rho])
@@ -115,7 +115,6 @@ def eval_gaussian(
 
 
 def _prepare(f: GaussianField, cfg: RenderConfig):
-    cfg.validate()
     mu = f.mu() * cfg.scale  # kernel centers in output pixel coordinates
     ixx, ixy, iyy, amp = _kernel_terms(f.sigmas, f.rhos, cfg.scale, cfg.normalization)
     out_w, out_h = output_shape(f.lr_width, f.lr_height, cfg.scale)
@@ -144,9 +143,18 @@ def render_dense(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
         )
         w = amp[i0:i1, None] * np.exp(-0.5 * q)  # (chunk, npix)
         acc += w.T @ f.colors[i0:i1]
-    img = acc.reshape(out_h, out_w, 3)
+    return _finish(acc.reshape(out_h, out_w, 3), f, cfg)
+
+
+def _finish(img: np.ndarray, f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
+    """The render's frame: clamped if cfg asks, then checked finite."""
     if cfg.clamp_output:
         img = np.clip(img, 0.0, 1.0)
+    if not np.all(np.isfinite(img)):
+        raise FloatingPointError(
+            f"rasterize: non-finite pixels rendering the field at t={f.timestamp}"
+            f" at scale {cfg.scale}"
+        )
     return FrameBuffer(img)
 
 
@@ -292,10 +300,7 @@ def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
 
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
-    img = _render(_Weights(f, cfg, n_scratch=1), f.colors)
-    if cfg.clamp_output:
-        img = np.clip(img, 0.0, 1.0)
-    return FrameBuffer(img)
+    return _finish(_render(_Weights(f, cfg, n_scratch=1), f.colors), f, cfg)
 
 
 def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:

@@ -138,9 +138,12 @@ class TestValidateField:
         assert validate_field(dataclasses.replace(f, offsets=offs, max_offset=10.0)) == []
 
     def test_shape_error(self):
+        # A kernel count other than the grid's is rejected when the field is
+        # built, so validate_field only ever sees well-shaped arrays.
         f = random_field(np.random.default_rng(1), 4, 4)
-        with pytest.raises(ShapeError):
-            validate_field(dataclasses.replace(f, rhos=np.zeros(3)))
+        for name in ("offsets", "sigmas", "rhos", "colors"):
+            with pytest.raises(ShapeError, match=f"GaussianField.{name}"):
+                dataclasses.replace(f, **{name: getattr(f, name)[:-1]})
 
     @staticmethod
     def reference_report(f):
@@ -198,6 +201,50 @@ class TestValidateField:
         }
 
 
+    def test_kernel_views_apply_the_same_rule(self):
+        # Gaussian2D.validate and CovParams.validate reject exactly the
+        # kernels that validate_field reports, and name the first bad value.
+        rng = np.random.default_rng(6)
+        f = random_field(rng, 6, 5)
+        values = {
+            "sigmas": f.sigmas.copy(),
+            "rhos": f.rhos.copy(),
+            "offsets": f.offsets.copy(),
+            "colors": f.colors.copy(),
+        }
+        cells = rng.permutation(f.n_gaussians)[:16]
+        injected = [
+            ("sigmas", (0, 0), np.nan), ("sigmas", (1, 1), 5e-4),
+            ("rhos", 2, 1.0), ("rhos", 3, -np.inf),
+            ("offsets", (4, 0), -0.1), ("offsets", (5, 1), 1.5),
+            ("colors", (6, 2), np.inf), ("colors", (7, 0), 1.2),
+        ]
+        for name, at, v in injected:
+            idx = (cells[at[0]], at[1]) if isinstance(at, tuple) else cells[at]
+            values[name][idx] = v
+        # One cell with two bad values: the covariance one is named first.
+        values["rhos"][cells[8]] = -1.5
+        values["colors"][cells[8], 1] = -0.5
+        g = dataclasses.replace(f, **values)
+        first = {}
+        for v in validate_field(g):
+            first.setdefault(v.cell, v.field)
+        assert len(first) == 9
+        for i in range(g.n_gaussians):
+            kernel = g.gaussian(i)
+            if i in first:
+                with pytest.raises(ValidationError, match=f": {first[i]}="):
+                    kernel.validate(max_offset=g.max_offset)
+            else:
+                kernel.validate(max_offset=g.max_offset)
+            cov_bad = first.get(i) in ("sigma_x", "sigma_y", "rho")
+            if cov_bad:
+                with pytest.raises(ValidationError, match=f": {first[i]}="):
+                    kernel.cov.validate()
+            else:
+                kernel.cov.validate()
+
+
 # Every value type that stores arrays: (type, valid arrays, other fields,
 # arrays whose last axis is checked, arrays whose values must be finite).
 # GaussianField and BankCandidates leave values unchecked: validate_field
@@ -215,7 +262,7 @@ VALUE_TYPES = [
             "colors": np.full((6, 3), 0.2),
         },
         {"lr_width": 3, "lr_height": 2, "density": Density.ONE_PER_PIXEL},
-        set(),
+        {"offsets", "sigmas", "colors"},
         set(),
     ),
     (

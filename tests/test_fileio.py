@@ -1,12 +1,20 @@
 """Serialization round-trips and malformed-file diagnostics."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from splatvid import fileio
-from splatvid.core import Density, FlowField, FrameBuffer, GaussianField
+from splatvid.core import (
+    RHO_MAX,
+    SIGMA_MIN,
+    Density,
+    FlowField,
+    FrameBuffer,
+    GaussianField,
+)
 from splatvid.cpb import FuserWeights, default_bank
 from splatvid.fileio import FormatError
 from splatvid.metrics import StabilityReport
@@ -79,6 +87,37 @@ class TestGsf:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             fileio.load_gsf(p)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(4, 1.0), (2, 0.0), (3, 5e-4), (4, -1.0), (2, -0.5)],
+        ids=["rho=1", "sigma_x=0", "sigma_y=5e-4", "rho=-1", "sigma_x<0"],
+    )
+    def test_covariance_rule_names_the_byte_offset(self, tmp_path, column, value):
+        # Record columns: offset_x, offset_y, sigma_x, sigma_y, rho, r, g, b.
+        f = f32_field(np.random.default_rng(6), 4, 3)
+        p = tmp_path / "f.gsf"
+        fileio.save_gsf(p, f)
+        data = bytearray(p.read_bytes())
+        at = 21 + 4 * (8 * 7 + column)  # record 7
+        data[at : at + 4] = struct.pack("<f", value)
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="record 7") as exc:
+            fileio.load_gsf(p)
+        assert exc.value.offset == at
+
+    def test_covariance_bounds_survive_the_f32_round_trip(self, tmp_path):
+        # The extreme valid values still load after rounding to f32.
+        f = f32_field(np.random.default_rng(7), 3, 2)
+        sigmas = f.sigmas.copy()
+        sigmas[0] = SIGMA_MIN
+        rhos = f.rhos.copy()
+        rhos[:2] = RHO_MAX, -RHO_MAX
+        p = tmp_path / "f.gsf"
+        fileio.save_gsf(p, dataclasses.replace(f, sigmas=sigmas, rhos=rhos))
+        back = fileio.load_gsf(p)
+        assert np.all(back.sigmas[0] >= SIGMA_MIN)
+        assert np.all(np.abs(back.rhos[:2]) <= RHO_MAX)
 
 
 class TestFlo:

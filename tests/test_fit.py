@@ -37,7 +37,13 @@ from conftest import random_field
 class TestFitConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
-            FitConfig(iterations=-1).validate()
+            FitConfig(iterations=-1)
+
+    def test_rejects_a_bad_truncation_radius_when_built(self):
+        # The rule is RenderConfig's, reached through render_config().
+        with pytest.raises(ValidationError, match="truncation_radius"):
+            FitConfig(truncation_radius=0.5)
+        assert FitConfig(truncation_radius=1.0).render_config().truncation_radius == 1.0
 
     def test_fits_at_scale_one(self):
         # A field's LR size is its target's size at either density.

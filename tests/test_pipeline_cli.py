@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from splatvid import cli, cpb, fileio, motion, nnops, pipeline, synth
-from splatvid.core import Density, FeatureMap, FrameBuffer, ValidationError
+from splatvid import fit as fit_mod
+from splatvid.core import Density, FeatureMap, FrameBuffer, ShapeError, ValidationError
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
 from splatvid.pipeline import (
@@ -237,6 +238,33 @@ class TestDeriveCache:
             derive_field(ctx, t)
         assert calls == timestamps
 
+    def test_derive_rejects_t_outside_the_unit_interval(self, monkeypatch):
+        # derive_field leaves the check to motion.scale_flows.
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        calls = []
+        original = motion.scale_flows
+        monkeypatch.setattr(
+            motion, "scale_flows", lambda *a: calls.append(a[2]) or original(*a)
+        )
+        for t in (-0.1, 1.5):
+            with pytest.raises(ValidationError, match="outside"):
+                derive_field(ctx, t)
+        assert calls == [-0.1, 1.5]
+
+    def test_render_at_names_rasterize_for_a_non_finite_frame(self):
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        f = derive_field(ctx, 0.5)
+        rhos = f.rhos.copy()
+        rhos[7] = 1.0
+        singular = dataclasses.replace(f, rhos=rhos)
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^rasterize: .* t=0\.5 at scale 2\.0$"
+        ):
+            render_at(ctx, singular, 2.0)
+        assert "rasterize" not in ctx.stage_counters
+
     def test_one_warp_pulls_back_both_maps_of_field1(self, monkeypatch):
         # The stacked 8-channel warp equals warping the covariance and the
         # (offset, color) maps one by one, bit for bit.
@@ -300,6 +328,26 @@ class TestBankCandidatesDerive:
             assert np.abs(f.sigmas - ref[:, 0:2]).max() <= 1e-12
             assert np.abs(f.rhos - ref[:, 2]).max() <= 1e-12
         assert np.abs(fields[0].sigmas - fields[3].sigmas).max() > 1e-6
+
+
+class TestPipelineOptions:
+    """PipelineOptions checks itself when built."""
+
+    def test_rejects_negative_refine_iterations(self):
+        with pytest.raises(ValidationError, match="refine_iterations"):
+            PipelineOptions(refine_iterations=-1)
+        assert PipelineOptions(refine_iterations=0).refine_iterations == 0
+
+    def test_rejects_a_fuser_whose_k_differs_from_the_bank(self):
+        small = cpb.build_bank([0.5, 1.0], [0.0])  # K = 4
+        with pytest.raises(ShapeError, match="fuser K=4 != bank K=320"):
+            PipelineOptions(fuser=cpb.baseline_fuser(small))
+        with pytest.raises(ShapeError, match="fuser K=320 != bank K=4"):
+            PipelineOptions(bank=small, fuser=cpb.baseline_fuser(cpb.default_bank()))
+        opts = PipelineOptions(bank=small, fuser=cpb.baseline_fuser(small))
+        assert opts.fuser.k == opts.bank.size == 4
+        with pytest.raises(ShapeError):
+            dataclasses.replace(opts, bank=None)
 
 
 class TestBench:
@@ -413,6 +461,48 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNK")
         out = tmp_path / "out.frm"
         assert cli.main(["render", str(bad), str(out)]) == cli.EXIT_FORMAT
+
+    def test_k_mismatched_fuser_exits_before_fitting(self, tmp_path, monkeypatch):
+        out_dir, args = self.interpolate_args(tmp_path, 8, 6)
+        weights = tmp_path / "fuser.json"
+        fileio.save_fuser(weights, cpb.baseline_fuser(cpb.build_bank([0.5, 1.0], [0.0])))
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
+        code = cli.main(args + ["--timestamps", "0.5", "--weights", str(weights)])
+        assert code == cli.EXIT_VALIDATION
+        assert fits == []
+
+    @pytest.mark.parametrize("column, value", [(4, 1.0), (2, 0.0), (3, 5e-4)])
+    def test_gsf_breaking_the_covariance_rule_exits_3(self, tmp_path, column, value):
+        f = synth.random_field(np.random.default_rng(4), 4, 3, Density.ONE_PER_PIXEL)
+        gsf = tmp_path / "f.gsf"
+        fileio.save_gsf(gsf, f)
+        data = bytearray(gsf.read_bytes())
+        data[21 + 4 * column : 25 + 4 * column] = np.float32(value).tobytes()
+        gsf.write_bytes(bytes(data))
+        code = cli.main(["render", str(gsf), str(tmp_path / "out.frm")])
+        assert code == cli.EXIT_FORMAT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "in.frm", "out.gsf", "--density", "2"],
+            ["render", "in.gsf", "out.frm", "--normalization", "det"],
+        ],
+    )
+    def test_enum_flags_accept_only_the_enum_values(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_enum_flags_parse_to_the_enums(self, tmp_path):
+        target = FrameBuffer(np.random.default_rng(3).uniform(0.2, 0.8, (6, 8, 3)))
+        frm = tmp_path / "t.frm"
+        fileio.save_frm(frm, target)
+        gsf = tmp_path / "t.gsf"
+        argv = ["fit", str(frm), str(gsf), "--iterations", "0", "--density", "4"]
+        assert cli.main(argv + ["--normalization", "sqrt-det"]) == 0
+        assert fileio.load_gsf(gsf).density is Density.ONE_PER_FOUR_PIXELS
 
     @pytest.mark.parametrize(
         "doc",

@@ -128,6 +128,29 @@ class TestRenderDense:
                 assert render(f, RenderConfig(scale=1.0)).pixels.shape == (3, 5, 3)
 
 
+class TestNonFiniteFrame:
+    def test_singular_kernel_raises_naming_rasterize(self):
+        # rho = 1 makes a covariance singular; both paths finish a render
+        # through one step that names the stage, the timestamp and the scale.
+        f = random_field(np.random.default_rng(3), 4, 3)
+        rhos = f.rhos.copy()
+        rhos[5] = 1.0
+        f = dataclasses.replace(f, rhos=rhos, timestamp=0.25)
+        for render in (render_dense, render_windows):
+            for clamp in (True, False):
+                cfg = RenderConfig(scale=2.0, clamp_output=clamp)
+                with np.errstate(all="ignore"), pytest.raises(
+                    FloatingPointError, match=r"^rasterize: .* t=0\.25 at scale 2\.0$"
+                ):
+                    render(f, cfg)
+
+    def test_config_checks_itself_when_built(self):
+        with pytest.raises(ValidationError, match="scale"):
+            RenderConfig(scale=0.5)
+        with pytest.raises(ValidationError, match="truncation_radius"):
+            RenderConfig(scale=1.0, truncation_radius=0.5)
+
+
 class TestTruncatedPaths:
     def test_tiled_matches_dense_radius6(self):
         rng = np.random.default_rng(4)
