@@ -13,7 +13,7 @@ Each tree runs in an interpreter of its own, on one BLAS thread, with
 splatvid imported from its own src/ and the workloads from its own
 perfbench/.  Without --parent the script prints this checkout's digests,
 one combined digest per seed.  With --parent it exports REV with
-``git archive``, as scripts/ab_bench.py does, and compares both trees'
+scripts/ab_bench.py's ``export`` (``git archive``) and compares both trees'
 digests in order: it exits 1 and names the first array that differs, or
 reports how many arrays are bit-equal.
 """
@@ -29,7 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from ab_bench import ROOT, export  # scripts/ab_bench.py
+
 FIELD_ARRAYS = ("offsets", "sigmas", "rhos", "colors")
 
 
@@ -37,14 +38,6 @@ def seed_range(arg: str) -> list[int]:
     """'3' or '1-10' as a list of seeds."""
     lo, _, hi = arg.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
-
-
-def export(rev: str, dest: Path) -> None:
-    """Write rev's committed files under dest."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def digest(data) -> str:

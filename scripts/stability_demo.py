@@ -32,7 +32,7 @@ def main() -> None:
     frames = synth.rolled_sequence(base, args.frames, step=args.step)
     cfg = FitConfig(iterations=args.iterations, truncation_radius=4.0)
     print(f"fitting {len(frames)} frames at {w}x{h} ...")
-    fields = [fit_frame(f, Density.ONE_PER_PIXEL, cfg)[0] for f in frames]
+    fields = [fit_frame(f, Density.ONE_PER_PIXEL, cfg) for f in frames]
 
     r = stability_report(frames, fields)
     fileio.save_stability_csv(args.output, r)

@@ -55,10 +55,11 @@ def _cmd_fit(args) -> int:
         iterations=args.iterations,
         normalization=Normalization(args.normalization),
     )
-    field, trace = fit_mod.fit_frame(target, Density(int(args.density)), cfg)
+    field = fit_mod.fit_frame(target, Density(int(args.density)), cfg)
     fileio.save_gsf(args.output, field)
-    if trace:
-        print(f"final loss {trace[-1]:.6f} after {len(trace)} iterations")
+    if cfg.iterations > 0:
+        final = fit_mod.loss(field, target, cfg)[0]
+        print(f"final loss {final:.6f} after {cfg.iterations} iterations")
     return EXIT_OK
 
 
@@ -103,7 +104,7 @@ def _cmd_corr(args) -> int:
     frames = [_load_frame(p) for p in args.frames]
     cfg = FitConfig(iterations=args.iterations)
     density = Density(int(args.density))
-    fields = [fit_mod.fit_frame(f, density, cfg)[0] for f in frames]
+    fields = [fit_mod.fit_frame(f, density, cfg) for f in frames]
     report = metrics.stability_report(frames, fields)
     fileio.save_stability_csv(args.output, report)
     for i, g in enumerate(report.gaps):

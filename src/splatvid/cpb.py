@@ -24,6 +24,7 @@ max-subtract / exp / divide of ``_softmax_in_place``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -175,8 +176,12 @@ def build_bank(sigma_levels, rho_levels) -> CpbBank:
     return CpbBank(np.array(entries, dtype=np.float64))
 
 
+@cache
 def default_bank() -> CpbBank:
-    """8 log-spaced sigmas in [0.3, 3.0] x 5 uniform rhos in [-0.6, 0.6]; K=320."""
+    """8 log-spaced sigmas in [0.3, 3.0] x 5 uniform rhos in [-0.6, 0.6]; K=320.
+
+    Built once per process: a CpbBank is immutable, so every caller shares it.
+    """
     sig = np.geomspace(0.3, 3.0, 8)
     rho = np.linspace(-0.6, 0.6, 5)
     return build_bank(sig, rho)

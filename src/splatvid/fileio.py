@@ -87,6 +87,8 @@ def load_gsf(path) -> GaussianField:
     )
     if dens not in (0, 1):
         raise FormatError(f"bad density byte {dens}", 12)
+    if not 0.0 <= ts <= 1.0:  # validate_field's rule; also rejects NaN
+        raise FormatError(f"timestamp {ts!r} outside [0, 1]", 13)
     density = Density.ONE_PER_PIXEL if dens == 0 else Density.ONE_PER_FOUR_PIXELS
     gw, gh = density.grid_shape(lr_w, lr_h)
     if count != gw * gh:

@@ -5,11 +5,11 @@ the deterministic init; the pipeline's bank refine runs it from a snapped
 field with the covariances frozen, so only offsets and colors move.
 
 Each step (``_step``) evaluates every kernel's window weights once: the
-render that gives the loss and the residual sign keeps them, and the
-gradient reuses them.  The kept weights take at most raster.STORE_CAP
-window pixels (16 MiB); a step with more windowed pixels keeps none and
-evaluates them again, so a step's memory is that cap or the raster core's
-per-chunk buffers.
+render that gives the residual sign keeps them, and the gradient reuses
+them.  The kept weights take at most raster.STORE_CAP window pixels
+(16 MiB); a step with more windowed pixels keeps none and evaluates them
+again, so a step's memory is that cap or the raster core's per-chunk
+buffers.
 
 Optimization runs in an unconstrained reparameterization so every iterate
 maps to a valid field by construction:
@@ -19,12 +19,12 @@ maps to a valid field by construction:
     rho    = rho_max * tanh(r)     in (-1, 1)
     color  = sigmoid(c)            in [0, 1]
 
-The loss is L1 on pixels plus FREQ_LOSS_WEIGHT times an L1 on luma
-spectral magnitudes.  Descent follows the gradient of the L1 term alone: the
-spectral term is reported in the loss and the trace but never
-differentiated.  The analytic gradients differentiate the kernel weight of
-the rasterizer in closed form and are validated against central finite
-differences.
+``loss`` is L1 on pixels plus FREQ_LOSS_WEIGHT times an L1 on luma
+spectral magnitudes.  Descent follows the gradient of the L1 term alone and
+evaluates no loss: the spectral term is reported by ``loss`` (and so by
+``splatvid fit``) but never differentiated.  The analytic gradients
+differentiate the kernel weight of the rasterizer in closed form and are
+validated against central finite differences.
 
 Fitting renders at scale 1, so the field's LR size is the target's size at
 every density; density sets only the kernel count (one per pixel, or one per
@@ -177,29 +177,27 @@ def init_field(
     return replace(f, colors=np.clip(colors / pooled, 0.0, 1.0))
 
 
+def _check_target(f: GaussianField, target: np.ndarray, what: str) -> None:
+    """The rule that a target (or pixel weight) has f's scale-1 render shape."""
+    shape = (f.lr_height, f.lr_width, 3)
+    if target.shape != shape:
+        raise ShapeError(f"{what} {target.shape} vs render {shape}")
+
+
 def _luma_spectrum(img: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.fft2(img @ LUMA_WEIGHTS))
-
-
-def _loss_terms(
-    rendered: np.ndarray,
-    target: np.ndarray,
-    target_spectrum: np.ndarray,
-) -> tuple[float, float, float]:
-    """(total, l1, freq) of a render against the target and its luma spectrum."""
-    if rendered.shape != target.shape:
-        raise ShapeError(f"rendered {rendered.shape} vs target {target.shape}")
-    l1 = float(np.mean(np.abs(rendered - target)))
-    freq = float(np.mean(np.abs(_luma_spectrum(rendered) - target_spectrum)))
-    return l1 + FREQ_LOSS_WEIGHT * freq, l1, freq
 
 
 def loss(
     f: GaussianField, target: FrameBuffer, cfg: FitConfig
 ) -> tuple[float, float, float]:
     """(total, l1, freq): L1 on pixels plus FREQ_LOSS_WEIGHT * spectral L1."""
+    _check_target(f, target.pixels, "target")
     rendered = render_windows(f, cfg.render_config()).pixels
-    return _loss_terms(rendered, target.pixels, _luma_spectrum(target.pixels))
+    l1 = float(np.mean(np.abs(rendered - target.pixels)))
+    spectra = _luma_spectrum(rendered) - _luma_spectrum(target.pixels)
+    freq = float(np.mean(np.abs(spectra)))
+    return l1 + FREQ_LOSS_WEIGHT * freq, l1, freq
 
 
 def _pixel_weight_l1(rendered: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -223,9 +221,7 @@ def _field_gradient(
     Evaluates the window weights afresh; descent takes the same gradient
     from its render's weights (_step), and this is its reference.
     """
-    shape = (f.lr_height, f.lr_width, 3)
-    if pixel_weight.shape != shape:
-        raise ShapeError(f"pixel weight {pixel_weight.shape} vs render {shape}")
+    _check_target(f, pixel_weight, "pixel weight")
     weights = _Weights(f, cfg.render_config(), n_scratch=2)
     return _window_gradient(f, weights, pixel_weight, cfg)
 
@@ -296,10 +292,9 @@ def _step(
     raster.STORE_CAP pixels, when both passes evaluate them.  The result is
     bit-equal to render_windows followed by _field_gradient.
     """
+    _check_target(f, target, "target")
     weights = _Weights(f, cfg.render_config(), n_scratch=2, keep=True)
     rendered = _render(weights, f.colors)
-    if rendered.shape != target.shape:
-        raise ShapeError(f"rendered {rendered.shape} vs target {target.shape}")
     pixel_weight = _pixel_weight_l1(rendered, target)
     return rendered, _window_gradient(f, weights, pixel_weight, cfg)
 
@@ -311,10 +306,11 @@ def gradients(f: GaussianField, target: FrameBuffer, cfg: FitConfig) -> np.ndarr
 
 def fit_frame(
     target: FrameBuffer, density: Density, cfg: FitConfig
-) -> tuple[GaussianField, list[float]]:
-    """Adam descent from the deterministic init; returns (field, loss trace).
+) -> GaussianField:
+    """Adam descent from the deterministic init for cfg.iterations steps.
 
-    The field's LR size is the target's size at either density.
+    The field's LR size is the target's size at either density.  Its loss
+    is loss(field, target, cfg).
     """
     field = init_field(target, density, cfg.render_config())
     return descend(field, target, cfg, cfg.iterations)
@@ -326,32 +322,23 @@ def descend(
     cfg: FitConfig,
     iterations: int,
     freeze_covariance: bool = False,
-) -> tuple[GaussianField, list[float]]:
-    """Adam descent from field; returns (field, loss after each step).
+) -> GaussianField:
+    """The field after `iterations` Adam steps from field.
 
     cfg.iterations is not read.  With freeze_covariance every iterate keeps
     the starting sigmas and rhos bit for bit; only offsets and colors move.
     """
     if iterations <= 0:
-        return field, []
+        return field
     theta = ParamVector.from_field(field).raw.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    target_spectrum = _luma_spectrum(target.pixels)
-    # The loss after k steps comes from the render that step k + 1 takes its
-    # gradient from; only the last one needs a render of its own.
-    losses: list[float] = []
     for it in range(iterations):
         cur = ParamVector(theta).to_field(field, freeze_covariance)
-        rendered, g = _step(cur, target.pixels, cfg)
-        if it:
-            losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
+        g = _step(cur, target.pixels, cfg)[1]
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
         theta = theta - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    cur = ParamVector(theta).to_field(field, freeze_covariance)
-    rendered = render_windows(cur, cfg.render_config()).pixels
-    losses.append(_loss_terms(rendered, target.pixels, target_spectrum)[0])
-    return cur, losses
+    return ParamVector(theta).to_field(field, freeze_covariance)

@@ -182,7 +182,7 @@ def _snap_and_refine(
     snapped = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
     f = replace(f, sigmas=snapped[:, 0:2], rhos=snapped[:, 2])
     iters = opts.refine_iterations
-    return fit_mod.descend(f, target, opts.fit, iters, freeze_covariance=True)[0]
+    return fit_mod.descend(f, target, opts.fit, iters, freeze_covariance=True)
 
 
 def build_shared_context(
@@ -202,8 +202,8 @@ def build_shared_context(
     bank = opts.bank or cpb_mod.default_bank()
     fuser = opts.fuser or cpb_mod.baseline_fuser(bank)
 
-    f0, _ = fit_mod.fit_frame(frame0, opts.density, opts.fit)
-    f1, _ = fit_mod.fit_frame(frame1, opts.density, opts.fit)
+    f0 = fit_mod.fit_frame(frame0, opts.density, opts.fit)
+    f1 = fit_mod.fit_frame(frame1, opts.density, opts.fit)
     f0 = _snap_and_refine(f0, frame0, bank, opts)
     f1 = _snap_and_refine(f1, frame1, bank, opts)
     # Frame-1 parameters pulled back to frame-0 anchors so fusion compares

@@ -150,12 +150,13 @@ def _finish(img: np.ndarray, f: GaussianField, cfg: RenderConfig) -> FrameBuffer
     """The render's frame: clamped if cfg asks, then checked finite."""
     if cfg.clamp_output:
         img = np.clip(img, 0.0, 1.0)
-    if not np.all(np.isfinite(img)):
+    try:
+        return FrameBuffer(img)  # checks the pixels finite
+    except ValidationError:
         raise FloatingPointError(
             f"rasterize: non-finite pixels rendering the field at t={f.timestamp}"
             f" at scale {cfg.scale}"
-        )
-    return FrameBuffer(img)
+        ) from None
 
 
 def _windows(mu, half_x, half_y, out_w, out_h):

@@ -104,7 +104,7 @@ def test_criterion_03_exact_recovery():
     rcfg = cfg.render_config()
     target = FrameBuffer(np.clip(render_windows(truth, rcfg).pixels, 0.0, 1.0))
     t0 = time.perf_counter()
-    fitted, _ = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+    fitted = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
     elapsed = time.perf_counter() - t0
     recon = FrameBuffer(np.clip(render_windows(fitted, rcfg).pixels, 0.0, 1.0))
     psnr = psnr_y(recon, target)
@@ -200,7 +200,7 @@ def test_criterion_08_covariance_temporal_stability():
     frames = synth.rolled_sequence(base, 8, step=3)
     cfg = FitConfig(iterations=150, truncation_radius=4.0)
     t0 = time.perf_counter()
-    fields = [fit_frame(f, Density.ONE_PER_PIXEL, cfg)[0] for f in frames]
+    fields = [fit_frame(f, Density.ONE_PER_PIXEL, cfg) for f in frames]
     r = stability_report(frames, fields)
     elapsed = time.perf_counter() - t0
     ok = all(

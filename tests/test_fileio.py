@@ -119,6 +119,26 @@ class TestGsf:
         assert np.all(back.sigmas[0] >= SIGMA_MIN)
         assert np.all(np.abs(back.rhos[:2]) <= RHO_MAX)
 
+    @staticmethod
+    def with_timestamp(tmp_path, ts):
+        """A saved GSF whose header timestamp (bytes 13-16) holds ts."""
+        p = tmp_path / "f.gsf"
+        fileio.save_gsf(p, f32_field(np.random.default_rng(8), 3, 2))
+        data = bytearray(p.read_bytes())
+        data[13:17] = struct.pack("<f", ts)
+        p.write_bytes(bytes(data))
+        return p
+
+    @pytest.mark.parametrize("ts", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_timestamp_outside_the_unit_interval_names_offset_13(self, tmp_path, ts):
+        with pytest.raises(FormatError, match="timestamp") as exc:
+            fileio.load_gsf(self.with_timestamp(tmp_path, ts))
+        assert exc.value.offset == 13
+
+    @pytest.mark.parametrize("ts", [0.0, 0.25, 1.0])
+    def test_timestamp_in_the_unit_interval_loads(self, tmp_path, ts):
+        assert fileio.load_gsf(self.with_timestamp(tmp_path, ts)).timestamp == ts
+
 
 class TestFlo:
     def test_round_trip(self, tmp_path):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,7 @@ from splatvid.core import (
     Density,
     FrameBuffer,
     SIGMA_MIN,
+    ShapeError,
     ValidationError,
     validate_field,
 )
@@ -50,7 +51,7 @@ class TestFitConfig:
         assert FitConfig().render_config().scale == 1.0
         target = FrameBuffer(np.full((4, 6, 3), 0.5))
         for density in Density:
-            f, _ = fit_frame(target, density, FitConfig(iterations=0))
+            f = fit_frame(target, density, FitConfig(iterations=0))
             assert (f.lr_width, f.lr_height) == (6, 4)
 
 
@@ -144,10 +145,14 @@ class TestLoss:
 def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL):
     """Worst relative error of the analytic gradient against central FD.
 
-    Differentiates the L1 term, the only one descent follows.  A mismatch is
-    checked again with a stencil 100x narrower, which clears kinks of the
+    Differentiates the L1 term, the only one descent follows.  The error is
+    relative to the larger of the two values, floored at 1e-8.  A mismatch
+    is checked again with a stencil 100x narrower, which clears kinks of the
     loss that lie between the two widths.  Parameters whose stencil still
-    straddles a kink are skipped; most must be checked.
+    straddles a kink are skipped; most must be checked.  The re-check and
+    the skip judge the same floored error as the bound, so a difference that
+    already matches is never swapped for the narrow stencil's, whose
+    round-off dominates a gradient near the floor.
     """
     eps = 1e-4
 
@@ -159,6 +164,9 @@ def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL):
         lp = loss(ParamVector(tp).to_field(f), target, cfg)[1]
         lm = loss(ParamVector(tm).to_field(f), target, cfg)[1]
         return (lp - lm) / (2 * step), lp, lm
+
+    def err(fd, grad):
+        return abs(fd - grad) / max(abs(fd), abs(grad), 1e-8)
 
     worst = 0.0
     checked = skipped = 0
@@ -175,16 +183,14 @@ def fd_worst(rng, cfg, w, h, density=Density.ONE_PER_PIXEL):
         for i in range(theta.shape[0]):
             for j in range(theta.shape[1]):
                 fd, lp, lm = central(f, theta, target, i, j, eps)
-                if abs(fd - g[i, j]) > 1e-3 * max(abs(fd), abs(g[i, j])):
+                if err(fd, g[i, j]) > 1e-3:
                     fd = central(f, theta, target, i, j, eps / 100)[0]
                 # Skip parameters straddling a kink.
-                if abs(fd - g[i, j]) > 1e-3 * max(abs(fd), abs(g[i, j])):
-                    if abs((lp - mid) + (lm - mid)) > 1e-6:
-                        skipped += 1
-                        continue
+                if err(fd, g[i, j]) > 1e-3 and abs((lp - mid) + (lm - mid)) > 1e-6:
+                    skipped += 1
+                    continue
                 checked += 1
-                denom = max(abs(fd), abs(g[i, j]), 1e-8)
-                worst = max(worst, abs(fd - g[i, j]) / denom)
+                worst = max(worst, err(fd, g[i, j]))
     assert checked >= 4 * skipped, (checked, skipped)
     return worst
 
@@ -267,6 +273,16 @@ class TestGradients:
 
     # Each drawn case runs fd_worst: three fields, two losses per parameter.
     @settings(max_examples=8, deadline=None)
+    # This draw has a gradient of -1.09e-9 (field 2, kernel 15, raw rho),
+    # below the 1e-8 floor, where the narrow stencil's round-off exceeds the
+    # bound: fd_worst must keep the wide stencil's matching difference.
+    @example(
+        normalization=Normalization.SQRT_DET,
+        density=Density.ONE_PER_PIXEL,
+        radius=4.5,
+        cells=(5, 4),
+        seed=30,
+    )
     @given(
         normalization=st.sampled_from(Normalization),
         density=st.sampled_from(Density),
@@ -358,15 +374,37 @@ class TestStep:
         k = 3
         descend(f, FrameBuffer(target), self.CFG, k, freeze_covariance)
         layouts = list(evaluations.values())
-        # k steps and the final loss-only render: k + 1 layouts, each chunk
-        # of a step evaluated once, or twice above the cap.
-        assert len(layouts) == k + 1
-        for i, (lay, chunks) in enumerate(layouts):
+        # One layout per step and no other render, each chunk evaluated
+        # once, or twice above the cap.
+        assert len(layouts) == k
+        for lay, chunks in layouts:
             assert lay.stored_px <= raster.STORE_CAP
             assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
-            assert lay.keep == (i < k and not above_cap)
-            once = i == k or not above_cap
-            assert len(chunks) == (1 if once else 2) * len(lay.chunks)
+            assert lay.keep == (not above_cap)
+            assert len(chunks) == (2 if above_cap else 1) * len(lay.chunks)
+
+
+class TestTargetShape:
+    """A target of the wrong shape is rejected before any kernel work."""
+
+    @pytest.mark.parametrize("call", ["loss", "gradients", "descend", "_field_gradient"])
+    def test_mismatched_target_raises_before_rendering(self, monkeypatch, call):
+        cfg = FitConfig(truncation_radius=3.0)
+        f = random_field(np.random.default_rng(12), 4, 3)  # renders 3 x 4
+        target = FrameBuffer(np.full((4, 3, 3), 0.5))
+
+        def no_kernel_work(*args):
+            raise AssertionError("window weights evaluated")
+
+        monkeypatch.setattr(raster, "_chunk_weights", no_kernel_work)
+        run = {
+            "loss": lambda: loss(f, target, cfg),
+            "gradients": lambda: gradients(f, target, cfg),
+            "descend": lambda: descend(f, target, cfg, 2),
+            "_field_gradient": lambda: _field_gradient(f, target.pixels, cfg),
+        }[call]
+        with pytest.raises(ShapeError, match=r"\(4, 3, 3\) vs render \(3, 4, 3\)"):
+            run()
 
 
 class TestParamVector:
@@ -417,65 +455,44 @@ class TestFitFrame:
     def test_zero_iterations_returns_init(self):
         target = FrameBuffer(np.full((4, 4, 3), 0.4))
         cfg = FitConfig(iterations=0)
-        f, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        assert trace == []
+        f = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
         ref = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
         assert np.array_equal(f.colors, ref.colors)
 
     def test_descent_on_uniform_target(self):
         target = FrameBuffer(np.full((6, 6, 3), 0.5))
         cfg = FitConfig(iterations=40)
-        f, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+        f = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
         init = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
         l1_init = loss(init, target, cfg)[1]
         l1_final = loss(f, target, cfg)[1]
         assert l1_final <= l1_init
-        assert len(trace) == 40
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            FitConfig(iterations=6),
-            FitConfig(iterations=6, normalization=Normalization.SQRT_DET),
-        ],
-    )
-    def test_trace_matches_recomputed_loss(self, cfg):
-        # Step k of a longer run is the whole of a k-step run, so entry k-1
-        # of the trace must be loss() of the k-step field, bit for bit.
-        rng = np.random.default_rng(11)
-        target = FrameBuffer(rng.uniform(0, 1, (5, 6, 3)))
-        _, trace = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        assert len(trace) == cfg.iterations
-        for k in range(1, cfg.iterations + 1):
-            short = dataclasses.replace(cfg, iterations=k)
-            f_k, _ = fit_frame(target, Density.ONE_PER_PIXEL, short)
-            assert trace[k - 1] == loss(f_k, target, cfg)[0]
 
     @pytest.mark.parametrize("shape", [(3, 5), (1, 4), (4, 1)])
     def test_quarter_density_fits_any_shape(self, shape):
         h, w = shape
         target = FrameBuffer(np.random.default_rng(3).uniform(0, 1, shape + (3,)))
         cfg = FitConfig(iterations=2)
-        f, trace = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        f = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
         assert (f.lr_width, f.lr_height) == (w, h)
         assert f.grid_shape == ((w + 1) // 2, (h + 1) // 2)
         rendered = render_windows(f, cfg.render_config()).pixels
         assert rendered.shape == target.pixels.shape
-        assert len(trace) == 2 and np.all(np.isfinite(trace))
+        assert np.isfinite(loss(f, target, cfg)[0])
 
     def test_quarter_density_even_target_fits(self):
         target = FrameBuffer(np.random.default_rng(3).uniform(0, 1, (4, 6, 3)))
         cfg = FitConfig(iterations=2)
-        f, trace = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        f = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
         assert (f.lr_width, f.lr_height) == (6, 4)
         assert f.grid_shape == (3, 2)
-        assert len(trace) == 2 and np.all(np.isfinite(trace))
+        assert np.isfinite(loss(f, target, cfg)[0])
 
     def test_quarter_density_blob_fit_psnr(self):
         # 192 kernels for 768 pixels.  Measured: 30.25 dB after 150 steps.
         target = synth.blob_frame(32, 24, (15.5, 11.5), radius=3.0)
         cfg = FitConfig(iterations=150)
-        f, _ = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
+        f = fit_frame(target, Density.ONE_PER_FOUR_PIXELS, cfg)
         assert f.n_gaussians == 192
         rendered = np.clip(render_windows(f, cfg.render_config()).pixels, 0.0, 1.0)
         assert psnr_y(FrameBuffer(rendered), target) >= 28.0
@@ -484,8 +501,7 @@ class TestFitFrame:
         rng = np.random.default_rng(10)
         target = FrameBuffer(rng.uniform(0, 1, (6, 6, 3)))
         cfg = FitConfig(iterations=15)
-        fa, ta = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        fb, tb = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        assert np.array_equal(fa.offsets, fb.offsets)
-        assert np.array_equal(fa.colors, fb.colors)
-        assert ta == tb
+        fa = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+        fb = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+        for name in ("offsets", "sigmas", "rhos", "colors"):
+            assert np.array_equal(getattr(fa, name), getattr(fb, name))

@@ -349,6 +349,25 @@ class TestPipelineOptions:
         with pytest.raises(ShapeError):
             dataclasses.replace(opts, bank=None)
 
+    def test_a_fuser_without_a_bank_builds_the_default_bank_once(self, monkeypatch):
+        fuser = cpb.baseline_fuser(cpb.default_bank())
+        cpb.default_bank.cache_clear()
+        builds = []
+        build = cpb.build_bank
+
+        def counting(*levels):
+            bank = build(*levels)
+            builds.append(bank.size)
+            return bank
+
+        monkeypatch.setattr(cpb, "build_bank", counting)
+        frame, zero = static_scene(4, 3)
+        opts = PipelineOptions(
+            fit=FitConfig(iterations=0), refine_iterations=0, fuser=fuser
+        )
+        interpolate(frame, frame, (zero, zero), [0.5], 1.0, opts)
+        assert builds == [320]
+
 
 class TestBench:
     def test_repeats_floor(self):
@@ -471,6 +490,32 @@ class TestCli:
         code = cli.main(args + ["--timestamps", "0.5", "--weights", str(weights)])
         assert code == cli.EXIT_VALIDATION
         assert fits == []
+
+    def test_gsf_with_a_nan_timestamp_exits_3(self, tmp_path):
+        f = synth.random_field(np.random.default_rng(5), 4, 3, Density.ONE_PER_PIXEL)
+        gsf = tmp_path / "f.gsf"
+        fileio.save_gsf(gsf, f)
+        data = bytearray(gsf.read_bytes())
+        data[13:17] = np.float32(np.nan).tobytes()
+        gsf.write_bytes(bytes(data))
+        code = cli.main(["render", str(gsf), str(tmp_path / "out.frm")])
+        assert code == cli.EXIT_FORMAT
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_fit_prints_the_loss_of_the_fitted_field(self, tmp_path, capsys, iterations):
+        target = FrameBuffer(np.random.default_rng(6).uniform(0.2, 0.8, (5, 6, 3)))
+        frm = tmp_path / "t.frm"
+        fileio.save_frm(frm, target)
+        gsf = tmp_path / "t.gsf"
+        argv = ["fit", str(frm), str(gsf), "--iterations", str(iterations)]
+        assert cli.main(argv) == 0
+        cfg = FitConfig(iterations=iterations)
+        field = fit_mod.fit_frame(target, Density.ONE_PER_PIXEL, cfg)
+        expected = ""
+        if iterations:
+            final = fit_mod.loss(field, target, cfg)[0]
+            expected = f"final loss {final:.6f} after {iterations} iterations\n"
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("column, value", [(4, 1.0), (2, 0.0), (3, 5e-4)])
     def test_gsf_breaking_the_covariance_rule_exits_3(self, tmp_path, column, value):

@@ -20,7 +20,7 @@ OPTS = PipelineOptions(fit=CFG, refine_iterations=12)
 def fitted():
     rng = np.random.default_rng(21)
     target = FrameBuffer(rng.uniform(0.1, 0.9, (6, 8, 3)))
-    f, _ = fit_frame(target, Density.ONE_PER_PIXEL, CFG)
+    f = fit_frame(target, Density.ONE_PER_PIXEL, CFG)
     return f, target, cpb.default_bank()
 
 
@@ -66,16 +66,14 @@ class TestDescend:
         rng = np.random.default_rng(22)
         f = random_field(rng, 7, 5)
         target = FrameBuffer(rng.uniform(0, 1, (5, 7, 3)))
-        out, trace = descend(f, target, CFG, 4, freeze_covariance=True)
+        out = descend(f, target, CFG, 4, freeze_covariance=True)
         assert np.array_equal(out.sigmas, f.sigmas)
         assert np.array_equal(out.rhos, f.rhos)
         assert not np.array_equal(out.offsets, f.offsets)
-        assert len(trace) == 4
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_no_steps_returns_the_start(self, iterations):
         rng = np.random.default_rng(23)
         f = random_field(rng, 4, 3)
         target = FrameBuffer(rng.uniform(0, 1, (3, 4, 3)))
-        out, trace = descend(f, target, CFG, iterations)
-        assert out is f and trace == []
+        assert descend(f, target, CFG, iterations) is f
