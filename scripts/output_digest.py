@@ -2,6 +2,7 @@
 """Same-outputs check: digests of every array an interpolation run produces.
 
     python3 scripts/output_digest.py --workload fit-ridge --seeds 1-10 --parent HEAD
+    python3 scripts/output_digest.py --workload all --seeds 1-10 --parent HEAD
 
 For each seed the inputs come from perfbench/workloads.py and pass through
 PPM, FLO and JSON files as perfbench/run.py passes them.  The run then
@@ -15,7 +16,9 @@ perfbench/.  Without --parent the script prints this checkout's digests,
 one combined digest per seed.  With --parent it exports REV with
 scripts/ab_bench.py's ``export`` (``git archive``) and compares both trees'
 digests in order: it exits 1 and names the first array that differs, or
-reports how many arrays are bit-equal.
+reports how many arrays are bit-equal.  ``--workload all`` checks every
+workload of BENCHMARK.json in turn against one export of REV, and exits 1
+if any of them differs.
 """
 
 from __future__ import annotations
@@ -104,9 +107,23 @@ def run_tree(tree: Path, workload: str, seeds: str) -> list[tuple[str, str]]:
     return [tuple(row) for row in json.loads(proc.stdout.strip().splitlines()[-1])]
 
 
+def compare(workload: str, seeds: str, parent, change) -> int:
+    """Report whether both trees' digests agree in order; 0 if they do."""
+    for (p_name, p_digest), (c_name, c_digest) in zip(parent, change):
+        if p_name != c_name or p_digest != c_digest:
+            where = c_name if p_name == c_name else f"{c_name} (parent: {p_name})"
+            print(f"{workload}: first difference at {where}")
+            return 1
+    if len(parent) != len(change):
+        print(f"{workload}: {len(parent)} arrays at the parent, {len(change)} here")
+        return 1
+    print(f"{workload}: all {len(change)} arrays bit-equal, seeds {seeds}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
     ap.add_argument("--seeds", default="1-10", help="N or A-B (default 1-10)")
     ap.add_argument("--parent", help="git revision to compare this checkout with")
     ap.add_argument("--tree", type=Path, help=argparse.SUPPRESS)  # worker mode
@@ -117,26 +134,27 @@ def main(argv=None) -> int:
         print(json.dumps(tree_digests(args.tree.resolve(), args.workload, seeds)))
         return 0
 
-    change = run_tree(ROOT, args.workload, args.seeds)
+    names = [args.workload]
+    if args.workload == "all":
+        doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in doc["workloads"]]
     if args.parent is None:
-        for seed in seeds:
-            rows = [d for name, d in change if name.startswith(f"seed {seed} ")]
-            print(f"seed {seed}: {len(rows)} arrays, sha256 {digest(''.join(rows))}")
+        for name in names:
+            change = run_tree(ROOT, name, args.seeds)
+            for seed in seeds:
+                rows = [d for n, d in change if n.startswith(f"seed {seed} ")]
+                print(f"{name} seed {seed}: {len(rows)} arrays, "
+                      f"sha256 {digest(''.join(rows))}")
         return 0
+    print(f"comparing with {args.parent}")
+    failed = 0
     with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
         export(args.parent, Path(tmp))
-        parent = run_tree(Path(tmp), args.workload, args.seeds)
-    for (p_name, p_digest), (c_name, c_digest) in zip(parent, change):
-        if p_name != c_name or p_digest != c_digest:
-            where = c_name if p_name == c_name else f"{c_name} (parent: {p_name})"
-            print(f"{args.workload}: first difference at {where}")
-            return 1
-    if len(parent) != len(change):
-        print(f"{args.workload}: {len(parent)} arrays at the parent, {len(change)} here")
-        return 1
-    print(f"{args.workload}: all {len(change)} arrays bit-equal to {args.parent}, "
-          f"seeds {args.seeds}")
-    return 0
+        for name in names:
+            parent = run_tree(Path(tmp), name, args.seeds)
+            change = run_tree(ROOT, name, args.seeds)
+            failed |= compare(name, args.seeds, parent, change)
+    return failed
 
 
 if __name__ == "__main__":

@@ -175,14 +175,20 @@ def _grid_flow(flow: FlowField, density: Density, grid_units: bool) -> FlowField
 
 
 def _snap_and_refine(
-    f: GaussianField, target: FrameBuffer, bank: CpbBank, opts: PipelineOptions
-) -> GaussianField:
-    """Project covariances onto the bank, then re-fit colors/offsets only."""
-    grid = CovGrid(_cell_maps(f)[..., 0:3])
-    snapped = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
-    f = replace(f, sigmas=snapped[:, 0:2], rhos=snapped[:, 2])
+    fields: list[GaussianField],
+    targets: list[FrameBuffer],
+    bank: CpbBank,
+    opts: PipelineOptions,
+) -> list[GaussianField]:
+    """Project each field's covariances onto the bank, then re-fit
+    colors/offsets only, every field in one descent."""
+    snapped = []
+    for f in fields:
+        grid = CovGrid(_cell_maps(f)[..., 0:3])
+        params = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
+        snapped.append(replace(f, sigmas=params[:, 0:2], rhos=params[:, 2]))
     iters = opts.refine_iterations
-    return fit_mod.descend(f, target, opts.fit, iters, freeze_covariance=True)
+    return fit_mod.descend(snapped, targets, opts.fit, iters, freeze_covariance=True)
 
 
 def build_shared_context(
@@ -202,10 +208,9 @@ def build_shared_context(
     bank = opts.bank or cpb_mod.default_bank()
     fuser = opts.fuser or cpb_mod.baseline_fuser(bank)
 
-    f0 = fit_mod.fit_frame(frame0, opts.density, opts.fit)
-    f1 = fit_mod.fit_frame(frame1, opts.density, opts.fit)
-    f0 = _snap_and_refine(f0, frame0, bank, opts)
-    f1 = _snap_and_refine(f1, frame1, bank, opts)
+    frames = [frame0, frame1]
+    fitted = fit_mod.fit_frames(frames, opts.density, opts.fit)
+    f0, f1 = _snap_and_refine(fitted, frames, bank, opts)
     # Frame-1 parameters pulled back to frame-0 anchors so fusion compares
     # parameters of the same content, not the same grid position.  The warp
     # is per channel, so one warp of all eight serves both maps.

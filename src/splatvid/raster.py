@@ -13,15 +13,18 @@ Two paths with identical contracts:
     (fit._step, fit._field_gradient).  render_tiled is kept as a name for
     render_windows.
 
-The core (_Weights) lays a field's windows out once: it buckets kernels by
-window size and splits each bucket into chunks of at most CHUNK window
-pixels, whose weights _chunk_weights evaluates into buffers allocated once
-and reused for every chunk.  A fit step whose windows hold at most
-STORE_CAP pixels (16 MiB of weights and indices) evaluates each chunk once:
-its render keeps every chunk's weights for its gradient.  A larger step
-keeps none and evaluates every chunk again.  So memory stays bounded at any
-scale and sigma: buffers of one chunk's size, or at most STORE_CAP kept
-pixels in a fit step.
+The core (_Weights) lays the windows of a batch of same-size fields out
+once, each kernel's window clipped to its own field's frame and indexed
+into that field's plane of one (B, H, W) image; a render is the one-field
+batch, and a fit step lays out every field it descends.  The core buckets
+kernels by window size and splits each bucket into chunks of at most
+CHUNK window pixels, whose weights _chunk_weights evaluates into buffers
+allocated once and reused for every chunk.  A fit step whose windows hold
+at most B * STORE_CAP pixels (16 MiB of weights and indices per field)
+evaluates each chunk once: its render keeps every chunk's weights for its
+gradient.  A larger step keeps none and evaluates every chunk again.  So
+memory stays bounded at any scale and sigma: buffers of one chunk's size,
+or at most B * STORE_CAP kept pixels in a fit step over B fields.
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
 scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
@@ -35,6 +38,7 @@ non-finite check raises FloatingPointError naming ``rasterize``.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +48,16 @@ from splatvid.core import (
     FrameBuffer,
     Gaussian2D,
     GaussianField,
+    ShapeError,
     ValidationError,
 )
 
 # Window pixels evaluated per chunk; a single larger window is its own chunk.
 CHUNK = 1 << 17
-# Most window pixels whose weights a fit step keeps from its render for its
-# gradient (see _Weights): a float64 weight and an int64 pixel index each,
-# so at most 16 MiB.  A step with more windowed pixels keeps none.
+# Most window pixels per field whose weights a fit step keeps from its
+# render for its gradient (see _Weights): a float64 weight and an int64
+# pixel index each, so at most 16 MiB per field.  A step over B fields with
+# more than B * STORE_CAP windowed pixels keeps none.
 STORE_CAP = 1 << 20
 
 
@@ -114,16 +120,32 @@ def eval_gaussian(
     return np.asarray(g.color, dtype=np.float64) * (amp[0] * np.exp(-0.5 * q))
 
 
-def _prepare(f: GaussianField, cfg: RenderConfig):
-    mu = f.mu() * cfg.scale  # kernel centers in output pixel coordinates
-    ixx, ixy, iyy, amp = _kernel_terms(f.sigmas, f.rhos, cfg.scale, cfg.normalization)
-    out_w, out_h = output_shape(f.lr_width, f.lr_height, cfg.scale)
-    return mu, ixx, ixy, iyy, amp, out_w, out_h
+def lr_size(fields: Sequence[GaussianField]) -> tuple[int, int]:
+    """The one (lr_width, lr_height) of a batch of fields; ShapeError if
+    the batch is empty or its fields differ in size."""
+    sizes = {(f.lr_width, f.lr_height) for f in fields}
+    if len(sizes) != 1:
+        raise ShapeError(f"a batch of fields must share one LR size: {sorted(sizes)}")
+    return sizes.pop()
+
+
+def _prepare(fields: Sequence[GaussianField], cfg: RenderConfig):
+    """The kernels of a batch of same-size fields at cfg's scale, stacked in
+    field order: (mu, sigmas, rhos, ixx, ixy, iyy, amp, out_w, out_h), with
+    mu the kernel centres in output pixel coordinates, the _kernel_terms of
+    the stacked sigmas and rhos, and the render's output_shape."""
+    lr_w, lr_h = lr_size(fields)
+    sigmas = np.concatenate([f.sigmas for f in fields])
+    rhos = np.concatenate([f.rhos for f in fields])
+    mu = np.concatenate([f.mu() for f in fields]) * cfg.scale
+    ixx, ixy, iyy, amp = _kernel_terms(sigmas, rhos, cfg.scale, cfg.normalization)
+    out_w, out_h = output_shape(lr_w, lr_h, cfg.scale)
+    return mu, sigmas, rhos, ixx, ixy, iyy, amp, out_w, out_h
 
 
 def render_dense(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Sum every kernel at every output pixel center; no truncation."""
-    mu, ixx, ixy, iyy, amp, out_w, out_h = _prepare(f, cfg)
+    mu, _, _, ixx, ixy, iyy, amp, out_w, out_h = _prepare([f], cfg)
     xs = np.arange(out_w) + 0.5
     ys = np.arange(out_h) + 0.5
     px, py = np.meshgrid(xs, ys)  # (H, W)
@@ -159,7 +181,7 @@ def _finish(img: np.ndarray, f: GaussianField, cfg: RenderConfig) -> FrameBuffer
         ) from None
 
 
-def _windows(mu, half_x, half_y, out_w, out_h):
+def _windows(mu, half_x, half_y, out_w, out_h, plane):
     """Chunks of same-size pixel windows, and the buffer size they need.
 
     half is the half-extent of a kernel's truncation box, so a pixel p can
@@ -171,9 +193,13 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     the in-image part of the truncation box, even for kernels centred outside
     the frame.  Kernels are bucketed by window size and each bucket is split
     into chunks of at most CHUNK window pixels; a single larger window forms
-    its own chunk.  Returns ([(gi, px, py), ...], size): px (G, Wx) and
-    py (G, Wy) are the pixel columns and rows of each kernel's window, and
-    size is the largest chunk's pixel count.
+    its own chunk.  plane is each kernel's offset into a batch image of
+    out_h x out_w planes (0 for a lone field).  Returns
+    ([(gi, px, py, corner, offs), ...], size): px (G, Wx) and py (G, Wy)
+    are the pixel columns and rows of each kernel's window, corner (G,) the
+    flat index py[:, 0] * out_w + px[:, 0] + plane of its first pixel, offs
+    (Wy, Wx) every window pixel's flat index less its corner's, and size is
+    the largest chunk's pixel count.
     """
     wx_all = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
     wy_all = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
@@ -181,6 +207,7 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     sy_all = np.floor(mu[:, 1] - half_y - 0.5).astype(np.int64)
     sx_all = np.clip(sx_all, 0, out_w - wx_all)
     sy_all = np.clip(sy_all, 0, out_h - wy_all)
+    corner_all = sy_all * out_w + sx_all + plane
     keys = wx_all * (out_h + 1) + wy_all
     # One stable sort groups the kernels by window size, ascending, each
     # bucket in kernel order.
@@ -191,29 +218,38 @@ def _windows(mu, half_x, half_y, out_w, out_h):
     for b0, b1 in zip(starts, np.append(starts[1:], keys.size)):
         bucket = order[b0:b1]
         wx, wy = int(wx_all[bucket[0]]), int(wy_all[bucket[0]])
+        xs, ys = np.arange(wx), np.arange(wy)
+        offs = ys[:, None] * out_w + xs
         step = max(1, CHUNK // (wx * wy))
         for lo in range(0, bucket.size, step):
             gi = bucket[lo : lo + step]
-            px = sx_all[gi, None] + np.arange(wx)
-            py = sy_all[gi, None] + np.arange(wy)
-            chunks.append((gi, px, py))
+            px = sx_all[gi, None] + xs
+            py = sy_all[gi, None] + ys
+            chunks.append((gi, px, py, corner_all[gi], offs))
             size = max(size, gi.size * wx * wy)
     return chunks, size
 
 
 class _Weights:
-    """A field's truncated window weights at one render config, by chunk.
+    """A batch of same-size fields' truncated window weights, by chunk.
 
-    Construction is the layout: _prepare and _windows, computed once.  Each
-    iteration then yields (gi, dx, dy, w, flat, scratch) per chunk of
-    _windows, every chunk's weights coming from _chunk_weights: dx (G, Wx)
-    and dy (G, Wy) are the pixel-centre offsets from each kernel centre,
-    w (G, Wy, Wx) the weights and flat (G, Wy, Wx) each weight's row-major
-    pixel index.  scratch holds n_scratch float arrays shaped like w for the
-    caller.  w, flat and scratch are views of buffers allocated once and
-    overwritten by the next chunk, unless kept (below).
+    Construction is the layout: _prepare and _windows, computed once over
+    the kernels of every field, stacked in field order, along with their
+    offsets and colors.  Field b's image is the b-th H x W plane of one
+    (B, H, W) image: each kernel's window is clipped to its own frame, and
+    its flat pixel indices carry its field's offset b * H * W.  A one-field
+    batch is a field's own render.
 
-    With keep, and when all windows hold at most STORE_CAP pixels, the
+    Each iteration then yields (gi, dx, dy, w, flat, scratch) per chunk of
+    _windows, every chunk's weights coming from _chunk_weights: gi indexes
+    the stacked kernels, dx (G, Wx) and dy (G, Wy) are the pixel-centre
+    offsets from each kernel centre, w (G, Wy, Wx) the weights and flat
+    (G, Wy, Wx) each weight's row-major index into the batch image.
+    scratch holds n_scratch float arrays shaped like w for the caller.
+    w, flat and scratch are views of buffers allocated once and overwritten
+    by the next chunk, unless kept (below).
+
+    With keep, and when all windows hold at most B * STORE_CAP pixels, the
     first iteration writes every chunk's weights to buffers of their own and
     a later iteration yields them again instead of evaluating them: a fit
     step renders and then takes its gradient from one evaluation.  Above
@@ -221,18 +257,28 @@ class _Weights:
     """
 
     def __init__(
-        self, f: GaussianField, cfg: RenderConfig, n_scratch: int = 0, keep: bool = False
+        self,
+        fields: Sequence[GaussianField],
+        cfg: RenderConfig,
+        n_scratch: int = 0,
+        keep: bool = False,
     ):
-        self.mu, self.ixx, self.ixy, self.iyy, self.amp, self.out_w, self.out_h = (
-            _prepare(f, cfg)
+        (self.mu, self.sigmas, self.rhos, self.ixx, self.ixy, self.iyy, self.amp,
+         self.out_w, self.out_h) = _prepare(fields, cfg)
+        self.offsets = np.concatenate([f.offsets for f in fields])
+        self.colors = np.concatenate([f.colors for f in fields])
+        self.n_fields = len(fields)
+        plane = np.repeat(
+            np.arange(self.n_fields, dtype=np.int64) * (self.out_w * self.out_h),
+            [f.n_gaussians for f in fields],
         )
         self.radius = cfg.truncation_radius
-        half = self.radius * cfg.scale * f.sigmas
+        half = self.radius * cfg.scale * self.sigmas
         self.chunks, size = _windows(
-            self.mu, half[:, 0], half[:, 1], self.out_w, self.out_h
+            self.mu, half[:, 0], half[:, 1], self.out_w, self.out_h, plane
         )
-        px = sum(g.size * x.shape[1] * y.shape[1] for g, x, y in self.chunks)
-        self.keep = keep and px <= STORE_CAP
+        px = sum(g.size * offs.size for g, _, _, _, offs in self.chunks)
+        self.keep = keep and px <= self.n_fields * STORE_CAP
         self.stored_px = px if self.keep else 0
         self._kept: list[tuple] = []
         self._e_buf = np.empty(max(self.stored_px, size))
@@ -264,7 +310,7 @@ def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
     yields them; w is written into the head of e_buf, flat into the head of
     flat_buf, and mask_buf is overwritten.
     """
-    gi, px, py = chunk
+    gi, px, py, corner, offs = chunk
     shape = (gi.size, py.shape[1], px.shape[1])
     n = shape[0] * shape[1] * shape[2]
     dx = (px + 0.5) - lay.mu[gi, 0][:, None]
@@ -280,28 +326,30 @@ def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
     e *= mask
     e *= lay.amp[gi, None, None]
     flat = flat_buf[:n].reshape(shape)
-    np.add((py * lay.out_w)[:, :, None], px[:, None, :], out=flat)
+    np.add(corner[:, None, None], offs, out=flat)
     return dx, dy, e, flat
 
 
-def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
-    """Unclamped (H, W, 3) sum of every chunk's weights times its colours.
+def _render(weights: _Weights) -> np.ndarray:
+    """Unclamped (B, H, W, 3) sum of every chunk's weights times its colours.
 
     One pass over weights, which needs at least one scratch array.
     """
-    img = np.zeros((3, weights.out_h * weights.out_w), dtype=np.float64)
+    colors = weights.colors
+    shape = (weights.n_fields, weights.out_h, weights.out_w)
+    img = np.zeros((3, shape[0] * shape[1] * shape[2]), dtype=np.float64)
     for gi, _, _, w, flat, (cw, *_) in weights:
         idx = flat.ravel()
         for c in range(3):
             np.multiply(w, colors[gi, c, None, None], out=cw)
             np.add.at(img[c], idx, cw.ravel())
-    img = img.reshape(3, weights.out_h, weights.out_w).transpose(1, 2, 0)
+    img = img.reshape(3, *shape).transpose(1, 2, 3, 0)
     return np.ascontiguousarray(img)
 
 
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
-    return _finish(_render(_Weights(f, cfg, n_scratch=1), f.colors), f, cfg)
+    return _finish(_render(_Weights([f], cfg, n_scratch=1))[0], f, cfg)
 
 
 def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splatvid import fit as fit_mod
 from splatvid import raster, synth
 from splatvid.core import (
     Density,
     FrameBuffer,
+    RHO_MAX,
     SIGMA_MIN,
     ShapeError,
     ValidationError,
@@ -26,13 +28,14 @@ from splatvid.fit import (
     _step,
     descend,
     fit_frame,
+    fit_frames,
     gradients,
     init_field,
     loss,
 )
 from splatvid.metrics import LUMA_WEIGHTS, psnr_y
 from splatvid.raster import Normalization, _Weights, render_windows
-from conftest import random_field
+from conftest import fields_equal, random_field
 
 
 class TestFitConfig:
@@ -315,8 +318,8 @@ class TestStep:
 
     @staticmethod
     def chunk_px(f, cfg):
-        chunks = _Weights(f, cfg.render_config()).chunks
-        return np.cumsum([gi.size * x.shape[1] * y.shape[1] for gi, x, y in chunks])
+        chunks = _Weights([f], cfg.render_config()).chunks
+        return np.cumsum([gi.size * x.shape[1] * y.shape[1] for gi, x, y, *_ in chunks])
 
     @pytest.mark.parametrize("chunk", [raster.CHUNK, 40])
     @pytest.mark.parametrize("cap", ["all", "none", "middle"])
@@ -333,12 +336,12 @@ class TestStep:
             monkeypatch.setattr(raster, "STORE_CAP", 0)
         elif cap == "middle":  # below the total, so nothing is kept
             monkeypatch.setattr(raster, "STORE_CAP", int(px[px.size // 2 - 1]))
-        kept = _Weights(f, cfg.render_config(), keep=True).keep
+        kept = _Weights([f], cfg.render_config(), keep=True).keep
         assert kept == (cap == "all")
         assert px.size >= 4
-        rendered, grad = _step(f, target, cfg)
+        rendered, grad = _step([f], target[None], cfg)
         ref = render_windows(f, cfg.render_config()).pixels
-        assert np.array_equal(rendered, ref)
+        assert np.array_equal(rendered[0], ref)
         ref_grad = _field_gradient(f, _pixel_weight_l1(ref, target), cfg)
         assert np.array_equal(grad, ref_grad)
 
@@ -347,7 +350,7 @@ class TestStep:
         px = self.chunk_px(f, self.CFG)
         for cap in (0, int(px[0]), int(px[-1]) - 1, int(px[-1]), int(px[-1]) + 1):
             monkeypatch.setattr(raster, "STORE_CAP", cap)
-            w = _Weights(f, self.CFG.render_config(), keep=True)
+            w = _Weights([f], self.CFG.render_config(), keep=True)
             assert w.keep == (cap >= px[-1])
             assert w.stored_px == (int(px[-1]) if w.keep else 0)
             list(w)
@@ -372,7 +375,7 @@ class TestStep:
 
         monkeypatch.setattr(raster, "_chunk_weights", counting)
         k = 3
-        descend(f, FrameBuffer(target), self.CFG, k, freeze_covariance)
+        descend([f], [FrameBuffer(target)], self.CFG, k, freeze_covariance)
         layouts = list(evaluations.values())
         # One layout per step and no other render, each chunk evaluated
         # once, or twice above the cap.
@@ -382,6 +385,140 @@ class TestStep:
             assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
             assert lay.keep == (not above_cap)
             assert len(chunks) == (2 if above_cap else 1) * len(lay.chunks)
+
+
+class TestBatch:
+    """A batch of same-size fields descends as each field would alone."""
+
+    CFG = FitConfig(iterations=3, truncation_radius=3.0)
+
+    @staticmethod
+    def targets(seed=40, shape=(7, 9)):
+        rng = np.random.default_rng(seed)
+        return [FrameBuffer(rng.uniform(0, 1, shape + (3,))) for _ in range(2)]
+
+    @staticmethod
+    def edge_fields(density, shape=(7, 9)):
+        """Two fields whose first and last kernel columns and rows sit on
+        the frame's edges, so their windows are clipped to the frame."""
+        rng = np.random.default_rng(41)
+        fields = []
+        for _ in range(2):
+            f = random_field(rng, shape[1], shape[0], density, sigma_range=(0.5, 2.5))
+            gw, gh = f.grid_shape
+            offsets = f.offsets.copy().reshape(gh, gw, 2)
+            offsets[:, 0, 0], offsets[:, -1, 0] = 0.0, 1.0
+            offsets[0, :, 1], offsets[-1, :, 1] = 0.0, 1.0
+            fields.append(dataclasses.replace(f, offsets=offsets.reshape(-1, 2)))
+        return fields
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("density", list(Density))
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_fit_frames_equals_fitting_each_frame(
+        self, monkeypatch, keep, density, normalization
+    ):
+        cfg = dataclasses.replace(self.CFG, normalization=normalization)
+        targets = self.targets()
+        if not keep:
+            monkeypatch.setattr(raster, "STORE_CAP", 0)
+        batch = fit_frames(targets, density, cfg)
+        assert _Weights(batch, cfg.render_config(), keep=True).keep == keep
+        alone = [fit_frame(t, density, cfg) for t in targets]
+        assert len(batch) == 2
+        assert all(fields_equal(b, a) for b, a in zip(batch, alone))
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("density", list(Density))
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_frozen_descend_equals_descending_each_field(
+        self, monkeypatch, keep, density, normalization
+    ):
+        cfg = dataclasses.replace(self.CFG, normalization=normalization)
+        fields, targets = self.edge_fields(density), self.targets()
+        px = sum(
+            gi.size * x.shape[1] * y.shape[1]
+            for gi, x, y, *_ in _Weights(fields, cfg.render_config()).chunks
+        )
+        # Kept: each field alone fits under the cap and the pair under twice
+        # it.  Not kept: neither does.
+        monkeypatch.setattr(raster, "STORE_CAP", px if keep else px // 4)
+        assert _Weights(fields, cfg.render_config(), keep=True).keep == keep
+        batch = descend(fields, targets, cfg, 4, freeze_covariance=True)
+        for b, f, t in zip(batch, fields, targets):
+            (a,) = descend([f], [t], cfg, 4, freeze_covariance=True)
+            assert fields_equal(b, a)
+            assert b.sigmas is f.sigmas and b.rhos is f.rhos
+
+    @pytest.mark.parametrize("density", list(Density))
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_step_rows_equal_each_fields_gradient(self, density, normalization):
+        cfg = dataclasses.replace(self.CFG, normalization=normalization)
+        fields, targets = self.edge_fields(density), self.targets()
+        pixels = np.stack([t.pixels for t in targets])
+        rendered, grad = _step(fields, pixels, cfg)
+        assert rendered.shape == (2, 7, 9, 3)
+        at = 0
+        for f, t, r in zip(fields, pixels, rendered):
+            ref = render_windows(f, cfg.render_config()).pixels
+            assert np.array_equal(r, ref)
+            rows = grad[at : at + f.n_gaussians]
+            at += f.n_gaussians
+            ref_grad = _field_gradient(f, _pixel_weight_l1(ref, t), cfg)
+            assert np.array_equal(rows, ref_grad)
+        assert at == grad.shape[0]
+
+    def test_windows_stay_in_their_own_frame(self):
+        fields = self.edge_fields(Density.ONE_PER_PIXEL)
+        w = _Weights(fields, self.CFG.render_config())
+        plane = w.out_w * w.out_h
+        n0 = fields[0].n_gaussians
+        for gi, _, _, _, flat, _ in w:
+            field_of = (gi >= n0)[:, None, None]
+            assert np.array_equal(flat // plane, np.broadcast_to(field_of, flat.shape))
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_keeps_when_the_batch_holds_at_most_b_caps(self, monkeypatch, b):
+        rng = np.random.default_rng(42)
+        fields = [random_field(rng, 9, 7) for _ in range(b)]
+        rc = self.CFG.render_config()
+        chunks = _Weights(fields, rc).chunks
+        px = sum(gi.size * x.shape[1] * y.shape[1] for gi, x, y, *_ in chunks)
+        per_field = -(-px // b)  # the smallest cap with px <= b * cap
+        for cap in (0, px // (2 * b), per_field - 1, per_field, px):
+            monkeypatch.setattr(raster, "STORE_CAP", cap)
+            w = _Weights(fields, rc, keep=True)
+            assert w.keep == (px <= b * cap)
+            assert w.stored_px <= b * cap
+            assert w.stored_px == (px if w.keep else 0)
+
+    def test_init_gain_is_rendered_once_per_batch(self, monkeypatch):
+        calls = []
+        render = raster.render_windows
+
+        def counting(*args):
+            calls.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(fit_mod, "render_windows", counting)
+        cfg = FitConfig(iterations=0)
+        batch = fit_frames(self.targets(), Density.ONE_PER_PIXEL, cfg)
+        assert len(calls) == 1
+        for f, t in zip(batch, self.targets()):
+            ref = init_field(t, Density.ONE_PER_PIXEL, cfg.render_config())
+            assert fields_equal(f, ref)
+
+    def test_rejects_a_batch_of_mixed_sizes(self):
+        small = self.targets(shape=(6, 9))[0]
+        with pytest.raises(ShapeError, match="one LR size"):
+            fit_frames([self.targets()[0], small], Density.ONE_PER_PIXEL, self.CFG)
+        with pytest.raises(ShapeError, match="one LR size"):
+            fit_frames([], Density.ONE_PER_PIXEL, self.CFG)
+        fields = [random_field(np.random.default_rng(43), 9, h) for h in (7, 6)]
+        with pytest.raises(ShapeError, match="one LR size"):
+            descend(fields, [self.targets()[0], small], self.CFG, 1)
+        with pytest.raises(ShapeError, match="2 targets for 1 fields"):
+            descend(fields[:1], self.targets(), self.CFG, 1)
 
 
 class TestTargetShape:
@@ -400,7 +537,7 @@ class TestTargetShape:
         run = {
             "loss": lambda: loss(f, target, cfg),
             "gradients": lambda: gradients(f, target, cfg),
-            "descend": lambda: descend(f, target, cfg, 2),
+            "descend": lambda: descend([f], [target], cfg, 2),
             "_field_gradient": lambda: _field_gradient(f, target.pixels, cfg),
         }[call]
         with pytest.raises(ShapeError, match=r"\(4, 3, 3\) vs render \(3, 4, 3\)"):
@@ -415,6 +552,28 @@ class TestParamVector:
         assert np.allclose(back.sigmas, f.sigmas, atol=1e-9)
         assert np.allclose(back.rhos, f.rhos, atol=1e-9)
         assert np.allclose(back.colors, f.colors, atol=1e-9)
+
+    def test_round_trip_error_at_the_edges(self):
+        # Offsets and colors within 1e-6 of 0 or 1 come back 1e-6 (plus one
+        # rounding) from them; sigmas down to SIGMA_MIN and rhos up to
+        # +-RHO_MAX come back within 1e-12.
+        f = random_field(np.random.default_rng(11), 6, 5)
+        n = f.n_gaussians
+        unit = np.array([0.0, 1.0, 1e-7, 1 - 1e-7, 1e-6, 1 - 1e-6, 0.5, 1e-300])
+        sigmas = SIGMA_MIN + np.array([0.0, 1e-16, 1e-10, 1e-5, 0.3, 3.0, 40.0])
+        rhos = RHO_MAX * np.array([1.0, -1.0, 0.0, 0.5, -0.99, 1 - 1e-13])
+        edge = dataclasses.replace(
+            f,
+            offsets=np.resize(unit, (n, 2)),
+            colors=np.resize(unit[::-1], (n, 3)),
+            sigmas=np.resize(sigmas, (n, 2)),
+            rhos=np.resize(rhos, n),
+        )
+        back = ParamVector.from_field(edge).to_field(edge)
+        bounds = {"offsets": 1e-6, "colors": 1e-6, "sigmas": 1e-12, "rhos": 1e-12}
+        for name, bound in bounds.items():
+            err = np.abs(getattr(back, name) - getattr(edge, name)).max()
+            assert err <= bound * (1 + 1e-9), name
 
     def test_reparameterization_soundness_bulk(self):
         rng = np.random.default_rng(8)

@@ -486,7 +486,7 @@ class TestCli:
         weights = tmp_path / "fuser.json"
         fileio.save_fuser(weights, cpb.baseline_fuser(cpb.build_bank([0.5, 1.0], [0.0])))
         fits = []
-        monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
         code = cli.main(args + ["--timestamps", "0.5", "--weights", str(weights)])
         assert code == cli.EXIT_VALIDATION
         assert fits == []

@@ -326,18 +326,21 @@ class TestWindowCore:
         s, r = 2.5, 4.0
         mu = f.mu() * s
         out_w, out_h = output_shape(12, 10, s)
+        plane = np.arange(f.n_gaussians) % 3 * (out_w * out_h)
         chunks, size = raster._windows(
-            mu, r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1], out_w, out_h
+            mu, r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1], out_w, out_h, plane
         )
-        seen = np.concatenate([gi for gi, _, _ in chunks])
+        seen = np.concatenate([chunk[0] for chunk in chunks])
         assert np.array_equal(np.sort(seen), np.arange(f.n_gaussians))
         biggest_window = 0
-        for gi, px, py in chunks:
+        for gi, px, py, corner, offs in chunks:
             window = px.shape[1] * py.shape[1]
             biggest_window = max(biggest_window, window)
             assert gi.size * window <= max(chunk, window)
             assert px.min() >= 0 and px.max() < out_w
             assert py.min() >= 0 and py.max() < out_h
+            flat = py[:, :, None] * out_w + px[:, None, :] + plane[gi, None, None]
+            assert np.array_equal(corner[:, None, None] + offs, flat)
         assert size <= max(chunk, biggest_window)
 
     @pytest.mark.parametrize("chunk", [300, raster.CHUNK])
@@ -350,7 +353,7 @@ class TestWindowCore:
         mu = f.mu() * s
         half_x, half_y = r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1]
         out_w, out_h = output_shape(30, 20, s)
-        chunks, size = raster._windows(mu, half_x, half_y, out_w, out_h)
+        chunks, size = raster._windows(mu, half_x, half_y, out_w, out_h, 0)
         wx = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
         wy = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
         keys = wx * (out_h + 1) + wy
@@ -361,17 +364,17 @@ class TestWindowCore:
             step = max(1, chunk // (wx[bucket[0]] * wy[bucket[0]]))
             ref += [bucket[lo : lo + step] for lo in range(0, bucket.size, step)]
         assert len(chunks) == len(ref)
-        for (gi, px, py), want in zip(chunks, ref):
+        for (gi, px, py, *_), want in zip(chunks, ref):
             assert np.array_equal(gi, want)
             assert px.shape == (gi.size, wx[gi[0]]) and py.shape == (gi.size, wy[gi[0]])
-        assert size == max(gi.size * px.shape[1] * py.shape[1] for gi, px, py in chunks)
+        assert size == max(g.size * x.shape[1] * y.shape[1] for g, x, y, *_ in chunks)
 
     @staticmethod
     def core_pairs(f, cfg):
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
         npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
         keys = []
-        for gi, _, _, w, flat, _ in raster._Weights(f, cfg):
+        for gi, _, _, w, flat, _ in raster._Weights([f], cfg):
             g, y, x = np.nonzero(w)
             keys.append(gi[g] * npix + flat[g, y, x])
         return np.sort(np.concatenate(keys))
@@ -384,7 +387,7 @@ class TestWindowCore:
         q is formed with the core's arithmetic, term for term, so that both
         sides round alike at the q = r^2 boundary.
         """
-        mu, ixx, ixy, iyy, _, out_w, out_h = raster._prepare(f, cfg)
+        mu, _, _, ixx, ixy, iyy, _, out_w, out_h = raster._prepare([f], cfg)
         r = cfg.truncation_radius
         keys = []
         for g0 in range(0, f.n_gaussians, 32):
@@ -474,9 +477,9 @@ class TestWindowCore:
         half = radius * scale * f.sigmas
         out_w, out_h = output_shape(9, 7, scale)
         chunks, _ = raster._windows(
-            f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h
+            f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h, 0
         )
-        for gi, px, py in chunks:
+        for gi, px, py, *_ in chunks:
             tight = np.floor(2.0 * half[gi]).astype(np.int64) + 2
             assert np.all(px.shape[1] <= np.minimum(tight[:, 0], out_w))
             assert np.all(py.shape[1] <= np.minimum(tight[:, 1], out_h))

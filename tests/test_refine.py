@@ -27,7 +27,7 @@ def fitted():
 def refine(fitted, iterations):
     f, target, bank = fitted
     opts = dataclasses.replace(OPTS, refine_iterations=iterations)
-    return pipeline._snap_and_refine(f, target, bank, opts)
+    return pipeline._snap_and_refine([f], [target], bank, opts)[0]
 
 
 def cov_rows(f):
@@ -66,7 +66,7 @@ class TestDescend:
         rng = np.random.default_rng(22)
         f = random_field(rng, 7, 5)
         target = FrameBuffer(rng.uniform(0, 1, (5, 7, 3)))
-        out = descend(f, target, CFG, 4, freeze_covariance=True)
+        (out,) = descend([f], [target], CFG, 4, freeze_covariance=True)
         assert np.array_equal(out.sigmas, f.sigmas)
         assert np.array_equal(out.rhos, f.rhos)
         assert not np.array_equal(out.offsets, f.offsets)
@@ -74,6 +74,7 @@ class TestDescend:
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_no_steps_returns_the_start(self, iterations):
         rng = np.random.default_rng(23)
-        f = random_field(rng, 4, 3)
-        target = FrameBuffer(rng.uniform(0, 1, (3, 4, 3)))
-        assert descend(f, target, CFG, iterations) is f
+        fields = [random_field(rng, 4, 3) for _ in range(2)]
+        targets = [FrameBuffer(rng.uniform(0, 1, (3, 4, 3))) for _ in range(2)]
+        out = descend(fields, targets, CFG, iterations)
+        assert len(out) == 2 and all(o is f for o, f in zip(out, fields))
