@@ -15,10 +15,13 @@ splatvid imported from its own src/ and the workloads from its own
 perfbench/.  Without --parent the script prints this checkout's digests,
 one combined digest per seed.  With --parent it exports REV with
 scripts/ab_bench.py's ``export`` (``git archive``) and compares both trees'
-digests in order: it exits 1 and names the first array that differs, or
-reports how many arrays are bit-equal.  ``--workload all`` checks every
-workload of BENCHMARK.json in turn against one export of REV, and exits 1
-if any of them differs.
+digests in order: it exits 1, names the first array that differs and
+prints the largest absolute difference over the endpoint fields, the
+derived fields and the frames, or it reports how many arrays are
+bit-equal.  For that report each run also writes its arrays to a
+temporary .npz file, which the comparing process reads and deletes.
+``--workload all`` checks every workload of BENCHMARK.json in turn against
+one export of REV, and exits 1 if any of them differs.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,13 @@ from pathlib import Path
 from ab_bench import ROOT, export  # scripts/ab_bench.py
 
 FIELD_ARRAYS = ("offsets", "sigmas", "rhos", "colors")
+# The kinds of array whose largest difference a comparison reports, each
+# named by what its array names contain.
+KINDS = {
+    "endpoint fields": (" field0.", " field1."),
+    "derived fields": (" derive.",),
+    "frames": (" frame",),
+}
 
 
 def seed_range(arg: str) -> list[int]:
@@ -55,15 +66,21 @@ def digest(data) -> str:
     return h.hexdigest()
 
 
-def field_digests(name: str, f) -> list[tuple[str, str]]:
+def field_digests(name: str, f, arrays: dict) -> list[tuple[str, str]]:
+    """The digests of f's metadata and arrays; the arrays go into arrays."""
     meta = repr((f.lr_width, f.lr_height, f.density.value, f.timestamp, f.max_offset))
     out = [(f"{name}.meta", digest(meta))]
-    out += [(f"{name}.{a}", digest(getattr(f, a))) for a in FIELD_ARRAYS]
+    for a in FIELD_ARRAYS:
+        arrays[f"{name}.{a}"] = getattr(f, a)
+        out.append((f"{name}.{a}", digest(arrays[f"{name}.{a}"])))
     return out
 
 
-def tree_digests(tree: Path, workload: str, seeds: list[int]) -> list[tuple[str, str]]:
-    """Every (name, digest) of the runs of tree's program, in run order."""
+def tree_digests(
+    tree: Path, workload: str, seeds: list[int]
+) -> tuple[list[tuple[str, str]], dict]:
+    """Every (name, digest) of the runs of tree's program, in run order, and
+    every array among them by name."""
     sys.path[:0] = [str(tree / "perfbench")]
     import run  # tree's perfbench/run.py
 
@@ -75,7 +92,7 @@ def tree_digests(tree: Path, workload: str, seeds: list[int]) -> list[tuple[str,
     from splatvid import fileio, pipeline
 
     w = workloads.WORKLOADS[workload]
-    out = []
+    out, arrays = [], {}
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix="output_digest-") as tmp:
             paths = run.write_inputs(fileio, w.make(seed, *w.size), Path(tmp))
@@ -87,38 +104,71 @@ def tree_digests(tree: Path, workload: str, seeds: list[int]) -> list[tuple[str,
                 fuser=fileio.load_fuser(paths.fuser),
             )
         ctx = pipeline.build_shared_context(*frames, flows, opts)
-        rows = field_digests("field0", ctx.field0) + field_digests("field1", ctx.field1)
+        seed_arrays = {}
+        rows = field_digests("field0", ctx.field0, seed_arrays)
+        rows += field_digests("field1", ctx.field1, seed_arrays)
         for t in w.timestamps:
             f = pipeline.derive_field(ctx, t)
-            rows += field_digests(f"t={t:g} derive", f)
-            rows.append((f"t={t:g} frame", digest(pipeline.render_at(ctx, f, w.scale).pixels)))
+            rows += field_digests(f"t={t:g} derive", f, seed_arrays)
+            seed_arrays[f"t={t:g} frame"] = pipeline.render_at(ctx, f, w.scale).pixels
+            rows.append((f"t={t:g} frame", digest(seed_arrays[f"t={t:g} frame"])))
         rows.append(("stage_counters", digest(json.dumps(ctx.stage_counters, sort_keys=True))))
         out += [(f"seed {seed} {name}", d) for name, d in rows]
-    return out
+        arrays.update({f"seed {seed} {name}": a for name, a in seed_arrays.items()})
+    return out, arrays
 
 
-def run_tree(tree: Path, workload: str, seeds: str) -> list[tuple[str, str]]:
-    """tree_digests in a fresh interpreter, so each tree imports only its own code."""
+def run_tree(
+    tree: Path, workload: str, seeds: str
+) -> tuple[list[tuple[str, str]], Path]:
+    """tree_digests in a fresh interpreter, so each tree imports only its own
+    code: its digests and the temporary .npz of its arrays, which the
+    caller deletes."""
     cmd = [sys.executable, __file__, "--workload", workload, "--seeds", seeds,
            "--tree", str(tree)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"output_digest: the run in {tree} failed:\n{proc.stderr}")
-    return [tuple(row) for row in json.loads(proc.stdout.strip().splitlines()[-1])]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return [tuple(row) for row in out["digests"]], Path(out["arrays"])
+
+
+def largest_differences(parent_npz: Path, change_npz: Path) -> dict[str, float]:
+    """Per kind of array, the largest absolute difference between the two
+    runs' arrays of the same name (inf where the shapes differ)."""
+    import numpy as np
+
+    worst = dict.fromkeys(KINDS, 0.0)
+    with np.load(parent_npz) as par, np.load(change_npz) as chg:
+        for name in set(par.files) & set(chg.files):
+            kind = next(k for k, marks in KINDS.items() if any(m in name for m in marks))
+            a, b = par[name], chg[name]
+            if a.shape != b.shape:
+                worst[kind] = np.inf
+                continue
+            worst[kind] = max(worst[kind], float(np.abs(a - b).max(initial=0.0)))
+    return worst
 
 
 def compare(workload: str, seeds: str, parent, change) -> int:
-    """Report whether both trees' digests agree in order; 0 if they do."""
-    for (p_name, p_digest), (c_name, c_digest) in zip(parent, change):
+    """Report whether both trees' digests agree in order; 0 if they do.
+
+    parent and change are run_tree's (digests, npz) of each tree."""
+    (par, par_npz), (chg, chg_npz) = parent, change
+    for (p_name, p_digest), (c_name, c_digest) in zip(par, chg):
         if p_name != c_name or p_digest != c_digest:
             where = c_name if p_name == c_name else f"{c_name} (parent: {p_name})"
             print(f"{workload}: first difference at {where}")
-            return 1
-    if len(parent) != len(change):
-        print(f"{workload}: {len(parent)} arrays at the parent, {len(change)} here")
-        return 1
-    print(f"{workload}: all {len(change)} arrays bit-equal, seeds {seeds}")
-    return 0
+            break
+    else:
+        if len(par) == len(chg):
+            print(f"{workload}: all {len(chg)} arrays bit-equal, seeds {seeds}")
+            return 0
+        print(f"{workload}: {len(par)} arrays at the parent, {len(chg)} here")
+    worst = largest_differences(par_npz, chg_npz)
+    print(f"{workload}: largest absolute difference, seeds {seeds}: "
+          + ", ".join(f"{kind} {diff:.3g}" for kind, diff in worst.items()))
+    return 1
 
 
 def main(argv=None) -> int:
@@ -131,7 +181,13 @@ def main(argv=None) -> int:
     seeds = seed_range(args.seeds)
 
     if args.tree is not None:
-        print(json.dumps(tree_digests(args.tree.resolve(), args.workload, seeds)))
+        rows, arrays = tree_digests(args.tree.resolve(), args.workload, seeds)
+        import numpy as np
+
+        fd, npz = tempfile.mkstemp(prefix="output_digest-", suffix=".npz")
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        print(json.dumps({"digests": rows, "arrays": npz}))
         return 0
 
     names = [args.workload]
@@ -140,7 +196,8 @@ def main(argv=None) -> int:
         names = [w["name"] for w in doc["workloads"]]
     if args.parent is None:
         for name in names:
-            change = run_tree(ROOT, name, args.seeds)
+            change, npz = run_tree(ROOT, name, args.seeds)
+            npz.unlink()
             for seed in seeds:
                 rows = [d for n, d in change if n.startswith(f"seed {seed} ")]
                 print(f"{name} seed {seed}: {len(rows)} arrays, "
@@ -153,7 +210,11 @@ def main(argv=None) -> int:
         for name in names:
             parent = run_tree(Path(tmp), name, args.seeds)
             change = run_tree(ROOT, name, args.seeds)
-            failed |= compare(name, args.seeds, parent, change)
+            try:
+                failed |= compare(name, args.seeds, parent, change)
+            finally:
+                parent[1].unlink()
+                change[1].unlink()
     return failed
 
 

@@ -34,8 +34,7 @@ validated against central finite differences.
 Fitting renders at scale 1, so the field's LR size is the target's size at
 every density; density sets only the kernel count (one per pixel, or one per
 2x2 block).  It renders with clamping off (clamping kills gradients in
-saturated regions) and, by default, with a wide truncation radius so the
-truncated loss is smooth to within ~1e-14 of the dense one.
+saturated regions), at FitConfig's truncation radius.
 """
 
 from __future__ import annotations
@@ -145,19 +144,24 @@ class ParamVector:
         template's sigmas and rhos and maps only offsets and colors."""
         return self.to_fields([template], freeze_covariance)[0]
 
+    def constrained(self) -> tuple[np.ndarray, ...]:
+        """The stacked (offsets, sigmas, rhos, colors) these rows map to,
+        each value mapped in one call per parameter."""
+        raw = self.raw
+        offsets = 1.0 / (1.0 + np.exp(-raw[:, 0:2]))
+        sigmas = np.logaddexp(0.0, raw[:, 2:4]) + SIGMA_MIN
+        rhos = RHO_MAX * np.tanh(raw[:, 4])
+        colors = 1.0 / (1.0 + np.exp(-raw[:, 5:8]))
+        return offsets, sigmas, rhos, colors
+
     def to_fields(
         self, templates: Sequence[GaussianField], freeze_covariance: bool = False
     ) -> list[GaussianField]:
         """to_field of a batch: the rows are the templates' kernels stacked
-        in order, and every value is mapped in one call per parameter."""
-        raw = self.raw
-        if raw.shape[0] != sum(t.n_gaussians for t in templates):
-            raise ShapeError(f"{raw.shape[0]} parameter rows for the templates")
-        offsets = 1.0 / (1.0 + np.exp(-raw[:, 0:2]))
-        colors = 1.0 / (1.0 + np.exp(-raw[:, 5:8]))
-        if not freeze_covariance:
-            sigmas = np.logaddexp(0.0, raw[:, 2:4]) + SIGMA_MIN
-            rhos = RHO_MAX * np.tanh(raw[:, 4])
+        in order, mapped by constrained."""
+        if self.raw.shape[0] != sum(t.n_gaussians for t in templates):
+            raise ShapeError(f"{self.raw.shape[0]} parameter rows for the templates")
+        offsets, sigmas, rhos, colors = self.constrained()
         fields = []
         at = 0
         for t in templates:
@@ -257,18 +261,64 @@ def _field_gradient(
 
     Accumulates per kernel over its truncation window only: the windows of
     raster.render_windows, the tightest pixel boxes around each truncation
-    ellipse, masked to q <= r^2.  With the default radius of 8 that is
-    indistinguishable from a dense sum.  The weight derivatives are
-    polynomial in the pixel offsets (dx, dy), so every geometric column is a
-    closed form in six moments of tw = w * sum_c S_c c_c per kernel:
-    sum tw dy^i dx^j for i + j <= 2.
+    ellipse, masked to q <= r^2.  The weight derivatives are polynomial in
+    the pixel offsets (dx, dy), so every geometric column is a closed form
+    in six moments of tw = w * sum_c S_c c_c per kernel, sum tw dx^a dy^b
+    for a + b <= 2.  They come from the window sums of tw against the
+    centred basis [1, j, i, j^2, i*j, i^2] of raster._Weights (see
+    _window_moments).
 
     Evaluates the window weights afresh; descent takes the same gradient
     from its render's weights (_step), and this is its reference.
     """
     _check_target(f, pixel_weight, "pixel weight")
-    weights = _Weights([f], cfg.render_config(), n_scratch=2)
+    weights = _Weights([f], cfg.render_config(), n_scratch=3)
     return _window_gradient(weights, pixel_weight[None], cfg)
+
+
+def _window_moments(
+    weights: _Weights, pixel_weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every kernel's window sums that its gradient reads, in one pass.
+
+    pixel_weight is the batch's (B, H, W, 3) dL/d(rendered) S.  Returns
+    (csum, m): csum (N, 3) holds sum_p S_p,c * w_p per channel c, and m
+    (6, N) the moments sum tw dx^a dy^b of tw = w * sum_c S_c color_c for
+    (a, b) = (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), with (dx, dy)
+    a pixel centre's offset from its kernel's centre.  Needs three scratch
+    arrays.
+
+    Per chunk, the three pixel-weight planes are gathered into the (3, G, P)
+    scratch and multiplied by the layout's unit-amplitude weights, and one
+    stacked matmul with the window basis gives every kernel's 18 sums
+    against [1, j, i, j^2, i*j, i^2], which amp then scales; the basis-1
+    column is csum.  The colour-weighted sum of the channels gives the six
+    tw sums, and dx = cx + j, dy = cy + i, with (cx, cy) the window
+    centre's offset weights.centre, turn them into the dx/dy moments.
+    """
+    sums = np.empty((weights.rhos.size, 3, 6))
+    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
+    for gi, basis, w, flat, sw in weights:
+        np.take(planes, flat, axis=1, out=sw, mode="clip")
+        sw *= w
+        sums[gi] = np.matmul(sw.transpose(1, 0, 2), basis.T)
+    sums *= weights.amp[:, None, None]
+    colors = weights.colors
+    t1, tj, ti, tjj, tij, tii = (
+        sums[:, 0] * colors[:, 0, None]
+        + sums[:, 1] * colors[:, 1, None]
+        + sums[:, 2] * colors[:, 2, None]
+    ).T
+    cx, cy = weights.centre[:, 0], weights.centre[:, 1]
+    m = np.stack([
+        t1,
+        cx * t1 + tj,
+        cy * t1 + ti,
+        cx * (cx * t1 + 2.0 * tj) + tjj,
+        cx * (cy * t1 + ti) + cy * tj + tij,
+        cy * (cy * t1 + 2.0 * ti) + tii,
+    ])
+    return sums[:, :, 0], m
 
 
 def _window_gradient(
@@ -277,7 +327,8 @@ def _window_gradient(
     """_field_gradient of a batch from one pass over its window weights.
 
     pixel_weight is the batch's (B, H, W, 3) dL/d(rendered); the rows of
-    the result are the stacked kernels of weights.  Needs two scratch arrays.
+    the result are the stacked kernels of weights.  Needs three scratch
+    arrays.
     """
     offsets, colors = weights.offsets, weights.colors
     a = weights.sigmas[:, 0]
@@ -285,31 +336,14 @@ def _window_gradient(
     rho = weights.rhos
     ixx, ixy, iyy = weights.ixx, weights.ixy, weights.iyy
     det_power = 1.0 if cfg.normalization is Normalization.PAPER_DET else 0.5
-    n = rho.size
-    grad = np.zeros((n, 8), dtype=np.float64)
-    # moments[g, i, j] = sum over the window of tw * dy^i * dx^j.
-    moments = np.zeros((n, 3, 3), dtype=np.float64)
-    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
-    for gi, dx, dy, w, flat, (sw, tw) in weights:
-        for c in range(3):
-            np.take(planes[c], flat, out=sw, mode="clip")
-            sw *= w
-            # Color gradient: dL/dc_ch = sum_p S_p,ch * w_p.
-            grad[gi, 5 + c] = sw.sum(axis=(1, 2))
-            if c == 0:
-                np.multiply(sw, colors[gi, 0, None, None], out=tw)
-            else:
-                sw *= colors[gi, c, None, None]
-                tw += sw
-        xpow = np.stack([np.ones_like(dx), dx, dx * dx], axis=2)  # (G, Wx, 3)
-        ypow = np.stack([np.ones_like(dy), dy, dy * dy], axis=1)  # (G, 3, Wy)
-        moments[gi] = ypow @ (tw @ xpow)
-    m0 = moments[:, 0, 0]
-    mx, my = moments[:, 0, 1], moments[:, 1, 0]
+    csum, (m0, mx, my, mxx, mxy, myy) = _window_moments(weights, pixel_weight)
+    grad = np.empty((rho.size, 8), dtype=np.float64)
+    # Color gradient: dL/dc_ch = sum_p S_p,ch * w_p.
+    grad[:, 5:8] = csum
     # Second moments in the whitened offsets u = dx/a, v = dy/b.
-    suu = moments[:, 0, 2] / a**2
-    svv = moments[:, 2, 0] / b**2
-    suv = moments[:, 1, 1] / (a * b)
+    suu = mxx / a**2
+    svv = myy / b**2
+    suv = mxy / (a * b)
     inv = 1.0 / (1.0 - rho**2)
     # Position: dw/dmu = w * (Sinv d).
     grad[:, 0] = ixx * mx + ixy * my
@@ -331,20 +365,27 @@ def _window_gradient(
 
 
 def _step(
-    fields: Sequence[GaussianField], targets: np.ndarray, cfg: FitConfig
+    fields: Sequence[GaussianField],
+    targets: np.ndarray,
+    cfg: FitConfig,
+    params: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One descent step's kernel work on a batch of same-size fields.
 
     Returns their (B, H, W, 3) unclamped scale-1 renders and the stacked
     (sum N, 8) L1 gradient, given (B, H, W, 3) targets of the fields' shape.
-    Each chunk's window weights are evaluated once: the render keeps them
-    and the gradient reuses them, unless the windows hold more than
+    params, if given, is the stacked (offsets, sigmas, rhos, colors) to
+    render in place of the fields' own (see raster._Weights).  Each chunk's
+    window weights are evaluated once: the render keeps them and the
+    gradient reuses them, unless the windows hold more than
     B * raster.STORE_CAP pixels, when both passes evaluate them.  Every
     pixel sums its own field's kernels in the order a one-field step sums
     them, so field b's rows are bit-equal to render_windows followed by
     _field_gradient of field b alone.
     """
-    weights = _Weights(fields, cfg.render_config(), n_scratch=2, keep=True)
+    weights = _Weights(
+        fields, cfg.render_config(), n_scratch=3, keep=True, params=params
+    )
     rendered = _render(weights)
     pixel_weight = _pixel_weight_l1(rendered, targets)
     return rendered, _window_gradient(weights, pixel_weight, cfg)
@@ -392,8 +433,10 @@ def descend(
     fields[b] descends on targets[b]; the fields share one LR size.  The
     steps run on the stacked (sum N, 8) parameters, so a batch pays one
     window layout and one set of numpy calls per step, and each field's
-    result is bit-equal to descending it alone.  With no steps the given
-    field objects come back.  cfg.iterations is not read.  With
+    result is bit-equal to descending it alone.  A step lays out the
+    stacked constrained values (ParamVector.constrained) over the given
+    fields; fields are built once, from the last iterate.  With no steps
+    the given field objects come back.  cfg.iterations is not read.  With
     freeze_covariance every iterate keeps the starting sigmas and rhos bit
     for bit; only offsets and colors move.
 
@@ -416,11 +459,16 @@ def descend(
         return fields
     pixels = np.stack([t.pixels for t in targets])
     theta = np.concatenate([ParamVector.from_field(f).raw for f in fields])
+    if freeze_covariance:
+        frozen = [np.concatenate([f.sigmas for f in fields]),
+                  np.concatenate([f.rhos for f in fields])]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for it in range(iterations):
-        cur = ParamVector(theta).to_fields(fields, freeze_covariance)
-        g = _step(cur, pixels, cfg)[1]
+        offsets, sigmas, rhos, colors = ParamVector(theta).constrained()
+        if freeze_covariance:
+            sigmas, rhos = frozen
+        g = _step(fields, pixels, cfg, (offsets, sigmas, rhos, colors))[1]
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))

@@ -65,19 +65,18 @@ class WindowMap:
             raise ValidationError("window map values must be positive")
 
 
-def scale_flows(
-    m01: FlowField, m10: FlowField, t: float
-) -> tuple[FlowField, FlowField]:
-    """Linearly scale the endpoint flows to intermediate time t.
+def scale_flows(m01: FlowField, m10: FlowField, t: float) -> FlowField:
+    """The flow m_t0 = t * m10 from intermediate time t back to frame 0.
 
-    Returns (m_t0, m_t1) = (t * m10, (1 - t) * m01): flows pointing from
-    time t back to frames 0 and 1.
+    m01 is read only to check that the endpoint flows share one shape.  The
+    flow back to frame 1, m_t1 = (1 - t) * m01, is scale_flows(m10, m01,
+    1 - t).
     """
     if m01.vectors.shape != m10.vectors.shape:
         raise ShapeError("flow fields differ in shape")
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t={t} outside [0, 1]")
-    return FlowField(t * m10.vectors), FlowField((1.0 - t) * m01.vectors)
+    return FlowField(t * m10.vectors)
 
 
 def backward_warp(f: FeatureMap, flow: FlowField) -> FeatureMap:

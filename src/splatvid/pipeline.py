@@ -251,7 +251,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     opts = ctx.options
     # m_t0 = t * m10, the flow from time t back to frame 0; scale_flows also
     # rejects a t outside [0, 1].
-    m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)[0]
+    m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)
 
     p0, p1 = ctx.param0, ctx.param1
     mask, residual = motion_mod.predict_fusion(p0, p1, t)

@@ -19,12 +19,20 @@ into that field's plane of one (B, H, W) image; a render is the one-field
 batch, and a fit step lays out every field it descends.  The core buckets
 kernels by window size and splits each bucket into chunks of at most
 CHUNK window pixels, whose weights _chunk_weights evaluates into buffers
-allocated once and reused for every chunk.  A fit step whose windows hold
-at most B * STORE_CAP pixels (16 MiB of weights and indices per field)
-evaluates each chunk once: its render keeps every chunk's weights for its
-gradient.  A larger step keeps none and evaluates every chunk again.  So
-memory stays bounded at any scale and sigma: buffers of one chunk's size,
-or at most B * STORE_CAP kept pixels in a fit step over B fields.
+allocated once and reused for every chunk.  Over a window, the exponent
+-q/2 is a quadratic in the integer pixel offsets (i, j) from the window's
+centre pixel: every kernel has six coefficients, every window size one
+(6, Wy * Wx) basis [1, j, i, j^2, i*j, i^2], and a chunk's exponents are
+one stacked matmul of the two, a small product per kernel, so each kernel's
+weights are the same bits wherever it sits in a chunk or a batch (a single
+2-D product over the chunk is faster, but BLAS rounds a row by its place
+in it).  The fit gradient takes its window sums against the same basis.
+A fit step whose windows hold at most B * STORE_CAP pixels (16 MiB of
+weights and indices per field) evaluates each chunk once: its render keeps
+every chunk's weights for its gradient.  A larger step keeps none and
+evaluates every chunk again.  So memory stays bounded at any scale and
+sigma: buffers of one chunk's size, or at most B * STORE_CAP kept pixels in
+a fit step over B fields.
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
 scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
@@ -129,23 +137,30 @@ def lr_size(fields: Sequence[GaussianField]) -> tuple[int, int]:
     return sizes.pop()
 
 
-def _prepare(fields: Sequence[GaussianField], cfg: RenderConfig):
-    """The kernels of a batch of same-size fields at cfg's scale, stacked in
-    field order: (mu, sigmas, rhos, ixx, ixy, iyy, amp, out_w, out_h), with
-    mu the kernel centres in output pixel coordinates, the _kernel_terms of
-    the stacked sigmas and rhos, and the render's output_shape."""
-    lr_w, lr_h = lr_size(fields)
-    sigmas = np.concatenate([f.sigmas for f in fields])
-    rhos = np.concatenate([f.rhos for f in fields])
-    mu = np.concatenate([f.mu() for f in fields]) * cfg.scale
+def _prepare(
+    templates: Sequence[GaussianField], offsets, sigmas, rhos, cfg: RenderConfig
+):
+    """The kernels of a batch of same-size fields at cfg's scale.
+
+    templates give the batch's LR size and every kernel's cell; offsets,
+    sigmas and rhos are their kernels' values, stacked in field order.
+    Returns (mu, ixx, ixy, iyy, amp, out_w, out_h): mu the kernel centres in
+    output pixel coordinates, the _kernel_terms of sigmas and rhos, and the
+    render's output_shape.
+    """
+    lr_w, lr_h = lr_size(templates)
+    cells = np.concatenate([t.cell_centers() for t in templates])
+    mu = (cells + offsets) * cfg.scale
     ixx, ixy, iyy, amp = _kernel_terms(sigmas, rhos, cfg.scale, cfg.normalization)
     out_w, out_h = output_shape(lr_w, lr_h, cfg.scale)
-    return mu, sigmas, rhos, ixx, ixy, iyy, amp, out_w, out_h
+    return mu, ixx, ixy, iyy, amp, out_w, out_h
 
 
 def render_dense(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Sum every kernel at every output pixel center; no truncation."""
-    mu, _, _, ixx, ixy, iyy, amp, out_w, out_h = _prepare([f], cfg)
+    mu, ixx, ixy, iyy, amp, out_w, out_h = _prepare(
+        [f], f.offsets, f.sigmas, f.rhos, cfg
+    )
     xs = np.arange(out_w) + 0.5
     ys = np.arange(out_h) + 0.5
     px, py = np.meshgrid(xs, ys)  # (H, W)
@@ -182,7 +197,8 @@ def _finish(img: np.ndarray, f: GaussianField, cfg: RenderConfig) -> FrameBuffer
 
 
 def _windows(mu, half_x, half_y, out_w, out_h, plane):
-    """Chunks of same-size pixel windows, and the buffer size they need.
+    """Chunks of same-size pixel windows, their centres, and the buffer size
+    they need.
 
     half is the half-extent of a kernel's truncation box, so a pixel p can
     pass the q <= r^2 mask only if its centre p + 0.5 lies within half of mu,
@@ -194,12 +210,20 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
     the frame.  Kernels are bucketed by window size and each bucket is split
     into chunks of at most CHUNK window pixels; a single larger window forms
     its own chunk.  plane is each kernel's offset into a batch image of
-    out_h x out_w planes (0 for a lone field).  Returns
-    ([(gi, px, py, corner, offs), ...], size): px (G, Wx) and py (G, Wy)
-    are the pixel columns and rows of each kernel's window, corner (G,) the
-    flat index py[:, 0] * out_w + px[:, 0] + plane of its first pixel, offs
-    (Wy, Wx) every window pixel's flat index less its corner's, and size is
-    the largest chunk's pixel count.
+    out_h x out_w planes (0 for a lone field).
+
+    A window of Wy x Wx pixels is centred on its pixel (Wy // 2, Wx // 2):
+    its pixels sit at integer offsets (i, j) from that pixel, and every
+    window of one size shares the (6, Wy * Wx) basis [1, j, i, j^2, i*j, i^2]
+    of those offsets, row-major over the window.
+
+    Returns ([(gi, px, py, corner, offs, basis), ...], size, centre): px
+    (G, Wx) and py (G, Wy) are the pixel columns and rows of each kernel's
+    window, corner (G,) the flat index py[:, 0] * out_w + px[:, 0] + plane
+    of its first pixel, offs (Wy, Wx) every window pixel's flat index less
+    its corner's, basis the window size's basis, size the largest chunk's
+    pixel count, and centre (N, 2) the offset (dx, dy) of each kernel's
+    window centre pixel from its kernel centre.
     """
     wx_all = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
     wy_all = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
@@ -208,6 +232,8 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
     sx_all = np.clip(sx_all, 0, out_w - wx_all)
     sy_all = np.clip(sy_all, 0, out_h - wy_all)
     corner_all = sy_all * out_w + sx_all + plane
+    mid = np.column_stack([sx_all + wx_all // 2, sy_all + wy_all // 2])
+    centre = (mid + 0.5) - mu
     keys = wx_all * (out_h + 1) + wy_all
     # One stable sort groups the kernels by window size, ascending, each
     # bucket in kernel order.
@@ -220,32 +246,52 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
         wx, wy = int(wx_all[bucket[0]]), int(wy_all[bucket[0]])
         xs, ys = np.arange(wx), np.arange(wy)
         offs = ys[:, None] * out_w + xs
+        j = (xs - wx // 2).astype(np.float64)
+        i = (ys - wy // 2).astype(np.float64)[:, None]
+        basis = np.empty((6, wy, wx))
+        basis[0] = 1.0
+        basis[1] = j
+        basis[2] = i
+        basis[3] = j * j
+        basis[4] = i * j
+        basis[5] = i * i
+        basis = basis.reshape(6, -1)
         step = max(1, CHUNK // (wx * wy))
         for lo in range(0, bucket.size, step):
             gi = bucket[lo : lo + step]
             px = sx_all[gi, None] + xs
             py = sy_all[gi, None] + ys
-            chunks.append((gi, px, py, corner_all[gi], offs))
+            chunks.append((gi, px, py, corner_all[gi], offs, basis))
             size = max(size, gi.size * wx * wy)
-    return chunks, size
+    return chunks, size, centre
 
 
 class _Weights:
     """A batch of same-size fields' truncated window weights, by chunk.
 
     Construction is the layout: _prepare and _windows, computed once over
-    the kernels of every field, stacked in field order, along with their
-    offsets and colors.  Field b's image is the b-th H x W plane of one
-    (B, H, W) image: each kernel's window is clipped to its own frame, and
-    its flat pixel indices carry its field's offset b * H * W.  A one-field
-    batch is a field's own render.
+    the kernels of every field, stacked in field order.  templates give the
+    batch's LR size and cells; params, if given, is the stacked (offsets,
+    sigmas, rhos, colors) of their kernels, and otherwise the templates'
+    own.  Field b's image is the b-th H x W plane of one (B, H, W) image:
+    each kernel's window is clipped to its own frame, and its flat pixel
+    indices carry its field's offset b * H * W.  A one-field batch is a
+    field's own render.
 
-    Each iteration then yields (gi, dx, dy, w, flat, scratch) per chunk of
+    Over its window, a kernel's exponent e = -q/2 is a quadratic in the
+    pixel offsets (i, j) from the window's centre pixel, whose (dx, dy) is
+    centre[k] = (cx, cy): with dx = cx + j and dy = cy + i, e = coef[k] @
+    [1, j, i, j^2, i*j, i^2], the window basis of _windows.  coef (N, 6)
+    holds those six coefficients per kernel.
+
+    Each iteration then yields (gi, basis, w, flat, scratch) per chunk of
     _windows, every chunk's weights coming from _chunk_weights: gi indexes
-    the stacked kernels, dx (G, Wx) and dy (G, Wy) are the pixel-centre
-    offsets from each kernel centre, w (G, Wy, Wx) the weights and flat
-    (G, Wy, Wx) each weight's row-major index into the batch image.
-    scratch holds n_scratch float arrays shaped like w for the caller.
+    the stacked kernels, basis is the chunk's (6, P) window basis, with
+    P = Wy * Wx, w (G, P) the unit-amplitude weights exp(e), zero where
+    q > r^2, and flat (G, P) each weight's row-major index into the batch
+    image.  A kernel's weight is amp times w: callers fold amp into their
+    per-kernel factors, the colours of a render or the window sums of a
+    gradient.  scratch is a float array (n_scratch, G, P) for the caller.
     w, flat and scratch are views of buffers allocated once and overwritten
     by the next chunk, unless kept (below).
 
@@ -258,76 +304,91 @@ class _Weights:
 
     def __init__(
         self,
-        fields: Sequence[GaussianField],
+        templates: Sequence[GaussianField],
         cfg: RenderConfig,
         n_scratch: int = 0,
         keep: bool = False,
+        params: tuple | None = None,
     ):
-        (self.mu, self.sigmas, self.rhos, self.ixx, self.ixy, self.iyy, self.amp,
-         self.out_w, self.out_h) = _prepare(fields, cfg)
-        self.offsets = np.concatenate([f.offsets for f in fields])
-        self.colors = np.concatenate([f.colors for f in fields])
-        self.n_fields = len(fields)
+        if params is None:
+            params = [
+                np.concatenate([getattr(t, a) for t in templates])
+                for a in ("offsets", "sigmas", "rhos", "colors")
+            ]
+        self.offsets, self.sigmas, self.rhos, self.colors = params
+        mu, self.ixx, self.ixy, self.iyy, self.amp, self.out_w, self.out_h = _prepare(
+            templates, self.offsets, self.sigmas, self.rhos, cfg
+        )
+        self.n_fields = len(templates)
         plane = np.repeat(
             np.arange(self.n_fields, dtype=np.int64) * (self.out_w * self.out_h),
-            [f.n_gaussians for f in fields],
+            [t.n_gaussians for t in templates],
         )
         self.radius = cfg.truncation_radius
         half = self.radius * cfg.scale * self.sigmas
-        self.chunks, size = _windows(
-            self.mu, half[:, 0], half[:, 1], self.out_w, self.out_h, plane
+        self.chunks, size, self.centre = _windows(
+            mu, half[:, 0], half[:, 1], self.out_w, self.out_h, plane
         )
-        px = sum(g.size * offs.size for g, _, _, _, offs in self.chunks)
+        cx, cy = self.centre[:, 0], self.centre[:, 1]
+        hx = self.ixx * cx + self.ixy * cy  # half the gradient of q in dx
+        hy = self.ixy * cx + self.iyy * cy
+        self.coef = np.column_stack([
+            -0.5 * (hx * cx + hy * cy),
+            -hx,
+            -hy,
+            -0.5 * self.ixx,
+            -self.ixy,
+            -0.5 * self.iyy,
+        ])
+        px = sum(gi.size * offs.size for gi, _, _, _, offs, _ in self.chunks)
         self.keep = keep and px <= self.n_fields * STORE_CAP
         self.stored_px = px if self.keep else 0
         self._kept: list[tuple] = []
         self._e_buf = np.empty(max(self.stored_px, size))
         self._flat_buf = np.empty(self._e_buf.size, dtype=np.int64)
         self._mask_buf = np.empty(size, dtype=bool)
-        self._scratch_bufs = [np.empty(size) for _ in range(n_scratch)]
+        self.n_scratch = n_scratch
+        self._scratch_buf = np.empty(n_scratch * size)
 
     def __iter__(self):
         at = 0  # where the next kept chunk starts in the buffers
         for j, chunk in enumerate(self.chunks):
             if j < len(self._kept):
-                dx, dy, w, flat = self._kept[j]
+                w, flat = self._kept[j]
             else:
-                dx, dy, w, flat = _chunk_weights(
+                w, flat = _chunk_weights(
                     self, chunk, self._e_buf[at:], self._mask_buf, self._flat_buf[at:]
                 )
                 if self.keep:
-                    self._kept.append((dx, dy, w, flat))
+                    self._kept.append((w, flat))
             if self.keep:
                 at += w.size
-            scratch = [b[: w.size].reshape(w.shape) for b in self._scratch_bufs]
-            yield chunk[0], dx, dy, w, flat, scratch
+            scratch = self._scratch_buf[: self.n_scratch * w.size]
+            scratch = scratch.reshape(self.n_scratch, *w.shape)
+            yield chunk[0], chunk[5], w, flat, scratch
 
 
 def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
-    """Truncated kernel weights of one chunk of lay's windows.
+    """Truncated unit-amplitude kernel weights of one chunk of lay's windows.
 
-    The one copy of the weight math.  Returns (dx, dy, w, flat) as _Weights
-    yields them; w is written into the head of e_buf, flat into the head of
-    flat_buf, and mask_buf is overwritten.
+    The one copy of the weight math.  Returns (w, flat) as _Weights yields
+    them; w is written into the head of e_buf, flat into the head of
+    flat_buf, and mask_buf is overwritten.  Each kernel's exponents are one
+    small product of its six coefficients with the window basis (a stacked
+    matmul), so they do not depend on the kernel's place in the chunk.
     """
-    gi, px, py, corner, offs = chunk
-    shape = (gi.size, py.shape[1], px.shape[1])
-    n = shape[0] * shape[1] * shape[2]
-    dx = (px + 0.5) - lay.mu[gi, 0][:, None]
-    dy = (py + 0.5) - lay.mu[gi, 1][:, None]
-    # e = -q/2 directly: halving is exact, so e equals -0.5 * q bit for bit.
+    gi, _, _, corner, offs, basis = chunk
+    shape = (gi.size, basis.shape[1])
+    n = shape[0] * shape[1]
     e = e_buf[:n].reshape(shape)
-    np.multiply((-lay.ixy[gi, None] * dy)[:, :, None], dx[:, None, :], out=e)
-    e += (-0.5 * lay.ixx[gi, None] * dx**2)[:, None, :]
-    e += (-0.5 * lay.iyy[gi, None] * dy**2)[:, :, None]
+    np.matmul(lay.coef[gi, None, :], basis, out=e[:, None, :])
     mask = mask_buf[:n].reshape(shape)
     np.greater_equal(e, -0.5 * lay.radius * lay.radius, out=mask)  # q <= r^2
     np.exp(e, out=e)
     e *= mask
-    e *= lay.amp[gi, None, None]
     flat = flat_buf[:n].reshape(shape)
-    np.add(corner[:, None, None], offs, out=flat)
-    return dx, dy, e, flat
+    np.add(corner[:, None], offs.reshape(-1), out=flat)
+    return e, flat
 
 
 def _render(weights: _Weights) -> np.ndarray:
@@ -335,13 +396,13 @@ def _render(weights: _Weights) -> np.ndarray:
 
     One pass over weights, which needs at least one scratch array.
     """
-    colors = weights.colors
+    amp_colors = weights.amp[:, None] * weights.colors
     shape = (weights.n_fields, weights.out_h, weights.out_w)
     img = np.zeros((3, shape[0] * shape[1] * shape[2]), dtype=np.float64)
-    for gi, _, _, w, flat, (cw, *_) in weights:
+    for gi, _, w, flat, (cw, *_) in weights:
         idx = flat.ravel()
         for c in range(3):
-            np.multiply(w, colors[gi, c, None, None], out=cw)
+            np.multiply(w, amp_colors[gi, c, None], out=cw)
             np.add.at(img[c], idx, cw.ravel())
     img = img.reshape(3, *shape).transpose(1, 2, 3, 0)
     return np.ascontiguousarray(img)
@@ -349,7 +410,8 @@ def _render(weights: _Weights) -> np.ndarray:
 
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
-    return _finish(_render(_Weights([f], cfg, n_scratch=1))[0], f, cfg)
+    params = (f.offsets, f.sigmas, f.rhos, f.colors)
+    return _finish(_render(_Weights([f], cfg, n_scratch=1, params=params))[0], f, cfg)
 
 
 def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:

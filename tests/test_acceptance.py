@@ -142,8 +142,8 @@ def test_criterion_05_motion_endpoint_identities():
     f1 = FeatureMap(rng.uniform(0, 1, (6, 8, 5)))
     m01 = FlowField(rng.normal(0, 4, (6, 8, 2)))
     m10 = FlowField(rng.normal(0, 4, (6, 8, 2)))
-    mt0_a, _ = scale_flows(m01, m10, 0.0)
-    _, mt1_b = scale_flows(m01, m10, 1.0)
+    mt0_a = scale_flows(m01, m10, 0.0)
+    mt1_b = scale_flows(m10, m01, 0.0)  # m_t1 = (1 - t) * m01 at t = 1
     ok = np.array_equal(backward_warp(f0, mt0_a).data, f0.data)
     ok &= np.array_equal(backward_warp(f1, mt1_b).data, f1.data)
     ones = FeatureMap(np.ones((6, 8, 1)))

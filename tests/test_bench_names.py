@@ -88,9 +88,8 @@ def test_scale_flows_takes_the_spanned_arguments():
     # perfbench/tracing.py spans motion.scale_flows(m01, m10, t).
     m01 = synth.uniform_flow(4, 3, 2.0, 0.0)
     m10 = synth.uniform_flow(4, 3, -2.0, 0.0)
-    m_t0, m_t1 = motion.scale_flows(m01, m10, 0.25)
+    m_t0 = motion.scale_flows(m01, m10, 0.25)
     assert np.array_equal(m_t0.vectors, 0.25 * m10.vectors)
-    assert np.array_equal(m_t1.vectors, 0.75 * m01.vectors)
 
 
 def test_context_attributes_read_by_run():

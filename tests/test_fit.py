@@ -26,6 +26,7 @@ from splatvid.fit import (
     _field_gradient,
     _pixel_weight_l1,
     _step,
+    _window_moments,
     descend,
     fit_frame,
     fit_frames,
@@ -34,7 +35,7 @@ from splatvid.fit import (
     loss,
 )
 from splatvid.metrics import LUMA_WEIGHTS, psnr_y
-from splatvid.raster import Normalization, _Weights, render_windows
+from splatvid.raster import Normalization, RenderConfig, _Weights, render_windows
 from conftest import fields_equal, random_field
 
 
@@ -304,6 +305,54 @@ class TestGradients:
         assert fd_worst(rng, cfg, k * cells[0], k * cells[1], density) <= 1e-3
 
 
+class TestWindowMoments:
+    """The gradient's window sums from the centred basis, against today's
+    direct sums over each pixel's (dx, dy)."""
+
+    # Largest difference allowed, relative to the sum of the magnitudes the
+    # window's terms can reach, fixed from float64 rounding before any run:
+    # a sum of at most ~600 window pixels rounds within 600 * 2.2e-16 =
+    # 1.3e-13 of that magnitude on each side.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 3.0, 4.0])
+    def test_match_the_direct_sums(self, scale):
+        rng = np.random.default_rng(31)
+        r = 4.0
+        rc = RenderConfig(scale=scale, truncation_radius=r, clamp_output=False)
+        clamped = 0
+        for _ in range(3):
+            f = random_field(
+                rng, 7, 5, sigma_range=(0.3, 3.0), offset_range=(-4.0, 5.0)
+            )
+            lay = _Weights([f], rc, n_scratch=3)
+            weight = rng.normal(0.0, 1.0, (1, lay.out_h, lay.out_w, 3))
+            csum, m = _window_moments(lay, weight)
+            planes = weight.reshape(-1, 3)
+            mu = f.mu() * scale
+            start = np.floor(mu - r * scale * f.sigmas - 0.5)
+            for (gi, px, py, *_), (_, _, w, flat, _) in zip(lay.chunks, lay):
+                moved = (px[:, 0] != start[gi, 0]) | (py[:, 0] != start[gi, 1])
+                clamped += moved.sum()
+                sw = planes[flat] * (lay.amp[gi, None] * w)[:, :, None]  # (G, P, 3)
+                tw = (sw * f.colors[gi, None, :]).sum(axis=2)
+                tw = tw.reshape(gi.size, py.shape[1], px.shape[1])
+                dx = (px + 0.5) - mu[gi, 0, None]
+                dy = (py + 0.5) - mu[gi, 1, None]
+                xpow = np.stack([np.ones_like(dx), dx, dx * dx], axis=2)  # (G, Wx, 3)
+                ypow = np.stack([np.ones_like(dy), dy, dy * dy], axis=1)  # (G, 3, Wy)
+                ref = ypow @ (tw @ xpow)  # [g, a, b] = sum tw dy^a dx^b
+                ref = [ref[:, 0, 0], ref[:, 0, 1], ref[:, 1, 0],
+                       ref[:, 0, 2], ref[:, 1, 1], ref[:, 2, 0]]
+                reach = 1.0 + np.abs(dx).max(axis=1) + np.abs(dy).max(axis=1)
+                bound = self.TOL * np.abs(tw).sum(axis=(1, 2)) * reach**2
+                for k in range(6):
+                    assert np.all(np.abs(m[k, gi] - ref[k]) <= bound)
+                bound = self.TOL * np.abs(sw).sum(axis=1)
+                assert np.all(np.abs(csum[gi] - sw.sum(axis=1)) <= bound)
+        assert clamped >= 10
+
+
 class TestStep:
     """One descent step evaluates each chunk's window weights once."""
 
@@ -473,8 +522,8 @@ class TestBatch:
         w = _Weights(fields, self.CFG.render_config())
         plane = w.out_w * w.out_h
         n0 = fields[0].n_gaussians
-        for gi, _, _, _, flat, _ in w:
-            field_of = (gi >= n0)[:, None, None]
+        for gi, _, _, flat, _ in w:
+            field_of = (gi >= n0)[:, None]
             assert np.array_equal(flat // plane, np.broadcast_to(field_of, flat.shape))
 
     @pytest.mark.parametrize("b", [1, 2, 3])

@@ -36,19 +36,23 @@ class TestScaleFlows:
         self.m01 = synth.uniform_flow(4, 3, 4.0, -2.0)
         self.m10 = synth.uniform_flow(4, 3, -4.0, 2.0)
 
+    # m_t1 = (1 - t) * m01 is scale_flows with the flows swapped at 1 - t.
     def test_endpoint_identity_t0(self):
-        mt0, mt1 = scale_flows(self.m01, self.m10, 0.0)
+        mt0 = scale_flows(self.m01, self.m10, 0.0)
+        mt1 = scale_flows(self.m10, self.m01, 1.0)
         assert np.array_equal(mt0.vectors, np.zeros((3, 4, 2)))
         assert np.array_equal(mt1.vectors, self.m01.vectors)
 
     def test_midpoint_halves_magnitudes(self):
-        mt0, mt1 = scale_flows(self.m01, self.m10, 0.5)
+        mt0 = scale_flows(self.m01, self.m10, 0.5)
+        mt1 = scale_flows(self.m10, self.m01, 0.5)
         assert np.allclose(np.abs(mt0.vectors), 0.5 * np.abs(self.m10.vectors))
         assert np.allclose(np.abs(mt1.vectors), 0.5 * np.abs(self.m01.vectors))
 
     def test_linear_scaling(self):
         m10 = synth.uniform_flow(4, 3, 4.0, 0.0)
-        mt0, mt1 = scale_flows(self.m01, m10, 0.25)
+        mt0 = scale_flows(self.m01, m10, 0.25)
+        mt1 = scale_flows(m10, self.m01, 0.75)
         assert np.allclose(mt0.vectors, [1.0, 0.0])
         assert np.allclose(mt1.vectors, 0.75 * self.m01.vectors)
 

@@ -205,7 +205,7 @@ class TestDeriveCache:
 
     def test_offsets_follow_scale_flows(self):
         # derive_field scales only m_t0; its offsets must equal the window-
-        # gated offsets built from the m_t0 half of scale_flows, bit for bit.
+        # gated offsets built from scale_flows' m_t0, bit for bit.
         frame0, frame1, flows = self.blob_pair()
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         timestamps = [0.0, 0.3, 1.0]
@@ -213,7 +213,7 @@ class TestDeriveCache:
         p0, p1 = ctx.param0, ctx.param1
         wmap = ctx.window_map
         for t, f in zip(timestamps, fields):
-            m_t0, _ = motion.scale_flows(ctx.flow01, ctx.flow10, t)
+            m_t0 = motion.scale_flows(ctx.flow01, ctx.flow10, t)
             mask, residual = motion.predict_fusion(p0, p1, t)
             fused = motion.fuse_features(p0, p1, mask, residual)
             base, _ = motion.decode_gaussians(fused)

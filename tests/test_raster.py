@@ -306,8 +306,10 @@ class TestWindowCore:
         f = random_field(rng, 12, 10, offset_range=(-2.0, 3.0))
         return dataclasses.replace(f, sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
 
-    @pytest.mark.parametrize("chunk", [1, 300, 2000])
+    @pytest.mark.parametrize("chunk", [1, 40, 300, 2000])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
+        # Bit for bit: each kernel's weights and window sums are small
+        # products of its own, the same bits wherever it sits in a chunk.
         rng = np.random.default_rng(24)
         f = self.two_level_field(rng)
         rcfg = RenderConfig(scale=2.5, truncation_radius=4.0, clamp_output=False)
@@ -316,8 +318,47 @@ class TestWindowCore:
         img = render_windows(f, rcfg).pixels
         grad = _field_gradient(f, weight, cfg)
         monkeypatch.setattr(raster, "CHUNK", chunk)
-        assert np.abs(render_windows(f, rcfg).pixels - img).max() <= 1e-12
-        assert np.abs(_field_gradient(f, weight, cfg) - grad).max() <= 1e-12
+        assert np.array_equal(render_windows(f, rcfg).pixels, img)
+        assert np.array_equal(_field_gradient(f, weight, cfg), grad)
+
+    # Largest exponent difference allowed between the centred basis and
+    # the direct (dx, dy) form, fixed from float64 rounding before any run.
+    # An admitted pixel's exponent sums six terms of at most about 2e3 in
+    # magnitude (a clamped window's centre can sit tens of pixels from its
+    # kernel's centre), each side rounding within 6 * 2e3 * 2.2e-16 = 2.6e-12.
+    EXP_TOL = 1e-11
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 3.0, 4.0])
+    def test_weights_match_the_direct_exponent(self, scale):
+        # Reference: e = -q/2 from each pixel's (dx, dy), as the core formed
+        # it before the centred basis.
+        rng = np.random.default_rng(27)
+        r = 4.0
+        cfg = RenderConfig(scale=scale, truncation_radius=r, clamp_output=False)
+        clamped = 0
+        for _ in range(5):
+            f = random_field(
+                rng, 7, 5, sigma_range=(0.3, 3.0), offset_range=(-4.0, 5.0)
+            )
+            lay = raster._Weights([f], cfg)
+            mu = f.mu() * scale
+            start = np.floor(mu - r * scale * f.sigmas - 0.5)
+            for (gi, px, py, *_), (_, _, w, _, _) in zip(lay.chunks, lay):
+                moved = (px[:, 0] != start[gi, 0]) | (py[:, 0] != start[gi, 1])
+                clamped += moved.sum()
+                dx = (px + 0.5) - mu[gi, 0, None]
+                dy = (py + 0.5) - mu[gi, 1, None]
+                e = (-lay.ixy[gi, None] * dy)[:, :, None] * dx[:, None, :]
+                e += (-0.5 * lay.ixx[gi, None] * dx**2)[:, None, :]
+                e += (-0.5 * lay.iyy[gi, None] * dy**2)[:, :, None]
+                e = e.reshape(w.shape)
+                ref = np.exp(e) * (e >= -0.5 * r * r)
+                # Off the boundary band both masks agree; there, w is exp(e)
+                # to within the exponent's error, as exp(e) <= 1.
+                sure = np.abs(e + 0.5 * r * r) > self.EXP_TOL
+                err = np.abs(w - ref)
+                assert err[sure].max(initial=0.0) <= self.EXP_TOL
+        assert clamped >= 20
 
     @pytest.mark.parametrize("chunk", [1, 300, 2000, raster.CHUNK])
     def test_chunks_are_bounded_and_cover_every_kernel_once(self, monkeypatch, chunk):
@@ -327,20 +368,29 @@ class TestWindowCore:
         mu = f.mu() * s
         out_w, out_h = output_shape(12, 10, s)
         plane = np.arange(f.n_gaussians) % 3 * (out_w * out_h)
-        chunks, size = raster._windows(
+        chunks, size, centre = raster._windows(
             mu, r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1], out_w, out_h, plane
         )
         seen = np.concatenate([chunk[0] for chunk in chunks])
         assert np.array_equal(np.sort(seen), np.arange(f.n_gaussians))
         biggest_window = 0
-        for gi, px, py, corner, offs in chunks:
-            window = px.shape[1] * py.shape[1]
+        for gi, px, py, corner, offs, basis in chunks:
+            wx, wy = px.shape[1], py.shape[1]
+            window = wx * wy
             biggest_window = max(biggest_window, window)
             assert gi.size * window <= max(chunk, window)
             assert px.min() >= 0 and px.max() < out_w
             assert py.min() >= 0 and py.max() < out_h
             flat = py[:, :, None] * out_w + px[:, None, :] + plane[gi, None, None]
             assert np.array_equal(corner[:, None, None] + offs, flat)
+            # The basis holds each window pixel's offsets (i, j) from the
+            # window's centre pixel, whose offset from mu is centre.
+            mid_x, mid_y = px[:, wx // 2], py[:, wy // 2]
+            mid = np.column_stack([mid_x, mid_y])
+            assert np.array_equal(centre[gi], mid + 0.5 - mu[gi])
+            j = np.tile(px[0] - mid_x[0], wy)
+            i = np.repeat(py[0] - mid_y[0], wx)
+            assert np.array_equal(basis, np.stack([j**0, j, i, j * j, i * j, i * i]))
         assert size <= max(chunk, biggest_window)
 
     @pytest.mark.parametrize("chunk", [300, raster.CHUNK])
@@ -353,7 +403,7 @@ class TestWindowCore:
         mu = f.mu() * s
         half_x, half_y = r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1]
         out_w, out_h = output_shape(30, 20, s)
-        chunks, size = raster._windows(mu, half_x, half_y, out_w, out_h, 0)
+        chunks, size, _ = raster._windows(mu, half_x, half_y, out_w, out_h, 0)
         wx = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
         wy = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
         keys = wx * (out_h + 1) + wy
@@ -374,9 +424,9 @@ class TestWindowCore:
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
         npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
         keys = []
-        for gi, _, _, w, flat, _ in raster._Weights([f], cfg):
-            g, y, x = np.nonzero(w)
-            keys.append(gi[g] * npix + flat[g, y, x])
+        for gi, _, w, flat, _ in raster._Weights([f], cfg):
+            g, p = np.nonzero(w)
+            keys.append(gi[g] * npix + flat[g, p])
         return np.sort(np.concatenate(keys))
 
     @staticmethod
@@ -384,22 +434,37 @@ class TestWindowCore:
         """Sorted keys kernel * npix + flat pixel with q <= r^2, over every
         output pixel.
 
-        q is formed with the core's arithmetic, term for term, so that both
-        sides round alike at the q = r^2 boundary.
+        The exponent is formed with the core's arithmetic, term for term,
+        so that both sides round alike at the q = r^2 boundary: the
+        kernel's six coefficients times the basis [1, j, i, j^2, i*j, i^2]
+        of a pixel's offsets (i, j) from its window's centre pixel, one
+        stacked matmul over window-sized blocks.  BLAS rounds a column by
+        its place in the product, so the blocks tile the whole frame from
+        the window's corner: every pixel takes the place in its block that
+        the window's own pixels take in the core.
         """
-        mu, _, _, ixx, ixy, iyy, _, out_w, out_h = raster._prepare([f], cfg)
+        lay = raster._Weights([f], cfg)
+        out_w, out_h = lay.out_w, lay.out_h
         r = cfg.truncation_radius
         keys = []
-        for g0 in range(0, f.n_gaussians, 32):
-            g = slice(g0, g0 + 32)
-            dx = (np.arange(out_w) + 0.5) - mu[g, 0, None]  # (G, W)
-            dy = (np.arange(out_h) + 0.5) - mu[g, 1, None]  # (G, H)
-            e = (-ixy[g, None] * dy)[:, :, None] * dx[:, None, :]
-            e += (-0.5 * ixx[g, None] * dx**2)[:, None, :]
-            e += (-0.5 * iyy[g, None] * dy**2)[:, :, None]
-            k, y, x = np.nonzero(e >= -0.5 * r * r)
-            keys.append((k + g0) * (out_w * out_h) + y * out_w + x)
-        return np.concatenate(keys)  # ascending: kernel-major, then row-major
+        for gi, px, py, *_ in lay.chunks:
+            wx, wy = px.shape[1], py.shape[1]
+            for k, x0, y0 in zip(gi, px[:, 0], py[:, 0]):
+                # Block columns and rows from before the frame to past it.
+                bx = np.arange(-(x0 // wx) - 1, (out_w - x0) // wx + 1)
+                by = np.arange(-(y0 // wy) - 1, (out_h - y0) // wy + 1)
+                xs = x0 + bx[:, None] * wx + np.arange(wx)  # (Bx, wx)
+                ys = y0 + by[:, None] * wy + np.arange(wy)  # (By, wy)
+                x = np.broadcast_to(xs[None, :, None, :], (len(ys), len(xs), wy, wx))
+                y = np.broadcast_to(ys[:, None, :, None], x.shape)
+                j = (x - (x0 + wx // 2)).reshape(len(ys), len(xs), -1).astype(float)
+                i = (y - (y0 + wy // 2)).reshape(j.shape).astype(float)
+                basis = np.stack([j**0, j, i, j * j, i * j, i * i], axis=2)
+                e = np.matmul(lay.coef[k, None, :], basis)[:, :, 0]
+                keep = (e >= -0.5 * r * r).reshape(x.shape)
+                keep &= (x >= 0) & (x < out_w) & (y >= 0) & (y < out_h)
+                keys.append(k * (out_w * out_h) + y[keep] * out_w + x[keep])
+        return np.sort(np.concatenate(keys))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -476,7 +541,7 @@ class TestWindowCore:
         f = random_field(rng, 9, 7, sigma_range=(0.3, 3.0), offset_range=(-4.0, 5.0))
         half = radius * scale * f.sigmas
         out_w, out_h = output_shape(9, 7, scale)
-        chunks, _ = raster._windows(
+        chunks, *_ = raster._windows(
             f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h, 0
         )
         for gi, px, py, *_ in chunks:
