@@ -162,17 +162,21 @@ def _cmd_oracle_check(args) -> int:
             worst_grad = max(worst_grad, abs(fd - g[i, j]) / denom)
     print(f"gradient-vs-FD max rel err: {worst_grad:.3e}")
 
-    bank = synth.jittered_bank(rng)
-    fuser = synth.t_dependent_fuser(rng, bank)
+    jittered, default = synth.jittered_bank(rng), cpb.default_bank()
+    fusers = [  # a t-dependent 3x3 fuser and the t-free baseline fuser
+        (jittered, synth.t_dependent_fuser(rng, jittered)),
+        (default, cpb.baseline_fuser(default)),
+    ]
     sigmas = rng.uniform(0.4, 2.0, (2, 8, 12, 2))
     rhos = rng.uniform(-0.7, 0.7, (2, 8, 12, 1))
     cov0, cov1 = (cpb.CovGrid(c) for c in np.concatenate([sigmas, rhos], axis=3))
-    cands = cpb.bank_candidates(cov0, cov1, fuser, bank)
     worst_bank = 0.0
-    for t in (0.0, 0.3, 0.5, 1.0):
-        full = cpb.resample(cpb.fuse(cov0, cov1, t, fuser), bank).params
-        diff = np.abs(cpb.resample_candidates(cands, t, bank).params - full).max()
-        worst_bank = max(worst_bank, float(diff))
+    for bank, fuser in fusers:
+        cands = cpb.bank_candidates(cov0, cov1, fuser, bank)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            full = cpb.resample(cpb.fuse(cov0, cov1, t, fuser), bank).params
+            diff = np.abs(cpb.resample_candidates(cands, t, bank).params - full).max()
+            worst_bank = max(worst_bank, float(diff))
     print(f"bank-candidates-vs-full max abs diff: {worst_bank:.3e}")
 
     ok = worst_render <= 1e-5 and worst_grad <= 1e-3 and worst_bank <= 1e-12

@@ -13,7 +13,9 @@ somewhere in t in [0, 1]; ``resample_candidates`` then costs an (N, M)
 softmax per frame, with M the widest cell's candidate count (M = 42 of
 K = 320 on a jittered bank with a t-dependent 3x3 fuser).  A dropped entry
 sits at least TAU below the cell maximum at every t in [0, 1], so the
-dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at K = 320).
+dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at K = 320).  The
+pipeline derives every fuser's covariances this way; ``fuse`` and
+``resample`` (a conv and a K-wide softmax) are the reference path.
 
 The value types below store their arrays through ``core.frozen_array``, and
 a bank's entries obey the covariance rule of ``core.validate_field``

@@ -12,7 +12,9 @@ its own endpoint and warping at t = 0 or t = 1 is the identity.
 Fusion and decoding are the training-free baseline of the paper's learned
 motion module: the mask is 1 - t with no residual, so the fused map is the
 linear blend of the endpoint maps, and the decoder passes the fused
-(offset, color) channels through, clamped to [0, 1].
+(offset, color) channels through, clamped to [0, 1].  ``pipeline.derive_field``
+computes that blend as one expression; ``predict_fusion``, ``fuse_features``
+and ``decode_gaussians`` are its reference path.
 """
 
 from __future__ import annotations

@@ -6,18 +6,19 @@ It holds the endpoint fits (snapped to the bank and refined), the flows, the
 window map, and every input of the per-frame step that does not depend on
 t: the frame-0 parameter map, the frame-1 parameter and covariance maps
 pulled back to the frame-0 anchors (one warp of their stacked channels), and
-the bank side of the covariance derivation.  When the fuser gives the time
-channel zero weight at every tap, that is the derived covariances
-themselves: one fuse + resample serves every timestamp.
-Otherwise it is the per-cell bank candidates of ``cpb.bank_candidates``.
-The fused logits are linear in t, so each frame pays only an (N, M)
-softmax over the entries that can come within ``cpb.TAU`` = 40 of a cell's
-maximum logit; the dropped softmax mass is at most K * exp(-TAU) per cell
-(1.4e-15 at K = 320), and no frame runs a conv or a K-wide softmax.  Each
-requested timestamp then only pays scaling of the one flow it uses, feature
-fusion, decoding, offset gating and that bank softmax, plus rasterization.
-Stage counters record this split and are asserted by the latency tests;
-they are the one part of a context that changes after it is built.
+the bank side of the covariance derivation.  Every fuser takes one path,
+``cpb.bank_candidates``: the fused logits are linear in t, a + t * b per
+cell, and each cell keeps the entries that can come within ``cpb.TAU`` = 40
+of its maximum logit (dropped softmax mass at most K * exp(-TAU) per cell,
+1.4e-15 at K = 320).  If b is zero everywhere (a t-free fuser, such as the
+baseline), the context holds the covariances resampled once and no
+candidates; otherwise it holds the candidates and each frame pays an (N, M)
+softmax.  Nothing runs a conv or a K-wide softmax (``cpb.fuse`` and
+``cpb.resample``, the reference).  Each requested timestamp then only pays
+scaling of the one flow it uses, the parameter blend, offset gating and
+that bank softmax, plus rasterization.  Stage counters record this split
+and are asserted by the latency tests; they are the one part of a context
+that changes after it is built.
 
 PipelineOptions checks itself when built, so a fuser whose K is not its
 bank's fails before any fitting.
@@ -25,12 +26,12 @@ bank's fails before any fitting.
 Per-frame motion realization: endpoint parameter maps are aligned on the
 frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
 the content displacement at time t is carried by the window-gated position
-offsets.  Fusion and decoding are the training-free baseline of
-``motion``: the (offset, color) maps are blended with weight 1 - t on
-frame 0 and passed through, clamped to [0, 1].  The gated offset is the
-window-normalized total offset (fitted sub-cell refinement plus flow
-displacement), so a unit window map reproduces the tight single-cell
-constraint and the adaptive window is what makes large motion trackable.
+offsets.  ``derive_field`` computes the training-free fusion and decoder
+of ``motion`` as one blend, weight 1 - t on frame 0, clamped to [0, 1].
+The gated offset is the window-normalized total offset (fitted sub-cell
+refinement plus flow displacement), so a unit window map reproduces the
+tight single-cell constraint and the adaptive window is what makes large
+motion trackable.
 """
 
 from __future__ import annotations
@@ -55,13 +56,7 @@ from splatvid.core import (
     ValidationError,
     block_mean,
 )
-from splatvid.cpb import (
-    FUSER_IN_CHANNELS,
-    BankCandidates,
-    CovGrid,
-    CpbBank,
-    FuserWeights,
-)
+from splatvid.cpb import BankCandidates, CovGrid, CpbBank, FuserWeights
 from splatvid.fit import FitConfig
 from splatvid.motion import WindowMap, WindowSet
 from splatvid.raster import Normalization, RenderConfig, render_windows
@@ -125,9 +120,10 @@ class SharedContext:
 
     ``param0`` is field 0's (offset, color) map; ``param1`` and ``cov1`` are
     field 1's maps pulled back to the frame-0 anchors through the 0->1 flow.
-    ``cov_t`` holds the derived covariances when the fuser's time-channel
-    weights are zero at every tap: the logits then do not depend on t, and
-    ``derive_field`` reuses it at every t.  Otherwise ``cov_t`` is None and
+    Both covariance fields come from ``cpb.bank_candidates``.  When every
+    candidate's slope b is zero, the logits do not depend on t: ``cov_t``
+    holds the candidates resampled once, ``derive_field`` reuses it at every
+    t, and ``candidates`` is None.  Otherwise ``cov_t`` is None and
     ``candidates`` holds the per-cell bank candidates that ``derive_field``
     resamples at each t.  Only ``stage_counters`` changes after
     construction, through ``bump``.
@@ -218,12 +214,9 @@ def build_shared_context(
     maps0 = _cell_maps(f0)
     maps1 = motion_mod.backward_warp(FeatureMap(_cell_maps(f1)), grid_m01).data
     cov0, cov1 = CovGrid(maps0[..., 0:3]), CovGrid(maps1[..., 0:3])
-    cov_t = candidates = None
-    if not np.any(fuser.weights[:, FUSER_IN_CHANNELS - 1]):
-        # The t channel carries no weight, so the logits are the same at any t.
-        cov_t = cpb_mod.resample(cpb_mod.fuse(cov0, cov1, 0.0, fuser), bank)
-    else:
-        candidates = cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
+    cov_t, candidates = None, cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
+    if not np.any(candidates.b):  # no logit depends on t: resample once
+        cov_t, candidates = cpb_mod.resample_candidates(candidates, 0.0, bank), None
     logits = motion_mod.flow_magnitude_window_logits(
         flow01, flow10, WINDOWS, opts.density
     )
@@ -253,10 +246,9 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     # rejects a t outside [0, 1].
     m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)
 
-    p0, p1 = ctx.param0, ctx.param1
-    mask, residual = motion_mod.predict_fusion(p0, p1, t)
-    fused = motion_mod.fuse_features(p0, p1, mask, residual)
-    base_offsets, colors = motion_mod.decode_gaussians(fused)
+    # motion's fusion and decoder; the m = 1 - t form keeps it bit-equal.
+    m = 1.0 - t
+    blend = np.clip(m * ctx.param0.data + (1.0 - m) * ctx.param1.data, 0.0, 1.0)
 
     # Content displacement carried by the offsets, normalized by the window.
     disp = -_grid_flow(m_t0, opts.density, grid_units=False).vectors
@@ -264,7 +256,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
         wmap = ctx.window_map
     else:
         wmap = WindowMap(np.ones_like(ctx.window_map.values))
-    total = base_offsets + disp
+    total = blend[..., 0:2] + disp
     gated = np.clip(total / wmap.values[..., None], 0.0, 1.0)
     offsets = motion_mod.apply_window(gated, wmap)
 
@@ -278,7 +270,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
         offsets=offsets.reshape(-1, 2),
         sigmas=cov_t[:, 0:2],
         rhos=cov_t[:, 2],
-        colors=colors.reshape(-1, 3),
+        colors=blend[..., 2:5].reshape(-1, 3),
         timestamp=float(t),
         max_offset=WINDOWS.max_size,
     )

@@ -1,5 +1,5 @@
 """Covariance prior bank: construction, projection, fusion, resampling,
-and the per-cell candidate resample of a t-dependent fuser."""
+and the per-cell candidate resample that serves every fuser."""
 
 import math
 
@@ -280,7 +280,14 @@ def all_candidates_fuser():
     return bank, FuserWeights(w, base.bias)
 
 
+def default_baseline_fuser():
+    """The t-free fuser of every default run: the baseline on the default bank."""
+    bank = default_bank()
+    return bank, baseline_fuser(bank)
+
+
 CANDIDATE_FUSERS = {
+    "baseline": default_baseline_fuser,
     "corner-t-tap": corner_t_tap_fuser,
     "jittered-3x3": jittered_3x3_fuser,
     "all-candidates": all_candidates_fuser,

@@ -168,14 +168,31 @@ class TestDeriveCache:
         return fields
 
     def test_t_free_fuser_cache_is_bit_exact(self):
+        # The cache is the bank candidates resampled at any t, bit for bit,
+        # and within the candidates' drop bound of the full fuse + resample.
         frame0, frame1, flows = self.blob_pair()
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         assert ctx.cov_t is not None  # the baseline fuser ignores t
+        cands = cpb.bank_candidates(ctx.cov0, ctx.cov1, ctx.fuser, ctx.bank)
         timestamps = [0.0, 0.3, 1.0]
         for t, f in zip(timestamps, self.derive_and_render(ctx, timestamps)):
+            cached = cpb.resample_candidates(cands, t, ctx.bank).params.reshape(-1, 3)
+            assert np.array_equal(f.sigmas, cached[:, 0:2])
+            assert np.array_equal(f.rhos, cached[:, 2])
             ref = self.reference_cov(ctx, t)
-            assert np.array_equal(f.sigmas, ref[:, 0:2])
-            assert np.array_equal(f.rhos, ref[:, 2])
+            assert np.abs(f.sigmas - ref[:, 0:2]).max() <= 1e-12
+            assert np.abs(f.rhos - ref[:, 2]).max() <= 1e-12
+
+    def test_blend_keeps_endpoint_colours(self):
+        # The blend that replaces the fusion and decoder heads keeps their
+        # endpoint identities: t = 0 gives param0's colours, t = 1 param1's.
+        frame0, frame1, flows = self.blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        assert ctx.options.aow
+        for t, p in ((0, ctx.param0), (1, ctx.param1)):
+            colours = p.data[..., 2:5].reshape(-1, 3)
+            assert np.array_equal(derive_field(ctx, t).colors, colours)
+        assert not np.array_equal(ctx.param0.data, ctx.param1.data)
 
     def test_t_dependent_fuser_bypasses_cache(self):
         # Baseline 1x1 fuser moved to the centre of a 3x3 kernel, plus a
@@ -290,8 +307,8 @@ class TestDeriveCache:
 
 
 class TestBankCandidatesDerive:
-    """A t-dependent fuser derives covariances from the context's per-cell
-    bank candidates: no bank conv, fuse or K-wide resample per frame."""
+    """Every fuser derives covariances from per-cell bank candidates: no bank
+    conv, fuse or K-wide resample in the shared stage or per frame."""
 
     def t_dependent_options(self):
         rng = np.random.default_rng(7)
@@ -308,26 +325,34 @@ class TestBankCandidatesDerive:
         assert ctx.cov_t is None and ctx.candidates is not None
 
     def test_derive_needs_no_per_frame_fuse_resample_or_conv(self, monkeypatch):
+        # The forbidden calls are patched before the shared stage, so neither
+        # it nor any frame may reach them; the reference runs after undo().
         frame0, frame1, flows = TestDeriveCache().blob_pair()
-        ctx = build_shared_context(frame0, frame1, flows, self.t_dependent_options())
         timestamps = [0.0, 0.25, 0.5, 1.0]
-        refs = [TestDeriveCache().reference_cov(ctx, t) for t in timestamps]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("per-frame bank fuse, resample or conv")
+            raise AssertionError("bank fuse, resample or conv, or a fusion head")
 
-        for mod, name in [
-            (cpb, "fuse"),
-            (cpb, "resample"),
-            (cpb, "conv2d"),
-            (nnops, "conv2d"),
-        ]:
-            monkeypatch.setattr(mod, name, forbidden)
-        fields = TestDeriveCache().derive_and_render(ctx, timestamps)
-        for f, ref in zip(fields, refs):
-            assert np.abs(f.sigmas - ref[:, 0:2]).max() <= 1e-12
-            assert np.abs(f.rhos - ref[:, 2]).max() <= 1e-12
-        assert np.abs(fields[0].sigmas - fields[3].sigmas).max() > 1e-6
+        for opts in (TestDeriveCache.OPTS, self.t_dependent_options()):
+            for mod, name in [
+                (cpb, "fuse"),
+                (cpb, "resample"),
+                (cpb, "conv2d"),
+                (nnops, "conv2d"),
+                (motion, "predict_fusion"),
+                (motion, "fuse_features"),
+                (motion, "decode_gaussians"),
+            ]:
+                monkeypatch.setattr(mod, name, forbidden)
+            ctx = build_shared_context(frame0, frame1, flows, opts)
+            fields = TestDeriveCache().derive_and_render(ctx, timestamps)
+            monkeypatch.undo()
+            for t, f in zip(timestamps, fields):
+                ref = TestDeriveCache().reference_cov(ctx, t)
+                assert np.abs(f.sigmas - ref[:, 0:2]).max() <= 1e-12
+                assert np.abs(f.rhos - ref[:, 2]).max() <= 1e-12
+            spread = np.abs(fields[0].sigmas - fields[3].sigmas).max()
+            assert spread == 0.0 if ctx.candidates is None else spread > 1e-6
 
 
 class TestPipelineOptions:
