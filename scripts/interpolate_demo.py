@@ -32,7 +32,7 @@ def main() -> None:
     )
     timestamps = [i / (args.frames + 1) for i in range(1, args.frames + 1)]
     opts = PipelineOptions(
-        fit=FitConfig(iterations=args.iterations, truncation_radius=4.0),
+        fit=FitConfig(iterations=args.iterations),
         refine_iterations=50,
         aow=args.aow,
     )

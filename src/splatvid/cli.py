@@ -131,14 +131,17 @@ def _cmd_bench(args) -> int:
 def _cmd_oracle_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_render = 0.0
+    cfg = RenderConfig(scale=args.scale, truncation_radius=6.0, clamp_output=False)
     for _ in range(20):
         f = synth.random_field(rng, 8, 8, Density.ONE_PER_PIXEL)
-        cfg = RenderConfig(scale=args.scale, truncation_radius=6.0, clamp_output=False)
         diff = np.abs(
             render_windows(f, cfg).pixels - render_dense(f, cfg).pixels
         ).max()
         worst_render = max(worst_render, float(diff))
-    print(f"windowed-vs-dense max abs diff: {worst_render:.3e}")
+    print(
+        f"windowed-vs-dense max abs diff (radius {cfg.truncation_radius:g}): "
+        f"{worst_render:.3e}"
+    )
 
     worst_grad = 0.0
     eps = 1e-4
@@ -160,7 +163,10 @@ def _cmd_oracle_check(args) -> int:
             fd = (lp - lm) / (2 * eps)
             denom = max(abs(fd), abs(g[i, j]), 1e-8)
             worst_grad = max(worst_grad, abs(fd - g[i, j]) / denom)
-    print(f"gradient-vs-FD max rel err: {worst_grad:.3e}")
+    print(
+        f"gradient-vs-FD max rel err (radius {cfg.truncation_radius:g}): "
+        f"{worst_grad:.3e}"
+    )
 
     jittered, default = synth.jittered_bank(rng), cpb.default_bank()
     fusers = [  # a t-dependent 3x3 fuser and the t-free baseline fuser

@@ -34,7 +34,8 @@ validated against central finite differences.
 Fitting renders at scale 1, so the field's LR size is the target's size at
 every density; density sets only the kernel count (one per pixel, or one per
 2x2 block).  It renders with clamping off (clamping kills gradients in
-saturated regions), at FitConfig's truncation radius.
+saturated regions), at FitConfig's truncation radius, by default
+raster.TRUNCATION_RADIUS, the radius every render defaults to.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from splatvid.core import (
 )
 from splatvid.metrics import LUMA_WEIGHTS
 from splatvid.raster import (
+    TRUNCATION_RADIUS,
     Normalization,
     RenderConfig,
     _Weights,
@@ -77,9 +79,16 @@ FREQ_LOSS_WEIGHT = 0.05
 
 @dataclass(frozen=True)
 class FitConfig:
+    """The render contract a fit descends on, and its step count.
+
+    A fitted field reproduces its target only when rendered at the radius
+    and normalization it was fitted with; truncation_radius defaults to
+    raster.TRUNCATION_RADIUS, as RenderConfig's and PipelineOptions' do.
+    """
+
     iterations: int = 500
     normalization: Normalization = Normalization.PAPER_DET
-    truncation_radius: float = 8.0
+    truncation_radius: float = TRUNCATION_RADIUS
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -176,23 +185,19 @@ class ParamVector:
         return fields
 
 
-def init_field(
-    target: FrameBuffer,
-    density: Density,
-    render_config: RenderConfig | None = None,
-) -> GaussianField:
+def init_field(target: FrameBuffer, density: Density) -> GaussianField:
     """Deterministic start: centered kernels, sigma 0.7, target-sampled color.
 
     Overlapping kernels sum, so a raw target color would start the render
-    roughly 2x too bright; when a render config is given, colors are divided
-    by the per-cell gain of the unit-color init geometry.  That single
+    roughly 2x too bright; fit_frames divides the colors by the per-cell gain
+    of the unit-color init geometry (_init_gain, _apply_gain).  That single
     correction is worth hundreds of descent iterations.
     """
     lr_w, lr_h = target.width, target.height
     gw, gh = density.grid_shape(lr_w, lr_h)
     n = gw * gh
     colors = block_mean(target.pixels, gh, gw).reshape(n, 3)
-    f = GaussianField(
+    return GaussianField(
         lr_width=lr_w,
         lr_height=lr_h,
         density=density,
@@ -201,9 +206,6 @@ def init_field(
         rhos=np.zeros(n),
         colors=colors,
     )
-    if render_config is None:
-        return f
-    return _apply_gain(f, _init_gain(f, render_config))
 
 
 def _init_gain(f: GaussianField, render_config: RenderConfig) -> np.ndarray:
@@ -335,7 +337,7 @@ def _window_gradient(
     b = weights.sigmas[:, 1]
     rho = weights.rhos
     ixx, ixy, iyy = weights.ixx, weights.ixy, weights.iyy
-    det_power = 1.0 if cfg.normalization is Normalization.PAPER_DET else 0.5
+    det_power = cfg.normalization.det_power
     csum, (m0, mx, my, mxx, mxy, myy) = _window_moments(weights, pixel_weight)
     grad = np.empty((rho.size, 8), dtype=np.float64)
     # Color gradient: dL/dc_ch = sum_p S_p,ch * w_p.

