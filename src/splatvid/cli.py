@@ -185,7 +185,26 @@ def _cmd_oracle_check(args) -> int:
             worst_bank = max(worst_bank, float(diff))
     print(f"bank-candidates-vs-full max abs diff: {worst_bank:.3e}")
 
-    ok = worst_render <= 1e-5 and worst_grad <= 1e-3 and worst_bank <= 1e-12
+    # A tiny 1:4 field near its cell centres, whose target A c has colours
+    # c in [-0.5, 1.5], so the box binds on about half of them; 1000 solve
+    # iterations and 3000 reference steps converge there well inside 1e-5.
+    f = synth.random_field(
+        rng, 8, 6, Density.ONE_PER_FOUR_PIXELS,
+        sigma_range=(0.8, 1.2), rho_range=(-0.3, 0.3), offset_range=(0.3, 0.7),
+    )
+    y = fit_mod._color_matrix(f, cfg) @ rng.uniform(-0.5, 1.5, (f.n_gaussians, 3))
+    target = FrameBuffer(y.reshape(6, 8, 3))
+    (solved,) = fit_mod.solve_colors([f], [target], cfg, 1000)
+    ref = fit_mod._projected_gradient_colors(f, target, cfg, 3000)
+    worst_solve = float(np.abs(solved.colors - ref).max())
+    print(f"color-solve-vs-projected-gradient max abs diff: {worst_solve:.3e}")
+
+    ok = (
+        worst_render <= 1e-5
+        and worst_grad <= 1e-3
+        and worst_bank <= 1e-12
+        and worst_solve <= 1e-5
+    )
     print("oracle check:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -243,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
-        "oracle-check", help="windowed-vs-dense, gradient and bank-candidate checks"
+        "oracle-check",
+        help="windowed-vs-dense, gradient, bank-candidate and colour-solve checks",
     )
     _add_flags(p, "scale", "seed")
     p.set_defaults(func=_cmd_oracle_check)

@@ -5,9 +5,14 @@ of same-size fields: every step lays out all of their windows once and
 updates their stacked parameters in one set of numpy calls, and each
 field's result is bit-equal to descending it alone.  ``fit_frames`` runs
 it from the deterministic init of each target (``fit_frame`` is its
-one-frame batch); the pipeline fits both endpoints as one batch, and its
-bank refine runs it from the snapped fields with the covariances frozen, so
-only offsets and colors move.
+one-frame batch); the pipeline fits both endpoints as one batch.
+
+``solve_colors`` is the pipeline's bank refine.  With offsets and
+covariances fixed the render is linear in the colours, img = A c, so it
+runs projected FISTA on 1/2 ||A c - y||^2 over c in [0, 1]^3 on one window
+layout kept for every iteration, again over a batch and bit-equal to
+solving each field alone.  It works on the colours themselves, so a colour
+at exactly 0 or 1 moves as freely as any other.
 
 Each step (``_step``) evaluates every kernel's window weights once: the
 render that gives the residual sign keeps them, and the gradient reuses
@@ -146,12 +151,9 @@ class ParamVector:
         raw[:, 5:8] = _logit(f.colors)
         return ParamVector(raw)
 
-    def to_field(
-        self, template: GaussianField, freeze_covariance: bool = False
-    ) -> GaussianField:
-        """The field these parameters map to; with freeze_covariance it keeps
-        template's sigmas and rhos and maps only offsets and colors."""
-        return self.to_fields([template], freeze_covariance)[0]
+    def to_field(self, template: GaussianField) -> GaussianField:
+        """The field these parameters map to, on template's grid."""
+        return self.to_fields([template])[0]
 
     def constrained(self) -> tuple[np.ndarray, ...]:
         """The stacked (offsets, sigmas, rhos, colors) these rows map to,
@@ -163,9 +165,7 @@ class ParamVector:
         colors = 1.0 / (1.0 + np.exp(-raw[:, 5:8]))
         return offsets, sigmas, rhos, colors
 
-    def to_fields(
-        self, templates: Sequence[GaussianField], freeze_covariance: bool = False
-    ) -> list[GaussianField]:
+    def to_fields(self, templates: Sequence[GaussianField]) -> list[GaussianField]:
         """to_field of a batch: the rows are the templates' kernels stacked
         in order, mapped by constrained."""
         if self.raw.shape[0] != sum(t.n_gaussians for t in templates):
@@ -176,11 +176,14 @@ class ParamVector:
         for t in templates:
             rows = slice(at, at + t.n_gaussians)
             at = rows.stop
-            cov = {}
-            if not freeze_covariance:
-                cov = dict(sigmas=sigmas[rows], rhos=rhos[rows])
             fields.append(
-                replace(t, offsets=offsets[rows], colors=colors[rows], **cov)
+                replace(
+                    t,
+                    offsets=offsets[rows],
+                    sigmas=sigmas[rows],
+                    rhos=rhos[rows],
+                    colors=colors[rows],
+                )
             )
         return fields
 
@@ -278,6 +281,18 @@ def _field_gradient(
     return _window_gradient(weights, pixel_weight[None], cfg)
 
 
+def _gathered(weights: _Weights, pixel_weight: np.ndarray):
+    """Per chunk of weights, (gi, basis, sw): sw (3, G, P) holds the three
+    planes of the batch's (B, H, W, 3) pixel_weight at every window pixel,
+    times the unit-amplitude weights w.  sw is the chunk's scratch, which
+    needs three arrays, and the next chunk overwrites it."""
+    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
+    for gi, basis, w, flat, sw in weights:
+        np.take(planes, flat, axis=1, out=sw, mode="clip")
+        sw *= w
+        yield gi, basis, sw
+
+
 def _window_moments(
     weights: _Weights, pixel_weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,19 +305,15 @@ def _window_moments(
     a pixel centre's offset from its kernel's centre.  Needs three scratch
     arrays.
 
-    Per chunk, the three pixel-weight planes are gathered into the (3, G, P)
-    scratch and multiplied by the layout's unit-amplitude weights, and one
-    stacked matmul with the window basis gives every kernel's 18 sums
-    against [1, j, i, j^2, i*j, i^2], which amp then scales; the basis-1
-    column is csum.  The colour-weighted sum of the channels gives the six
+    Per chunk, one stacked matmul of _gathered's (3, G, P) products with
+    the window basis gives every kernel's 18 sums against
+    [1, j, i, j^2, i*j, i^2], which amp then scales; the basis-1 column is
+    csum.  The colour-weighted sum of the channels gives the six
     tw sums, and dx = cx + j, dy = cy + i, with (cx, cy) the window
     centre's offset weights.centre, turn them into the dx/dy moments.
     """
     sums = np.empty((weights.rhos.size, 3, 6))
-    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
-    for gi, basis, w, flat, sw in weights:
-        np.take(planes, flat, axis=1, out=sw, mode="clip")
-        sw *= w
+    for gi, basis, sw in _gathered(weights, pixel_weight):
         sums[gi] = np.matmul(sw.transpose(1, 0, 2), basis.T)
     sums *= weights.amp[:, None, None]
     colors = weights.colors
@@ -388,7 +399,7 @@ def _step(
     weights = _Weights(
         fields, cfg.render_config(), n_scratch=3, keep=True, params=params
     )
-    rendered = _render(weights)
+    rendered = _render(weights, weights.colors)
     pixel_weight = _pixel_weight_l1(rendered, targets)
     return rendered, _window_gradient(weights, pixel_weight, cfg)
 
@@ -423,12 +434,25 @@ def fit_frames(
     return descend(fields, targets, cfg, cfg.iterations)
 
 
+def _batch(
+    fields: Sequence[GaussianField], targets: Sequence[FrameBuffer]
+) -> list[GaussianField]:
+    """fields as a list, checked to be a batch of one LR size with one
+    target each of its render shape."""
+    fields = list(fields)
+    if len(targets) != len(fields):
+        raise ShapeError(f"{len(targets)} targets for {len(fields)} fields")
+    lr_size(fields)
+    for f, t in zip(fields, targets):
+        _check_target(f, t.pixels, "target")
+    return fields
+
+
 def descend(
     fields: Sequence[GaussianField],
     targets: Sequence[FrameBuffer],
     cfg: FitConfig,
     iterations: int,
-    freeze_covariance: bool = False,
 ) -> list[GaussianField]:
     """The fields after `iterations` Adam steps, each from its own start.
 
@@ -438,42 +462,125 @@ def descend(
     result is bit-equal to descending it alone.  A step lays out the
     stacked constrained values (ParamVector.constrained) over the given
     fields; fields are built once, from the last iterate.  With no steps
-    the given field objects come back.  cfg.iterations is not read.  With
-    freeze_covariance every iterate keeps the starting sigmas and rhos bit
-    for bit; only offsets and colors move.
+    the given field objects come back.  cfg.iterations is not read.
 
     The start is ParamVector.from_field of each field, which moves an
     offset or color within 1e-6 of 0 or 1 to 1e-6 from it (sigmoid never
     reaches them), a sigma by a few ulps and a rho by at most 1e-12.  So a
-    start renders within a few 1e-6 of its field.  Measured on a snapped 32x24
-    ridge fit with a fifth of its colors set to exactly 0 or 1, against
-    the same start moved a further 1e-6 inward: the refined renders differ
-    by at most 1.2e-5 after 10 steps and 0.013 after 150 (the L1 sign
-    gradient amplifies any start difference), and their PSNR by 2e-5 dB.
+    start renders within a few 1e-6 of its field.
     """
-    fields = list(fields)
-    if len(targets) != len(fields):
-        raise ShapeError(f"{len(targets)} targets for {len(fields)} fields")
-    lr_size(fields)
-    for f, t in zip(fields, targets):
-        _check_target(f, t.pixels, "target")
+    fields = _batch(fields, targets)
     if iterations <= 0:
         return fields
     pixels = np.stack([t.pixels for t in targets])
     theta = np.concatenate([ParamVector.from_field(f).raw for f in fields])
-    if freeze_covariance:
-        frozen = [np.concatenate([f.sigmas for f in fields]),
-                  np.concatenate([f.rhos for f in fields])]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for it in range(iterations):
-        offsets, sigmas, rhos, colors = ParamVector(theta).constrained()
-        if freeze_covariance:
-            sigmas, rhos = frozen
-        g = _step(fields, pixels, cfg, (offsets, sigmas, rhos, colors))[1]
+        g = _step(fields, pixels, cfg, ParamVector(theta).constrained())[1]
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1 ** (it + 1))
         v_hat = v / (1.0 - ADAM_BETA2 ** (it + 1))
         theta = theta - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ParamVector(theta).to_fields(fields, freeze_covariance)
+    return ParamVector(theta).to_fields(fields)
+
+
+def _color_adjoint(weights: _Weights, residual: np.ndarray) -> np.ndarray:
+    """(N, 3) A^T r: per kernel and channel, sum_p r_p,c * amp * w_p.
+
+    residual is the batch's (B, H, W, 3) image; the sums are the colour
+    column of the gradient's window sums (_window_moments' csum), reduced
+    with a plain sum over each window.  Needs three scratch arrays.
+    """
+    out = np.empty((weights.rhos.size, 3))
+    for gi, _, sw in _gathered(weights, residual):
+        out[gi] = sw.sum(axis=2).T
+    out *= weights.amp[:, None]
+    return out
+
+
+def _color_lipschitz(weights: _Weights, counts: Sequence[int]) -> np.ndarray:
+    """(B,) Schur bound L_b >= ||A_b||_2^2 of each field's colour matrix.
+
+    counts are the fields' kernel counts, in batch order.  L_b is the
+    largest column sum of A_b (A^T of a unit image) times its largest row
+    sum (A of unit colours); A has no negative entry, so the product
+    bounds the largest eigenvalue of A_b^T A_b.
+    """
+    n_fields = len(counts)
+    ones = np.ones((n_fields, weights.out_h, weights.out_w, 3))
+    col = _color_adjoint(weights, ones)[:, 0]
+    row = _render(weights, np.ones((col.size, 3)))[..., 0].reshape(n_fields, -1)
+    starts = np.cumsum(counts) - counts
+    return np.maximum.reduceat(col, starts) * row.max(axis=1)
+
+
+def solve_colors(
+    fields: Sequence[GaussianField],
+    targets: Sequence[FrameBuffer],
+    cfg: FitConfig,
+    iterations: int,
+) -> list[GaussianField]:
+    """The fields with colours moved by `iterations` steps of FISTA on
+    1/2 ||A c - y||^2 over c in [0, 1]^3, each from its own colours.
+
+    fields[b] is solved against targets[b]; the fields share one LR size.
+    Offsets and covariances stay fixed, so the unclamped scale-1 render is
+    linear in the colours: img = A c, with A the window weights (amp * w)
+    of one _Weights layout, kept for every pass while the batch holds at
+    most B * raster.STORE_CAP window pixels (above that, each pass
+    evaluates them again).  A c is _render and A^T r _color_adjoint.
+    Every step is projected onto the box (a clip after each step, not
+    only at the end) and has size 1 / L_b, L_b field b's _color_lipschitz,
+    so each field's result is bit-equal to solving it alone.  With no
+    iterations the given field objects come back.  cfg.iterations is not
+    read.  Beck & Teboulle, SIAM J. Imaging Sci. 2009.
+    """
+    fields = _batch(fields, targets)
+    if iterations <= 0:
+        return fields
+    pixels = np.stack([t.pixels for t in targets])
+    weights = _Weights(fields, cfg.render_config(), n_scratch=3, keep=True)
+    counts = [f.n_gaussians for f in fields]
+    lipschitz = np.maximum(_color_lipschitz(weights, counts), np.finfo(float).tiny)
+    step = np.repeat(1.0 / lipschitz, counts)[:, None]
+    x = weights.colors
+    z, t = x, 1.0
+    for _ in range(iterations):
+        residual = _render(weights, z) - pixels
+        x_next = np.clip(z - step * _color_adjoint(weights, residual), 0.0, 1.0)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+    colors = np.split(x, np.cumsum(counts)[:-1])
+    return [replace(f, colors=c) for f, c in zip(fields, colors)]
+
+
+def _color_matrix(f: GaussianField, cfg: FitConfig) -> np.ndarray:
+    """(H * W, N) dense colour matrix A of f, one channel's: column k is
+    kernel k rendered alone with unit colour (render_windows, clamp off).
+    The reference of solve_colors' products."""
+    n = f.n_gaussians
+    columns = []
+    for k in range(n):
+        unit = np.zeros((n, 3))
+        unit[k] = 1.0
+        img = render_windows(replace(f, colors=unit), cfg.render_config()).pixels
+        columns.append(img[..., 0].ravel())
+    return np.stack(columns, axis=1)
+
+
+def _projected_gradient_colors(
+    f: GaussianField, target: FrameBuffer, cfg: FitConfig, iterations: int
+) -> np.ndarray:
+    """(N, 3) colours of plain projected gradient on 1/2 ||A c - y||^2 over
+    [0, 1]^3, with the dense _color_matrix and step 1 / ||A||_2^2, from f's
+    colours: the reference of solve_colors on a small field."""
+    a = _color_matrix(f, cfg)
+    y = target.pixels.reshape(-1, 3)
+    step = 1.0 / np.linalg.norm(a, 2) ** 2
+    c = f.colors
+    for _ in range(iterations):
+        c = np.clip(c - step * (a.T @ (a @ c - y)), 0.0, 1.0)
+    return c

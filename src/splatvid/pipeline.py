@@ -2,7 +2,8 @@
 
 A SharedContext is built exactly once per input pair: ``build_shared_context``
 computes every part, then makes the frozen context in one constructor call.
-It holds the endpoint fits (snapped to the bank and refined), the flows, the
+It holds the endpoint fits (snapped to the bank, with their colours then
+solved for the snapped windows by ``fit.solve_colors``), the flows, the
 window map, and every input of the per-frame step that does not depend on
 t: the frame-0 parameter map, the frame-1 parameter and covariance maps
 pulled back to the frame-0 anchors (one warp of their stacked channels), and
@@ -87,7 +88,7 @@ class PipelineOptions:
 
     density: Density = Density.ONE_PER_PIXEL
     fit: FitConfig = field(default_factory=lambda: FitConfig(iterations=300))
-    # Color/offset-only Adam steps after covariances are snapped to the bank.
+    # Colour solve iterations after covariances are snapped to the bank.
     refine_iterations: int = 150
     aow: bool = True
     bank: CpbBank | None = None
@@ -184,15 +185,16 @@ def _snap_and_refine(
     bank: CpbBank,
     opts: PipelineOptions,
 ) -> list[GaussianField]:
-    """Project each field's covariances onto the bank, then re-fit
-    colors/offsets only, every field in one descent."""
+    """Project each field's covariances onto the bank, then solve the
+    colours for the snapped windows, every field in one fit.solve_colors
+    of opts.refine_iterations iterations; offsets and covariances stay as
+    the snap leaves them, and 0 iterations is the bare snap."""
     snapped = []
     for f in fields:
         grid = CovGrid(_cell_maps(f)[..., 0:3])
         params = cpb_mod.project_grid_to_bank(grid, bank).params.reshape(-1, 3)
         snapped.append(replace(f, sigmas=params[:, 0:2], rhos=params[:, 2]))
-    iters = opts.refine_iterations
-    return fit_mod.descend(snapped, targets, opts.fit, iters, freeze_covariance=True)
+    return fit_mod.solve_colors(snapped, targets, opts.fit, opts.refine_iterations)
 
 
 def build_shared_context(

@@ -10,7 +10,8 @@ Two paths with identical contracts:
     the tightest integer pixel box whose pixel centres can lie inside its
     truncation ellipse, and contributes only within Mahalanobis distance
     <= truncation_radius.  The same core feeds the fitting gradient
-    (fit._step, fit._field_gradient).  render_tiled is kept as a name for
+    (fit._step, fit._field_gradient) and the colour solve
+    (fit.solve_colors).  render_tiled is kept as a name for
     render_windows.
 
 The core (_Weights) lays the windows of a batch of same-size fields out
@@ -307,7 +308,8 @@ class _Weights:
     With keep, and when all windows hold at most B * STORE_CAP pixels, the
     first iteration writes every chunk's weights to buffers of their own and
     a later iteration yields them again instead of evaluating them: a fit
-    step renders and then takes its gradient from one evaluation.  Above
+    step renders and then takes its gradient from one evaluation, and a
+    colour solve (fit.solve_colors) runs all its passes on one.  Above
     the cap nothing is kept and every iteration evaluates every chunk.
     """
 
@@ -400,12 +402,14 @@ def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
     return e, flat
 
 
-def _render(weights: _Weights) -> np.ndarray:
-    """Unclamped (B, H, W, 3) sum of every chunk's weights times its colours.
+def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
+    """Unclamped (B, H, W, 3) sum of every chunk's weights times colors.
 
-    One pass over weights, which needs at least one scratch array.
+    colors (N, 3) are the stacked kernels' colours, weights.colors for the
+    fields' own render; the image is linear in them.  One pass over
+    weights, which needs at least one scratch array.
     """
-    amp_colors = weights.amp[:, None] * weights.colors
+    amp_colors = weights.amp[:, None] * colors
     shape = (weights.n_fields, weights.out_h, weights.out_w)
     img = np.zeros((3, shape[0] * shape[1] * shape[2]), dtype=np.float64)
     for gi, _, w, flat, (cw, *_) in weights:
@@ -420,7 +424,8 @@ def _render(weights: _Weights) -> np.ndarray:
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
     params = (f.offsets, f.sigmas, f.rhos, f.colors)
-    return _finish(_render(_Weights([f], cfg, n_scratch=1, params=params))[0], f, cfg)
+    weights = _Weights([f], cfg, n_scratch=1, params=params)
+    return _finish(_render(weights, f.colors)[0], f, cfg)
 
 
 def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:

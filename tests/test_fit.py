@@ -35,6 +35,7 @@ from splatvid.fit import (
     gradients,
     init_field,
     loss,
+    solve_colors,
 )
 from splatvid.metrics import LUMA_WEIGHTS, psnr_y
 from splatvid.raster import Normalization, RenderConfig, _Weights, render_windows
@@ -407,17 +408,15 @@ class TestStep:
             list(w)
             assert len(w._kept) == (px.size if w.keep else 0)
 
-    @pytest.mark.parametrize("freeze_covariance", [False, True])
-    @pytest.mark.parametrize("above_cap", [False, True])
-    def test_descend_evaluates_each_chunk_once_per_step(
-        self, monkeypatch, freeze_covariance, above_cap
-    ):
-        f, target = self.many_sizes(Density.ONE_PER_PIXEL)
+    def count_evaluations(self, monkeypatch, f, above_cap):
+        """{id(layout): [layout, evaluated chunks]}, filled by every
+        _chunk_weights call from here on; above_cap puts f's windows above
+        STORE_CAP."""
         if above_cap:
             monkeypatch.setattr(
                 raster, "STORE_CAP", int(self.chunk_px(f, self.CFG)[-1]) // 2
             )
-        evaluations = {}  # id(layout) -> [layout, evaluated chunks]
+        evaluations = {}
         evaluate = raster._chunk_weights
 
         def counting(lay, chunk, *bufs):
@@ -425,8 +424,14 @@ class TestStep:
             return evaluate(lay, chunk, *bufs)
 
         monkeypatch.setattr(raster, "_chunk_weights", counting)
+        return evaluations
+
+    @pytest.mark.parametrize("above_cap", [False, True])
+    def test_descend_evaluates_each_chunk_once_per_step(self, monkeypatch, above_cap):
+        f, target = self.many_sizes(Density.ONE_PER_PIXEL)
+        evaluations = self.count_evaluations(monkeypatch, f, above_cap)
         k = 3
-        descend([f], [FrameBuffer(target)], self.CFG, k, freeze_covariance)
+        descend([f], [FrameBuffer(target)], self.CFG, k)
         layouts = list(evaluations.values())
         # One layout per step and no other render, each chunk evaluated
         # once, or twice above the cap.
@@ -436,6 +441,22 @@ class TestStep:
             assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
             assert lay.keep == (not above_cap)
             assert len(chunks) == (2 if above_cap else 1) * len(lay.chunks)
+
+    @pytest.mark.parametrize("above_cap", [False, True])
+    def test_solve_colors_lays_out_once(self, monkeypatch, above_cap):
+        f, target = self.many_sizes(Density.ONE_PER_PIXEL)
+        evaluations = self.count_evaluations(monkeypatch, f, above_cap)
+        k = 3
+        solve_colors([f], [FrameBuffer(target)], self.CFG, k)
+        # One layout for the whole solve.  Kept, each chunk is evaluated
+        # once; above the cap, once per pass: two for the step size and a
+        # render and an adjoint per iteration.
+        ((lay, chunks),) = evaluations.values()
+        assert lay.stored_px <= raster.STORE_CAP
+        assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
+        assert lay.keep == (not above_cap)
+        passes = 2 + 2 * k if above_cap else 1
+        assert len(chunks) == passes * len(lay.chunks)
 
 
 class TestBatch:
@@ -482,7 +503,7 @@ class TestBatch:
     @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("density", list(Density))
     @pytest.mark.parametrize("normalization", list(Normalization))
-    def test_frozen_descend_equals_descending_each_field(
+    def test_solve_colors_equals_solving_each_field(
         self, monkeypatch, keep, density, normalization
     ):
         cfg = dataclasses.replace(self.CFG, normalization=normalization)
@@ -495,10 +516,12 @@ class TestBatch:
         # it.  Not kept: neither does.
         monkeypatch.setattr(raster, "STORE_CAP", px if keep else px // 4)
         assert _Weights(fields, cfg.render_config(), keep=True).keep == keep
-        batch = descend(fields, targets, cfg, 4, freeze_covariance=True)
+        batch = solve_colors(fields, targets, cfg, 4)
         for b, f, t in zip(batch, fields, targets):
-            (a,) = descend([f], [t], cfg, 4, freeze_covariance=True)
+            (a,) = solve_colors([f], [t], cfg, 4)
             assert fields_equal(b, a)
+            assert not np.array_equal(b.colors, f.colors)
+            assert b.offsets is f.offsets
             assert b.sigmas is f.sigmas and b.rhos is f.rhos
 
     @pytest.mark.parametrize("density", list(Density))
@@ -642,17 +665,6 @@ class TestParamVector:
         assert np.all((offsets >= 0) & (offsets <= 1))
         assert np.all(sigmas >= SIGMA_MIN)
         assert np.all(np.abs(rhos) <= 1.0)
-
-    def test_frozen_covariance_maps_offsets_and_colors_only(self):
-        rng = np.random.default_rng(10)
-        template = random_field(rng, 4, 3)
-        pv = ParamVector(rng.normal(0, 2, (12, 8)))
-        full = pv.to_field(template)
-        frozen = pv.to_field(template, freeze_covariance=True)
-        assert np.array_equal(frozen.sigmas, template.sigmas)
-        assert np.array_equal(frozen.rhos, template.rhos)
-        assert np.array_equal(frozen.offsets, full.offsets)
-        assert np.array_equal(frozen.colors, full.colors)
 
     @settings(max_examples=100, deadline=None)
     @given(row=arrays(np.float64, (8,), elements=st.floats(-50, 50, allow_nan=False)))

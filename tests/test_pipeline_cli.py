@@ -645,4 +645,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         line = next(x for x in lines if x.startswith("bank-candidates-vs-full"))
         assert float(line.split(":")[1]) <= 1e-12
+        solve = "color-solve-vs-projected-gradient"
+        line = next(x for x in lines if x.startswith(solve))
+        assert float(line.split(":")[1]) <= 1e-5
         assert lines[-1] == "oracle check: PASS"
