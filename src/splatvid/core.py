@@ -20,6 +20,7 @@ check of a kernel, a field, a bank or a GSF record applies them.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +114,16 @@ class Density(enum.Enum):
             return ix + 0.5, iy + 0.5
         return 2.0 * ix + 1.0, 2.0 * iy + 1.0
 
+    @functools.lru_cache(maxsize=8)
     def cell_centers(self, lr_width: int, lr_height: int) -> np.ndarray:
-        """(N, 2) array of kernel anchor centers in LR pixel coordinates."""
+        """(N, 2) read-only array of kernel anchor centers in LR pixel
+        coordinates, built once per (density, size) and shared."""
         gw, gh = self.grid_shape(lr_width, lr_height)
         iy, ix = np.mgrid[0:gh, 0:gw]
         cx, cy = self.anchor_center(ix, iy)
-        return np.stack([cx.ravel(), cy.ravel()], axis=1).astype(np.float64)
+        centers = np.stack([cx.ravel(), cy.ravel()], axis=1).astype(np.float64)
+        centers.flags.writeable = False
+        return centers
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,17 @@ def _check_finite(arr: np.ndarray, what: str, offset: int) -> None:
         raise FormatError(f"non-finite values in {what}", offset)
 
 
+def _f4_payload(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """A little-endian float32 payload as a float64 array of shape.
+
+    The cast is silent on a signalling NaN, which _check_finite then
+    rejects, so a malformed payload raises FormatError even when warnings
+    are errors.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+
+
 # --- GSF -------------------------------------------------------------------
 
 def save_gsf(path, f: GaussianField) -> None:
@@ -94,7 +105,7 @@ def load_gsf(path) -> GaussianField:
     if count != gw * gh:
         raise FormatError(f"declared count {count} != grid size {gw * gh}", 17)
     payload = _read_exact(data, 21, count * 32, "gaussian records")
-    rec = np.frombuffer(payload, dtype="<f4").reshape(count, 8).astype(np.float64)
+    rec = _f4_payload(payload, (count, 8))
     _check_finite(rec, "gaussian records", 21)
     # Columns 2:5 are (sigma_x, sigma_y, rho); offsets and colors are only checked finite.
     bad = np.flatnonzero(covariance_violations(rec[:, 2:5]))
@@ -134,7 +145,7 @@ def load_flo(path) -> FlowField:
     if w <= 0 or h <= 0:
         raise FormatError(f"bad FLO dimensions {w}x{h}", 4)
     payload = _read_exact(data, 12, w * h * 8, "flow vectors")
-    vec = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2).astype(np.float64)
+    vec = _f4_payload(payload, (h, w, 2))
     _check_finite(vec, "flow vectors", 12)
     return FlowField(vec)
 
@@ -214,7 +225,7 @@ def load_frm(path) -> FrameBuffer:
     if w == 0 or h == 0:
         raise FormatError(f"bad FRM dimensions {w}x{h}", 4)
     payload = _read_exact(data, 12, w * h * 12, "pixel data")
-    px = np.frombuffer(payload, dtype="<f4").reshape(h, w, 3).astype(np.float64)
+    px = _f4_payload(payload, (h, w, 3))
     _check_finite(px, "pixel data", 12)
     return FrameBuffer(px)
 
@@ -257,7 +268,11 @@ def _entry_array(name: str, entry) -> np.ndarray:
 
 def load_weights(path) -> dict[str, np.ndarray]:
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"weights file is not UTF-8: {exc.reason}", exc.start) from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad weights JSON: {exc}", exc.pos) from exc
     if not isinstance(doc, dict):

@@ -282,15 +282,17 @@ def _field_gradient(
 
 
 def _gathered(weights: _Weights, pixel_weight: np.ndarray):
-    """Per chunk of weights, (gi, basis, sw): sw (3, G, P) holds the three
-    planes of the batch's (B, H, W, 3) pixel_weight at every window pixel,
-    times the unit-amplitude weights w.  sw is the chunk's scratch, which
-    needs three arrays, and the next chunk overwrites it."""
+    """Per chunk of weights, (segments, sw): sw (3, n) holds the three
+    planes of the batch's (B, H, W, 3) pixel_weight at every window pixel
+    of the chunk, times the unit-amplitude weights w, gathered and
+    multiplied once per chunk.  A segment's products are
+    sw[:, span].reshape(3, G, P).  sw is the chunk's scratch, which needs
+    three arrays, and the next chunk overwrites it."""
     planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
-    for gi, basis, w, flat, sw in weights:
+    for segments, w, flat, sw in weights:
         np.take(planes, flat, axis=1, out=sw, mode="clip")
         sw *= w
-        yield gi, basis, sw
+        yield segments, sw
 
 
 def _window_moments(
@@ -305,16 +307,18 @@ def _window_moments(
     a pixel centre's offset from its kernel's centre.  Needs three scratch
     arrays.
 
-    Per chunk, one stacked matmul of _gathered's (3, G, P) products with
-    the window basis gives every kernel's 18 sums against
+    Per segment, one stacked matmul of _gathered's (3, G, P) products with
+    its window basis gives every kernel's 18 sums against
     [1, j, i, j^2, i*j, i^2], which amp then scales; the basis-1 column is
     csum.  The colour-weighted sum of the channels gives the six
     tw sums, and dx = cx + j, dy = cy + i, with (cx, cy) the window
     centre's offset weights.centre, turn them into the dx/dy moments.
     """
     sums = np.empty((weights.rhos.size, 3, 6))
-    for gi, basis, sw in _gathered(weights, pixel_weight):
-        sums[gi] = np.matmul(sw.transpose(1, 0, 2), basis.T)
+    for segments, sw in _gathered(weights, pixel_weight):
+        for gi, _, _, basis, span in segments:
+            part = sw[:, span].reshape(3, gi.size, -1)
+            sums[gi] = np.matmul(part.transpose(1, 0, 2), basis.T)
     sums *= weights.amp[:, None, None]
     colors = weights.colors
     t1, tj, ti, tjj, tij, tii = (
@@ -494,8 +498,9 @@ def _color_adjoint(weights: _Weights, residual: np.ndarray) -> np.ndarray:
     with a plain sum over each window.  Needs three scratch arrays.
     """
     out = np.empty((weights.rhos.size, 3))
-    for gi, _, sw in _gathered(weights, residual):
-        out[gi] = sw.sum(axis=2).T
+    for segments, sw in _gathered(weights, residual):
+        for gi, _, _, _, span in segments:
+            out[gi] = sw[:, span].reshape(3, gi.size, -1).sum(axis=2).T
     out *= weights.amp[:, None]
     return out
 

@@ -18,16 +18,24 @@ The core (_Weights) lays the windows of a batch of same-size fields out
 once, each kernel's window clipped to its own field's frame and indexed
 into that field's plane of one (B, H, W) image; a render is the one-field
 batch, and a fit step lays out every field it descends.  The core buckets
-kernels by window size and splits each bucket into chunks of at most
-CHUNK window pixels, whose weights _chunk_weights evaluates into buffers
-allocated once and reused for every chunk.  Over a window, the exponent
--q/2 is a quadratic in the integer pixel offsets (i, j) from the window's
-centre pixel: every kernel has six coefficients, every window size one
-(6, Wy * Wx) basis [1, j, i, j^2, i*j, i^2], and a chunk's exponents are
-one stacked matmul of the two, a small product per kernel, so each kernel's
-weights are the same bits wherever it sits in a chunk or a batch (a single
-2-D product over the chunk is faster, but BLAS rounds a row by its place
-in it).  The fit gradient takes its window sums against the same basis.
+kernels by window size and splits each bucket into segments of at most
+CHUNK window pixels; a chunk is a run of consecutive segments holding at
+most CHUNK window pixels.  Over a window, the exponent -q/2 is a quadratic
+in the integer pixel offsets (i, j) from the window's centre pixel: every
+kernel has six coefficients, every window size one (6, Wy * Wx) basis
+[1, j, i, j^2, i*j, i^2], and a segment's exponents are one stacked matmul
+of the two, a small product per kernel, so each kernel's weights are the
+same bits wherever it sits in a segment, a chunk or a batch (a single 2-D
+product is faster, but BLAS rounds a row by its place in it).  The bases,
+with each window pixel's flat offset, are built once per process per
+window size and image width, and the kernels' cell centres once per
+density and LR size, as shared read-only arrays.  _chunk_weights then
+masks and exponentiates a whole chunk at once, into buffers allocated
+once and reused for every chunk, and callers take their per-kernel
+products segment by segment and their gathers and scatters chunk by
+chunk: a render scatters R and G as one complex lane and B as one real
+lane.  Every pixel sums its kernels in the same order at any CHUNK.  The
+fit gradient takes its window sums against the same bases.
 A fit step whose windows hold at most B * STORE_CAP pixels (16 MiB of
 weights and indices per field) evaluates each chunk once: its render keeps
 every chunk's weights for its gradient.  A larger step keeps none and
@@ -50,8 +58,10 @@ non-finite check raises FloatingPointError naming ``rasterize``.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,9 +216,49 @@ def _finish(img: np.ndarray, f: GaussianField, cfg: RenderConfig) -> FrameBuffer
         ) from None
 
 
+class _Segment(NamedTuple):
+    """One piece of a window-size bucket: kernels gi (G,) whose Wy x Wx
+    windows start at flat batch-image index corner (G,).  offs (Wy, Wx) is
+    every window pixel's flat index less its corner's and basis (6, P), with
+    P = Wy * Wx, the window size's basis; both are the read-only arrays of
+    _window_basis.  span is the segment's G * P pixels in its chunk's flat
+    arrays, kernel-major and row-major within a window."""
+
+    gi: np.ndarray
+    corner: np.ndarray
+    offs: np.ndarray
+    basis: np.ndarray
+    span: slice
+
+
+@functools.lru_cache(maxsize=256)
+def _window_basis(wx: int, wy: int, out_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offs, basis) of every Wy x Wx window of an out_w-wide image, built
+    once per process: offs (Wy, Wx) the flat index of each window pixel
+    less its corner's, and basis (6, Wy * Wx) [1, j, i, j^2, i*j, i^2] of
+    each pixel's offsets (i, j) from the window's centre pixel
+    (Wy // 2, Wx // 2), row-major.  Both are read-only.  The 256 most
+    recently used sizes are kept: 56 bytes per window pixel each."""
+    xs, ys = np.arange(wx), np.arange(wy)
+    offs = ys[:, None] * out_w + xs
+    j = (xs - wx // 2).astype(np.float64)
+    i = (ys - wy // 2).astype(np.float64)[:, None]
+    basis = np.empty((6, wy, wx))
+    basis[0] = 1.0
+    basis[1] = j
+    basis[2] = i
+    basis[3] = j * j
+    basis[4] = i * j
+    basis[5] = i * i
+    basis = basis.reshape(6, -1)
+    offs.flags.writeable = False
+    basis.flags.writeable = False
+    return offs, basis
+
+
 def _windows(mu, half_x, half_y, out_w, out_h, plane):
-    """Chunks of same-size pixel windows, their centres, and the buffer size
-    they need.
+    """Chunks of segments of same-size pixel windows, their centres, and
+    the buffer size they need.
 
     half is the half-extent of a kernel's truncation box, so a pixel p can
     pass the q <= r^2 mask only if its centre p + 0.5 lies within half of mu,
@@ -217,23 +267,24 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
     floor(mu - half - 0.5) and is floor(2 * half) + 2 pixels wide.  Its size
     is capped at the image and its start clamped so the window always covers
     the in-image part of the truncation box, even for kernels centred outside
-    the frame.  Kernels are bucketed by window size and each bucket is split
-    into chunks of at most CHUNK window pixels; a single larger window forms
-    its own chunk.  plane is each kernel's offset into a batch image of
+    the frame.  plane is each kernel's offset into a batch image of
     out_h x out_w planes (0 for a lone field).
 
-    A window of Wy x Wx pixels is centred on its pixel (Wy // 2, Wx // 2):
-    its pixels sit at integer offsets (i, j) from that pixel, and every
-    window of one size shares the (6, Wy * Wx) basis [1, j, i, j^2, i*j, i^2]
-    of those offsets, row-major over the window.
+    Kernels are bucketed by window size, ascending, and each bucket is split
+    into segments of at most CHUNK window pixels (a single larger window
+    forms its own segment).  A chunk is a run of consecutive segments that
+    holds at most CHUNK window pixels, or one segment larger than that.
+    Packing segments into chunks moves no kernel: the chunks list the
+    kernels in the order of the buckets either way.
 
-    Returns ([(gi, px, py, corner, offs, basis), ...], size, centre): px
-    (G, Wx) and py (G, Wy) are the pixel columns and rows of each kernel's
-    window, corner (G,) the flat index py[:, 0] * out_w + px[:, 0] + plane
-    of its first pixel, offs (Wy, Wx) every window pixel's flat index less
-    its corner's, basis the window size's basis, size the largest chunk's
-    pixel count, and centre (N, 2) the offset (dx, dy) of each kernel's
-    window centre pixel from its kernel centre.
+    A window of Wy x Wx pixels is centred on its pixel (Wy // 2, Wx // 2),
+    and its pixels sit at integer offsets (i, j) from that pixel (see
+    _window_basis).
+
+    Returns ([(segment, ...), ...], size, centre): each chunk a tuple of
+    _Segment, size the largest chunk's pixel count, and centre (N, 2) the
+    offset (dx, dy) of each kernel's window centre pixel from its kernel
+    centre.
     """
     wx_all = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
     wy_all = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
@@ -250,29 +301,25 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     chunks = []
+    run = []  # the open chunk's segments
+    at = 0  # its pixel count
     size = 0
     for b0, b1 in zip(starts, np.append(starts[1:], keys.size)):
         bucket = order[b0:b1]
         wx, wy = int(wx_all[bucket[0]]), int(wy_all[bucket[0]])
-        xs, ys = np.arange(wx), np.arange(wy)
-        offs = ys[:, None] * out_w + xs
-        j = (xs - wx // 2).astype(np.float64)
-        i = (ys - wy // 2).astype(np.float64)[:, None]
-        basis = np.empty((6, wy, wx))
-        basis[0] = 1.0
-        basis[1] = j
-        basis[2] = i
-        basis[3] = j * j
-        basis[4] = i * j
-        basis[5] = i * i
-        basis = basis.reshape(6, -1)
+        offs, basis = _window_basis(wx, wy, out_w)
         step = max(1, CHUNK // (wx * wy))
         for lo in range(0, bucket.size, step):
             gi = bucket[lo : lo + step]
-            px = sx_all[gi, None] + xs
-            py = sy_all[gi, None] + ys
-            chunks.append((gi, px, py, corner_all[gi], offs, basis))
-            size = max(size, gi.size * wx * wy)
+            n = gi.size * wx * wy
+            if run and at + n > CHUNK:
+                chunks.append(tuple(run))
+                run, at = [], 0
+            run.append(_Segment(gi, corner_all[gi], offs, basis, slice(at, at + n)))
+            at += n
+            size = max(size, at)
+    if run:
+        chunks.append(tuple(run))
     return chunks, size, centre
 
 
@@ -291,17 +338,20 @@ class _Weights:
     Over its window, a kernel's exponent e = -q/2 is a quadratic in the
     pixel offsets (i, j) from the window's centre pixel, whose (dx, dy) is
     centre[k] = (cx, cy): with dx = cx + j and dy = cy + i, e = coef[k] @
-    [1, j, i, j^2, i*j, i^2], the window basis of _windows.  coef (N, 6)
-    holds those six coefficients per kernel.
+    [1, j, i, j^2, i*j, i^2], the window basis of _window_basis.  coef
+    (N, 6) holds those six coefficients per kernel.
 
-    Each iteration then yields (gi, basis, w, flat, scratch) per chunk of
-    _windows, every chunk's weights coming from _chunk_weights: gi indexes
-    the stacked kernels, basis is the chunk's (6, P) window basis, with
-    P = Wy * Wx, w (G, P) the unit-amplitude weights exp(e), zero where
-    q > r^2, and flat (G, P) each weight's row-major index into the batch
-    image.  A kernel's weight is amp times w: callers fold amp into their
-    per-kernel factors, the colours of a render or the window sums of a
-    gradient.  scratch is a float array (n_scratch, G, P) for the caller.
+    Each iteration then yields (chunk, w, flat, scratch) per chunk of
+    _windows, every chunk's weights coming from _chunk_weights: chunk is the
+    tuple of its _Segment, w (n,) the chunk's unit-amplitude weights exp(e),
+    zero where q > r^2, and flat (n,) each weight's index into the batch
+    image, both laid out segment by segment as the spans say.  A segment's
+    weights w[span] are (G, P), one row per kernel gi over its window basis.
+    A kernel's weight is amp times w: callers fold amp into their per-kernel
+    factors, the colours of a render or the window sums of a gradient, one
+    small product per segment, and gather or scatter once per chunk (a
+    render scatters R and G as one complex lane held in two scratch arrays,
+    see _render).  scratch is a float array (n_scratch, n) for the caller.
     w, flat and scratch are views of buffers allocated once and overwritten
     by the next chunk, unless kept (below).
 
@@ -351,7 +401,7 @@ class _Weights:
             -self.ixy,
             -0.5 * self.iyy,
         ])
-        px = sum(gi.size * offs.size for gi, _, _, _, offs, _ in self.chunks)
+        px = sum(chunk[-1].span.stop for chunk in self.chunks)
         self.keep = keep and px <= self.n_fields * STORE_CAP
         self.stored_px = px if self.keep else 0
         self._kept: list[tuple] = []
@@ -375,8 +425,7 @@ class _Weights:
             if self.keep:
                 at += w.size
             scratch = self._scratch_buf[: self.n_scratch * w.size]
-            scratch = scratch.reshape(self.n_scratch, *w.shape)
-            yield chunk[0], chunk[5], w, flat, scratch
+            yield chunk, w, flat, scratch.reshape(self.n_scratch, w.size)
 
 
 def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
@@ -385,20 +434,20 @@ def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
     The one copy of the weight math.  Returns (w, flat) as _Weights yields
     them; w is written into the head of e_buf, flat into the head of
     flat_buf, and mask_buf is overwritten.  Each kernel's exponents are one
-    small product of its six coefficients with the window basis (a stacked
-    matmul), so they do not depend on the kernel's place in the chunk.
+    small product of its six coefficients with its segment's window basis
+    (a stacked matmul), so they do not depend on the kernel's place in the
+    chunk; the mask and exp then run once over the whole chunk.
     """
-    gi, _, _, corner, offs, basis = chunk
-    shape = (gi.size, basis.shape[1])
-    n = shape[0] * shape[1]
-    e = e_buf[:n].reshape(shape)
-    np.matmul(lay.coef[gi, None, :], basis, out=e[:, None, :])
-    mask = mask_buf[:n].reshape(shape)
+    n = chunk[-1].span.stop
+    e = e_buf[:n]
+    flat = flat_buf[:n]
+    for gi, corner, offs, basis, span in chunk:
+        np.matmul(lay.coef[gi, None, :], basis, out=e[span].reshape(gi.size, 1, -1))
+        np.add(corner[:, None], offs.reshape(-1), out=flat[span].reshape(gi.size, -1))
+    mask = mask_buf[:n]
     np.greater_equal(e, -0.5 * lay.radius * lay.radius, out=mask)  # q <= r^2
     np.exp(e, out=e)
     e *= mask
-    flat = flat_buf[:n].reshape(shape)
-    np.add(corner[:, None], offs.reshape(-1), out=flat)
     return e, flat
 
 
@@ -407,24 +456,50 @@ def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
 
     colors (N, 3) are the stacked kernels' colours, weights.colors for the
     fields' own render; the image is linear in them.  One pass over
-    weights, which needs at least one scratch array.
+    weights, which needs at least two scratch arrays.
+
+    R and G accumulate as one complex128 lane: per chunk, w times each
+    kernel's amp * (R + iG) is written into the first two scratch arrays,
+    viewed as one complex array, and scattered by one np.add.at.  The
+    product's real and imaginary parts are w * amp * R and w * amp * G plus
+    a cross term 0 * amp * G or 0 * amp * R, a zero that can only flip the
+    sign of a zero product.  A pixel's sum starts at +0, so it is never -0,
+    and a zero of either sign leaves it unchanged.  A complex add is two
+    real adds, so every pixel sums the same values in the same order as a
+    per-channel scatter would.  B then reuses the first scratch array.
     """
     amp_colors = weights.amp[:, None] * colors
-    shape = (weights.n_fields, weights.out_h, weights.out_w)
-    img = np.zeros((3, shape[0] * shape[1] * shape[2]), dtype=np.float64)
-    for gi, _, w, flat, (cw, *_) in weights:
-        idx = flat.ravel()
-        for c in range(3):
-            np.multiply(w, amp_colors[gi, c, None], out=cw)
-            np.add.at(img[c], idx, cw.ravel())
-    img = img.reshape(3, *shape).transpose(1, 2, 3, 0)
-    return np.ascontiguousarray(img)
+    amp_rg = np.ascontiguousarray(amp_colors[:, :2]).view(np.complex128)  # (N, 1)
+    n_px = weights.n_fields * weights.out_h * weights.out_w
+    rg = np.zeros(n_px, dtype=np.complex128)
+    blue = np.zeros(n_px)
+    for chunk, w, flat, scratch in weights:
+        lane = scratch[:2].reshape(-1).view(np.complex128)  # (n,)
+        for gi, _, _, _, span in chunk:
+            np.multiply(
+                w[span].reshape(gi.size, -1),
+                amp_rg[gi],
+                out=lane[span].reshape(gi.size, -1),
+            )
+        np.add.at(rg, flat, lane)
+        b = scratch[0]
+        for gi, _, _, _, span in chunk:
+            np.multiply(
+                w[span].reshape(gi.size, -1),
+                amp_colors[gi, 2, None],
+                out=b[span].reshape(gi.size, -1),
+            )
+        np.add.at(blue, flat, b)
+    img = np.empty((n_px, 3))
+    img[:, :2] = rg.view(np.float64).reshape(-1, 2)
+    img[:, 2] = blue
+    return img.reshape(weights.n_fields, weights.out_h, weights.out_w, 3)
 
 
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
     params = (f.offsets, f.sigmas, f.rhos, f.colors)
-    weights = _Weights([f], cfg, n_scratch=1, params=params)
+    weights = _Weights([f], cfg, n_scratch=2, params=params)
     return _finish(_render(weights, f.colors)[0], f, cfg)
 
 

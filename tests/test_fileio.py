@@ -352,6 +352,70 @@ class TestWeights:
         assert exc.value.offset is not None
 
 
+class TestUndecodableBytes:
+    """A byte pattern numpy or the decoder cannot take as it stands is a
+    FormatError with its offset, also when warnings are errors."""
+
+    # A signalling NaN as little-endian float32: casting it to float64
+    # raises numpy's "invalid value encountered in cast" warning.
+    SNAN = bytes([0x01, 0x00, 0x80, 0x7F])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["gsf", "flo", "frm"])
+    def test_signalling_nan_payload_raises_format_error(self, tmp_path, fmt):
+        rng = np.random.default_rng(10)
+        p = tmp_path / f"x.{fmt}"
+        save, load, at = {
+            "gsf": (
+                lambda: fileio.save_gsf(p, f32_field(rng, 3, 2)),
+                fileio.load_gsf,
+                21,
+            ),
+            "flo": (
+                lambda: fileio.save_flo(p, FlowField(rng.normal(0, 1, (2, 3, 2)))),
+                fileio.load_flo,
+                12,
+            ),
+            "frm": (
+                lambda: fileio.save_frm(p, FrameBuffer(rng.uniform(0, 1, (2, 3, 3)))),
+                fileio.load_frm,
+                12,
+            ),
+        }[fmt]
+        save()
+        data = bytearray(p.read_bytes())
+        data[at : at + 4] = self.SNAN  # the payload's first value
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite") as exc:
+            load(p)
+        assert exc.value.offset == at
+
+    @pytest.mark.parametrize(
+        "save, load",
+        [
+            (lambda p: fileio.save_bank(p, default_bank()), fileio.load_bank),
+            (
+                lambda p: fileio.save_fuser(
+                    p, FuserWeights(np.ones((4, 7, 1, 1)), np.zeros(4))
+                ),
+                fileio.load_fuser,
+            ),
+            (lambda p: fileio.save_weights(p, {"a": np.ones(3)}), fileio.load_weights),
+        ],
+        ids=["bank", "fuser", "weights"],
+    )
+    def test_bytes_that_are_not_utf8_name_their_offset(self, tmp_path, save, load):
+        p = tmp_path / "w.json"
+        save(p)
+        data = bytearray(p.read_bytes())
+        at = len(data) // 2
+        data[at] = 0xFF  # never part of a UTF-8 sequence
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="not UTF-8") as exc:
+            load(p)
+        assert exc.value.offset == at
+
+
 class TestCsv:
     def test_bench_csv_header(self, tmp_path):
         from splatvid.pipeline import BenchRecord

@@ -39,7 +39,7 @@ from splatvid.fit import (
 )
 from splatvid.metrics import LUMA_WEIGHTS, psnr_y
 from splatvid.raster import Normalization, RenderConfig, _Weights, render_windows
-from conftest import fields_equal, random_field
+from conftest import fields_equal, layout_px, random_field, segments, window_pixels
 
 
 class TestFitConfig:
@@ -334,10 +334,17 @@ class TestWindowMoments:
             planes = weight.reshape(-1, 3)
             mu = f.mu() * scale
             start = np.floor(mu - r * scale * f.sigmas - 0.5)
-            for (gi, px, py, *_), (_, _, w, flat, _) in zip(lay.chunks, lay):
+            for seg, w, flat in (
+                (seg, w[seg.span].reshape(seg.gi.size, -1), flat[seg.span])
+                for chunk, w, flat, _ in lay
+                for seg in chunk
+            ):
+                gi = seg.gi
+                px, py = window_pixels(seg, lay.out_w, lay.out_h)
                 moved = (px[:, 0] != start[gi, 0]) | (py[:, 0] != start[gi, 1])
                 clamped += moved.sum()
-                sw = planes[flat] * (lay.amp[gi, None] * w)[:, :, None]  # (G, P, 3)
+                sw = planes[flat].reshape(gi.size, -1, 3)
+                sw *= (lay.amp[gi, None] * w)[:, :, None]  # (G, P, 3)
                 tw = (sw * f.colors[gi, None, :]).sum(axis=2)
                 tw = tw.reshape(gi.size, py.shape[1], px.shape[1])
                 dx = (px + 0.5) - mu[gi, 0, None]
@@ -357,7 +364,8 @@ class TestWindowMoments:
 
 
 class TestStep:
-    """One descent step evaluates each chunk's window weights once."""
+    """One descent step evaluates each chunk's window weights once; a chunk
+    holds several segments (window-size bucket pieces)."""
 
     CFG = FitConfig(truncation_radius=3.0)
 
@@ -369,9 +377,10 @@ class TestStep:
         return f, rng.uniform(0.0, 1.0, (12, 16, 3))
 
     @staticmethod
-    def chunk_px(f, cfg):
+    def segment_px(f, cfg):
+        """Cumulative window pixels of f's layout, segment by segment."""
         chunks = _Weights([f], cfg.render_config()).chunks
-        return np.cumsum([gi.size * x.shape[1] * y.shape[1] for gi, x, y, *_ in chunks])
+        return np.cumsum([seg.gi.size * seg.offs.size for seg in segments(chunks)])
 
     @pytest.mark.parametrize("chunk", [raster.CHUNK, 40])
     @pytest.mark.parametrize("cap", ["all", "none", "middle"])
@@ -383,7 +392,7 @@ class TestStep:
         monkeypatch.setattr(raster, "CHUNK", chunk)
         cfg = dataclasses.replace(self.CFG, normalization=normalization)
         f, target = self.many_sizes(density)
-        px = self.chunk_px(f, cfg)
+        px = self.segment_px(f, cfg)
         if cap == "none":
             monkeypatch.setattr(raster, "STORE_CAP", 0)
         elif cap == "middle":  # below the total, so nothing is kept
@@ -397,16 +406,18 @@ class TestStep:
         ref_grad = _field_gradient(f, _pixel_weight_l1(ref, target), cfg)
         assert np.array_equal(grad, ref_grad)
 
-    def test_keeps_every_chunk_or_none(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [raster.CHUNK, 40])
+    def test_keeps_every_chunk_or_none(self, monkeypatch, chunk):
+        monkeypatch.setattr(raster, "CHUNK", chunk)
         f, _ = self.many_sizes(Density.ONE_PER_PIXEL)
-        px = self.chunk_px(f, self.CFG)
+        px = self.segment_px(f, self.CFG)
         for cap in (0, int(px[0]), int(px[-1]) - 1, int(px[-1]), int(px[-1]) + 1):
             monkeypatch.setattr(raster, "STORE_CAP", cap)
             w = _Weights([f], self.CFG.render_config(), keep=True)
             assert w.keep == (cap >= px[-1])
             assert w.stored_px == (int(px[-1]) if w.keep else 0)
             list(w)
-            assert len(w._kept) == (px.size if w.keep else 0)
+            assert len(w._kept) == (len(w.chunks) if w.keep else 0)
 
     def count_evaluations(self, monkeypatch, f, above_cap):
         """{id(layout): [layout, evaluated chunks]}, filled by every
@@ -414,7 +425,7 @@ class TestStep:
         STORE_CAP."""
         if above_cap:
             monkeypatch.setattr(
-                raster, "STORE_CAP", int(self.chunk_px(f, self.CFG)[-1]) // 2
+                raster, "STORE_CAP", int(self.segment_px(f, self.CFG)[-1]) // 2
             )
         evaluations = {}
         evaluate = raster._chunk_weights
@@ -426,8 +437,24 @@ class TestStep:
         monkeypatch.setattr(raster, "_chunk_weights", counting)
         return evaluations
 
+    @staticmethod
+    def assert_each_chunk_evaluated(lay, chunks, passes):
+        """Every chunk of lay evaluated `passes` times, so every segment
+        too, and no other chunk; lay's chunks hold several segments."""
+        assert len(segments(lay.chunks)) > len(lay.chunks)
+        assert len(chunks) == passes * len(lay.chunks)
+        for chunk in lay.chunks:
+            assert sum(c is chunk for c in chunks) == passes
+        evaluated = [id(seg) for seg in segments(chunks)]
+        for seg in segments(lay.chunks):
+            assert evaluated.count(id(seg)) == passes
+
+    @pytest.mark.parametrize("chunk", [raster.CHUNK, 300])
     @pytest.mark.parametrize("above_cap", [False, True])
-    def test_descend_evaluates_each_chunk_once_per_step(self, monkeypatch, above_cap):
+    def test_descend_evaluates_each_chunk_once_per_step(
+        self, monkeypatch, above_cap, chunk
+    ):
+        monkeypatch.setattr(raster, "CHUNK", chunk)
         f, target = self.many_sizes(Density.ONE_PER_PIXEL)
         evaluations = self.count_evaluations(monkeypatch, f, above_cap)
         k = 3
@@ -438,12 +465,13 @@ class TestStep:
         assert len(layouts) == k
         for lay, chunks in layouts:
             assert lay.stored_px <= raster.STORE_CAP
-            assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
             assert lay.keep == (not above_cap)
-            assert len(chunks) == (2 if above_cap else 1) * len(lay.chunks)
+            self.assert_each_chunk_evaluated(lay, chunks, 2 if above_cap else 1)
 
+    @pytest.mark.parametrize("chunk", [raster.CHUNK, 300])
     @pytest.mark.parametrize("above_cap", [False, True])
-    def test_solve_colors_lays_out_once(self, monkeypatch, above_cap):
+    def test_solve_colors_lays_out_once(self, monkeypatch, above_cap, chunk):
+        monkeypatch.setattr(raster, "CHUNK", chunk)
         f, target = self.many_sizes(Density.ONE_PER_PIXEL)
         evaluations = self.count_evaluations(monkeypatch, f, above_cap)
         k = 3
@@ -453,10 +481,8 @@ class TestStep:
         # render and an adjoint per iteration.
         ((lay, chunks),) = evaluations.values()
         assert lay.stored_px <= raster.STORE_CAP
-        assert {id(c) for c in chunks} == {id(c) for c in lay.chunks}
         assert lay.keep == (not above_cap)
-        passes = 2 + 2 * k if above_cap else 1
-        assert len(chunks) == passes * len(lay.chunks)
+        self.assert_each_chunk_evaluated(lay, chunks, 2 + 2 * k if above_cap else 1)
 
 
 class TestBatch:
@@ -508,10 +534,7 @@ class TestBatch:
     ):
         cfg = dataclasses.replace(self.CFG, normalization=normalization)
         fields, targets = self.edge_fields(density), self.targets()
-        px = sum(
-            gi.size * x.shape[1] * y.shape[1]
-            for gi, x, y, *_ in _Weights(fields, cfg.render_config()).chunks
-        )
+        px = layout_px(_Weights(fields, cfg.render_config()).chunks)
         # Kept: each field alone fits under the cap and the pair under twice
         # it.  Not kept: neither does.
         monkeypatch.setattr(raster, "STORE_CAP", px if keep else px // 4)
@@ -547,17 +570,16 @@ class TestBatch:
         w = _Weights(fields, self.CFG.render_config())
         plane = w.out_w * w.out_h
         n0 = fields[0].n_gaussians
-        for gi, _, _, flat, _ in w:
-            field_of = (gi >= n0)[:, None]
-            assert np.array_equal(flat // plane, np.broadcast_to(field_of, flat.shape))
+        for chunk, _, flat, _ in w:
+            field_of = [np.repeat(seg.gi >= n0, seg.offs.size) for seg in chunk]
+            assert np.array_equal(flat // plane, np.concatenate(field_of))
 
     @pytest.mark.parametrize("b", [1, 2, 3])
     def test_keeps_when_the_batch_holds_at_most_b_caps(self, monkeypatch, b):
         rng = np.random.default_rng(42)
         fields = [random_field(rng, 9, 7) for _ in range(b)]
         rc = self.CFG.render_config()
-        chunks = _Weights(fields, rc).chunks
-        px = sum(gi.size * x.shape[1] * y.shape[1] for gi, x, y, *_ in chunks)
+        px = layout_px(_Weights(fields, rc).chunks)
         per_field = -(-px // b)  # the smallest cap with px <= b * cap
         for cap in (0, px // (2 * b), per_field - 1, per_field, px):
             monkeypatch.setattr(raster, "STORE_CAP", cap)

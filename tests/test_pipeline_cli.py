@@ -625,6 +625,14 @@ class TestCli:
         code = cli.main(args + ["--timestamps", "0.5", "--bank", str(bank)])
         assert code == cli.EXIT_FORMAT
 
+    def test_bank_that_is_not_utf8_exits_3(self, tmp_path):
+        out_dir, args = self.interpolate_args(tmp_path, 8, 6)
+        bank = tmp_path / "bank.json"
+        fileio.save_bank(bank, cpb.default_bank())
+        bank.write_bytes(bank.read_bytes()[:40] + b"\xc3\x28" + bank.read_bytes()[40:])
+        code = cli.main(args + ["--timestamps", "0.5", "--bank", str(bank)])
+        assert code == cli.EXIT_FORMAT
+
     def test_validation_error_exit_code(self, tmp_path):
         rng = np.random.default_rng(2)
         f = FrameBuffer(rng.uniform(0, 1, (6, 6, 3)))

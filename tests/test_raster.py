@@ -17,7 +17,7 @@ from splatvid.core import (
     GaussianField,
     ValidationError,
 )
-from splatvid.fit import FitConfig, _field_gradient
+from splatvid.fit import FitConfig, _field_gradient, _step, solve_colors
 from splatvid.raster import (
     Normalization,
     RenderConfig,
@@ -27,7 +27,7 @@ from splatvid.raster import (
     render_tiled,
     render_windows,
 )
-from conftest import random_field
+from conftest import layout_px, random_field, segments, window_pixels
 
 CFG1 = RenderConfig(scale=1.0, clamp_output=False)
 
@@ -302,24 +302,55 @@ class TestWindowCore:
     def two_level_field(rng):
         # Two sigma levels: four window sizes (12 or 18 px per axis at scale
         # 2.5 and radius 4), each shared by ~30 kernels, so buckets split
-        # into several chunks plus a partial one.
+        # into several segments plus a partial one.
         f = random_field(rng, 12, 10, offset_range=(-2.0, 3.0))
         return dataclasses.replace(f, sigmas=rng.choice([0.5, 0.8], f.sigmas.shape))
 
+    @staticmethod
+    def many_size_field(rng):
+        # Over 100 window sizes at scale 2.5 and radius 4, so that at the
+        # default CHUNK a chunk holds segments of many sizes.
+        return random_field(rng, 30, 20, sigma_range=(0.4, 2.0))
+
     @pytest.mark.parametrize("chunk", [1, 40, 300, 2000])
-    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
-        # Bit for bit: each kernel's weights and window sums are small
-        # products of its own, the same bits wherever it sits in a chunk.
+    @pytest.mark.parametrize("field", ["two-level", "many-sizes"])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, field, chunk):
+        # Bit for bit: each kernel's weights, products and window sums are
+        # its own, the same bits wherever it sits in a segment or a chunk,
+        # and every pixel sums its kernels in one order.  At CHUNK = 1 each
+        # chunk is one kernel.
         rng = np.random.default_rng(24)
-        f = self.two_level_field(rng)
-        rcfg = RenderConfig(scale=2.5, truncation_radius=4.0, clamp_output=False)
+        make = self.two_level_field if field == "two-level" else self.many_size_field
+        fields = [make(rng) for _ in range(2)]
+        shape = (fields[0].lr_height, fields[0].lr_width, 3)
         cfg = FitConfig(truncation_radius=4.0)
-        weight = rng.normal(0.0, 1.0, (10, 12, 3))
-        img = render_windows(f, rcfg).pixels
-        grad = _field_gradient(f, weight, cfg)
+        targets = [FrameBuffer(rng.uniform(0.0, 1.0, shape)) for _ in range(2)]
+        pixels = np.stack([t.pixels for t in targets])
+        weight = rng.normal(0.0, 1.0, shape)
+
+        def outputs():
+            renders = [
+                render_windows(
+                    fields[0],
+                    RenderConfig(scale=s, truncation_radius=4.0, clamp_output=False),
+                ).pixels
+                for s in (1.0, 2.5)
+            ]
+            return [
+                *renders,
+                _field_gradient(fields[0], weight, cfg),
+                *_step(fields, pixels, cfg),
+                *(g.colors for g in solve_colors(fields, targets, cfg, 3)),
+            ]
+
+        ref = outputs()
+        if field == "many-sizes":
+            lay = raster._Weights(fields[:1], RenderConfig(2.5, truncation_radius=4.0))
+            sizes = {seg.offs.shape for seg in segments(lay.chunks)}
+            assert len(sizes) >= 100 and len(lay.chunks) * 20 < len(sizes)
         monkeypatch.setattr(raster, "CHUNK", chunk)
-        assert np.array_equal(render_windows(f, rcfg).pixels, img)
-        assert np.array_equal(_field_gradient(f, weight, cfg), grad)
+        for a, b in zip(outputs(), ref, strict=True):
+            assert np.array_equal(a, b)
 
     # Largest exponent difference allowed between the centred basis and
     # the direct (dx, dy) form, fixed from float64 rounding before any run.
@@ -343,21 +374,25 @@ class TestWindowCore:
             lay = raster._Weights([f], cfg)
             mu = f.mu() * scale
             start = np.floor(mu - r * scale * f.sigmas - 0.5)
-            for (gi, px, py, *_), (_, _, w, _, _) in zip(lay.chunks, lay):
-                moved = (px[:, 0] != start[gi, 0]) | (py[:, 0] != start[gi, 1])
-                clamped += moved.sum()
-                dx = (px + 0.5) - mu[gi, 0, None]
-                dy = (py + 0.5) - mu[gi, 1, None]
-                e = (-lay.ixy[gi, None] * dy)[:, :, None] * dx[:, None, :]
-                e += (-0.5 * lay.ixx[gi, None] * dx**2)[:, None, :]
-                e += (-0.5 * lay.iyy[gi, None] * dy**2)[:, :, None]
-                e = e.reshape(w.shape)
-                ref = np.exp(e) * (e >= -0.5 * r * r)
-                # Off the boundary band both masks agree; there, w is exp(e)
-                # to within the exponent's error, as exp(e) <= 1.
-                sure = np.abs(e + 0.5 * r * r) > self.EXP_TOL
-                err = np.abs(w - ref)
-                assert err[sure].max(initial=0.0) <= self.EXP_TOL
+            for chunk, w_chunk, _, _ in lay:
+                for seg in chunk:
+                    gi = seg.gi
+                    px, py = window_pixels(seg, lay.out_w, lay.out_h)
+                    moved = (px[:, 0] != start[gi, 0]) | (py[:, 0] != start[gi, 1])
+                    clamped += moved.sum()
+                    dx = (px + 0.5) - mu[gi, 0, None]
+                    dy = (py + 0.5) - mu[gi, 1, None]
+                    e = (-lay.ixy[gi, None] * dy)[:, :, None] * dx[:, None, :]
+                    e += (-0.5 * lay.ixx[gi, None] * dx**2)[:, None, :]
+                    e += (-0.5 * lay.iyy[gi, None] * dy**2)[:, :, None]
+                    w = w_chunk[seg.span].reshape(gi.size, -1)
+                    e = e.reshape(w.shape)
+                    ref = np.exp(e) * (e >= -0.5 * r * r)
+                    # Off the boundary band both masks agree; there, w is
+                    # exp(e) to within the exponent's error, as exp(e) <= 1.
+                    sure = np.abs(e + 0.5 * r * r) > self.EXP_TOL
+                    err = np.abs(w - ref)
+                    assert err[sure].max(initial=0.0) <= self.EXP_TOL
         assert clamped >= 20
 
     @pytest.mark.parametrize("chunk", [1, 300, 2000, raster.CHUNK])
@@ -368,33 +403,53 @@ class TestWindowCore:
         mu = f.mu() * s
         out_w, out_h = output_shape(12, 10, s)
         plane = np.arange(f.n_gaussians) % 3 * (out_w * out_h)
+        half = r * s * f.sigmas
         chunks, size, centre = raster._windows(
-            mu, r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1], out_w, out_h, plane
+            mu, half[:, 0], half[:, 1], out_w, out_h, plane
         )
-        seen = np.concatenate([chunk[0] for chunk in chunks])
+        seen = np.concatenate([seg.gi for seg in segments(chunks)])
         assert np.array_equal(np.sort(seen), np.arange(f.n_gaussians))
-        biggest_window = 0
-        for gi, px, py, corner, offs, basis in chunks:
-            wx, wy = px.shape[1], py.shape[1]
-            window = wx * wy
-            biggest_window = max(biggest_window, window)
-            assert gi.size * window <= max(chunk, window)
-            assert px.min() >= 0 and px.max() < out_w
-            assert py.min() >= 0 and py.max() < out_h
-            flat = py[:, :, None] * out_w + px[:, None, :] + plane[gi, None, None]
-            assert np.array_equal(corner[:, None, None] + offs, flat)
-            # The basis holds each window pixel's offsets (i, j) from the
-            # window's centre pixel, whose offset from mu is centre.
-            mid_x, mid_y = px[:, wx // 2], py[:, wy // 2]
-            mid = np.column_stack([mid_x, mid_y])
-            assert np.array_equal(centre[gi], mid + 0.5 - mu[gi])
-            j = np.tile(px[0] - mid_x[0], wy)
-            i = np.repeat(py[0] - mid_y[0], wx)
-            assert np.array_equal(basis, np.stack([j**0, j, i, j * j, i * j, i * i]))
-        assert size <= max(chunk, biggest_window)
+        # Each window's start, from the rule _windows documents.
+        width = np.minimum(np.floor(2.0 * half).astype(np.int64) + 2, (out_w, out_h))
+        start = np.floor(mu - half - 0.5).astype(np.int64)
+        start = np.clip(start, 0, np.array([out_w, out_h]) - width)
+        sizes = []
+        for c, segs in enumerate(chunks):
+            at = 0
+            for gi, corner, offs, basis, span in segs:
+                wy, wx = offs.shape
+                window = wx * wy
+                assert span == slice(at, at + gi.size * window)
+                at = span.stop
+                assert np.all(width[gi] == (wx, wy))
+                px = start[gi, 0, None] + np.arange(wx)
+                py = start[gi, 1, None] + np.arange(wy)
+                assert px.min() >= 0 and px.max() < out_w
+                assert py.min() >= 0 and py.max() < out_h
+                flat = py[:, :, None] * out_w + px[:, None, :] + plane[gi, None, None]
+                assert np.array_equal(corner[:, None, None] + offs, flat)
+                # The basis holds each window pixel's offsets (i, j) from the
+                # window's centre pixel, whose offset from mu is centre.
+                mid_x, mid_y = px[:, wx // 2], py[:, wy // 2]
+                mid = np.column_stack([mid_x, mid_y])
+                assert np.array_equal(centre[gi], mid + 0.5 - mu[gi])
+                j = np.tile(px[0] - mid_x[0], wy)
+                i = np.repeat(py[0] - mid_y[0], wx)
+                want = np.stack([j**0, j, i, j * j, i * j, i * i])
+                assert np.array_equal(basis, want)
+                assert not offs.flags.writeable and not basis.flags.writeable
+            # At most CHUNK pixels, unless one window alone is larger; and a
+            # chunk closes only when its successor's first segment would
+            # overflow it.
+            assert at <= chunk or (len(segs) == 1 and segs[0].gi.size == 1)
+            if c + 1 < len(chunks):
+                assert at + chunks[c + 1][0].span.stop > chunk
+            sizes.append(at)
+        assert size == max(sizes)
+        assert layout_px(chunks) == sum(sizes)
 
-    @pytest.mark.parametrize("chunk", [300, raster.CHUNK])
-    def test_buckets_match_a_per_key_grouping(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk", [1, 300, raster.CHUNK])
+    def test_segments_match_a_per_key_grouping(self, monkeypatch, chunk):
         # Reference: scan every kernel's key once per distinct window size.
         monkeypatch.setattr(raster, "CHUNK", chunk)
         rng = np.random.default_rng(26)
@@ -413,20 +468,50 @@ class TestWindowCore:
             bucket = np.nonzero(keys == key)[0]
             step = max(1, chunk // (wx[bucket[0]] * wy[bucket[0]]))
             ref += [bucket[lo : lo + step] for lo in range(0, bucket.size, step)]
-        assert len(chunks) == len(ref)
-        for (gi, px, py, *_), want in zip(chunks, ref):
-            assert np.array_equal(gi, want)
-            assert px.shape == (gi.size, wx[gi[0]]) and py.shape == (gi.size, wy[gi[0]])
-        assert size == max(g.size * x.shape[1] * y.shape[1] for g, x, y, *_ in chunks)
+        segs = segments(chunks)
+        assert len(segs) == len(ref)
+        for seg, want in zip(segs, ref):
+            assert np.array_equal(seg.gi, want)
+            assert seg.offs.shape == (wy[want[0]], wx[want[0]])
+        assert size == max(c[-1].span.stop for c in chunks)
+        if chunk == 1:  # one segment, of one kernel, per chunk
+            assert len(chunks) == len(segs) == f.n_gaussians
+        elif chunk > 300:  # at the default, many window sizes share a chunk
+            assert len(chunks) < len(segs) / 4
+
+    @pytest.mark.parametrize("chunk", [1, raster.CHUNK])
+    def test_render_equals_a_per_channel_scatter(self, monkeypatch, chunk):
+        # Reference: each channel of each kernel's amp * colour * w scattered
+        # by its own np.add.at, chunk by chunk in layout order.  Bit for bit,
+        # signed zeros included, also for colours of either sign and zeros
+        # of either sign (a colour solve's extrapolated point can leave
+        # [0, 1]).
+        monkeypatch.setattr(raster, "CHUNK", chunk)
+        rng = np.random.default_rng(28)
+        f = random_field(rng, 30, 20, sigma_range=(0.4, 2.0))
+        cfg = RenderConfig(scale=2.5, clamp_output=False)
+        lay = raster._Weights([f], cfg, n_scratch=2)
+        signed = rng.uniform(-1.0, 1.0, f.colors.shape)
+        signed[::5, 0], signed[1::5, 1], signed[2::5, 2] = -0.0, 0.0, -0.0
+        for colors in (signed, f.colors):
+            img = np.zeros((3, lay.out_h * lay.out_w))
+            for chunk, w, flat, _ in lay:
+                gi = np.concatenate([np.repeat(seg.gi, seg.offs.size) for seg in chunk])
+                for c in range(3):
+                    np.add.at(img[c], flat, w * (lay.amp[gi] * colors[gi, c]))
+            ref = img.T.reshape(lay.out_h, lay.out_w, 3).tobytes()
+            assert raster._render(lay, colors)[0].tobytes() == ref
+        assert render_windows(f, cfg).pixels.tobytes() == ref
 
     @staticmethod
     def core_pairs(f, cfg):
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
         npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
         keys = []
-        for gi, _, w, flat, _ in raster._Weights([f], cfg):
-            g, p = np.nonzero(w)
-            keys.append(gi[g] * npix + flat[g, p])
+        for chunk, w, flat, _ in raster._Weights([f], cfg):
+            gi = np.concatenate([np.repeat(seg.gi, seg.offs.size) for seg in chunk])
+            (p,) = np.nonzero(w)
+            keys.append(gi[p] * npix + flat[p])
         return np.sort(np.concatenate(keys))
 
     @staticmethod
@@ -447,9 +532,10 @@ class TestWindowCore:
         out_w, out_h = lay.out_w, lay.out_h
         r = cfg.truncation_radius
         keys = []
-        for gi, px, py, *_ in lay.chunks:
-            wx, wy = px.shape[1], py.shape[1]
-            for k, x0, y0 in zip(gi, px[:, 0], py[:, 0]):
+        for seg in segments(lay.chunks):
+            px, py = window_pixels(seg, out_w, out_h)
+            wy, wx = seg.offs.shape
+            for k, x0, y0 in zip(seg.gi, px[:, 0], py[:, 0]):
                 # Block columns and rows from before the frame to past it.
                 bx = np.arange(-(x0 // wx) - 1, (out_w - x0) // wx + 1)
                 by = np.arange(-(y0 // wy) - 1, (out_h - y0) // wy + 1)
@@ -544,7 +630,8 @@ class TestWindowCore:
         chunks, *_ = raster._windows(
             f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h, 0
         )
-        for gi, px, py, *_ in chunks:
-            tight = np.floor(2.0 * half[gi]).astype(np.int64) + 2
-            assert np.all(px.shape[1] <= np.minimum(tight[:, 0], out_w))
-            assert np.all(py.shape[1] <= np.minimum(tight[:, 1], out_h))
+        for seg in segments(chunks):
+            wy, wx = seg.offs.shape
+            tight = np.floor(2.0 * half[seg.gi]).astype(np.int64) + 2
+            assert np.all(wx <= np.minimum(tight[:, 0], out_w))
+            assert np.all(wy <= np.minimum(tight[:, 1], out_h))
