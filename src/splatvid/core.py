@@ -5,8 +5,8 @@ Conventions used everywhere in this package:
   * LR pixel (ix, iy) has geometric center (ix + 0.5, iy + 0.5);
   * a field's LR size is the size of the frame it represents, at every
     density; density sets only how many kernels there are;
-  * at 1:4 density one kernel covers a 2x2 LR block, centered at
-    (2*ix + 1, 2*iy + 1).
+  * a kernel covers a ``Density.stride`` x ``stride`` LR block: one pixel,
+    or at 1:4 a 2x2 block centered at (2*ix + 1, 2*iy + 1).
 
 All types are immutable value objects after construction and safe to share
 read-only across workers: each stores its arrays through ``frozen_array``,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,20 +100,24 @@ def _first_violation(what: str, values: np.ndarray, bad: np.ndarray) -> None:
 
 
 class Density(enum.Enum):
+    """One kernel per ``stride`` x ``stride`` LR block (the value is its
+    pixel count).  ``stride`` alone decides what a grid cell covers."""
+
     ONE_PER_PIXEL = 1
     ONE_PER_FOUR_PIXELS = 4
 
+    @property
+    def stride(self) -> int:
+        """LR pixels per grid-cell side: 1, or 2 at 1:4."""
+        return math.isqrt(self.value)
+
     def grid_shape(self, lr_width: int, lr_height: int) -> tuple[int, int]:
         """(grid_w, grid_h) of the kernel grid for an LR frame."""
-        if self is Density.ONE_PER_PIXEL:
-            return lr_width, lr_height
-        return (lr_width + 1) // 2, (lr_height + 1) // 2
+        return -(-lr_width // self.stride), -(-lr_height // self.stride)
 
     def anchor_center(self, ix, iy):
         """(cx, cy) LR-pixel center of grid cell (ix, iy); scalars or arrays."""
-        if self is Density.ONE_PER_PIXEL:
-            return ix + 0.5, iy + 0.5
-        return 2.0 * ix + 1.0, 2.0 * iy + 1.0
+        return self.stride * (ix + 0.5), self.stride * (iy + 0.5)
 
     @functools.lru_cache(maxsize=8)
     def cell_centers(self, lr_width: int, lr_height: int) -> np.ndarray:
@@ -242,17 +247,19 @@ class GaussianField:
         )
 
 
-def block_mean(img: np.ndarray, gh: int, gw: int) -> np.ndarray:
-    """(H, W, ...) -> (gh, gw, ...) means of ceil(H/gh) x ceil(W/gw) blocks.
+def edge_blocks(img: np.ndarray, gh: int, bh: int, gw: int, bw: int) -> np.ndarray:
+    """(H, W, ...) -> (gh, bh, gw, bw, ...) blocks, the last row and column
+    replicated to fill them (np.pad's edge mode, gathered by index: cheaper)."""
+    rows = np.minimum(np.arange(gh * bh), img.shape[0] - 1)
+    cols = np.minimum(np.arange(gw * bw), img.shape[1] - 1)
+    return img.take(rows, axis=0).take(cols, axis=1).reshape(gh, bh, gw, bw, *img.shape[2:])
 
-    The image is edge-padded to fill the last row and column of blocks.
-    """
+
+def block_mean(img: np.ndarray, gh: int, gw: int) -> np.ndarray:
+    """(H, W, ...) -> (gh, gw, ...) means of ceil(H/gh) x ceil(W/gw)
+    edge_blocks."""
     h, w = img.shape[:2]
-    bh = -(-h // gh)
-    bw = -(-w // gw)
-    pad = [(0, gh * bh - h), (0, gw * bw - w)] + [(0, 0)] * (img.ndim - 2)
-    blocks = np.pad(img, pad, mode="edge").reshape(gh, bh, gw, bw, *img.shape[2:])
-    return blocks.mean(axis=(1, 3))
+    return edge_blocks(img, gh, -(-h // gh), gw, -(-w // gw)).mean(axis=(1, 3))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from splatvid.core import (
     FlowField,
     ShapeError,
     ValidationError,
+    edge_blocks,
     frozen_array,
 )
 from splatvid.cpb import LogitField, ONE_HOT_LOGIT, softmax
@@ -163,11 +164,9 @@ def flow_magnitude_window_logits(
     )
     h, w = mag.shape
     gw, gh = density.grid_shape(w, h)
-    if density is Density.ONE_PER_FOUR_PIXELS:
-        # Pool each 2x2 LR block by max (pad edges by replication).
-        padded = np.pad(mag, ((0, 2 * gh - h), (0, 2 * gw - w)), mode="edge")
-        mag = padded.reshape(gh, 2, gw, 2).max(axis=(1, 3))
-    g = np.minimum(mag, s_win.max_size)
+    # Pool each cell's s x s LR block by max.
+    s = density.stride
+    g = np.minimum(edge_blocks(mag, gh, s, gw, s).max(axis=(1, 3)), s_win.max_size)
     sizes = np.asarray(s_win.sizes)
     idx = np.searchsorted(sizes, g, side="left")
     idx = np.minimum(idx, s_win.k - 1)

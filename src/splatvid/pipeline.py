@@ -3,11 +3,12 @@
 A SharedContext is built exactly once per input pair: ``build_shared_context``
 computes every part, then makes the frozen context in one constructor call.
 It holds the endpoint fits (snapped to the bank, with their colours then
-solved for the snapped windows by ``fit.solve_colors``), the flows, the
-window map, and every input of the per-frame step that does not depend on
-t: the frame-0 parameter map, the frame-1 parameter and covariance maps
-pulled back to the frame-0 anchors (one warp of their stacked channels), and
-the bank side of the covariance derivation.  Every fuser takes one path,
+solved for the snapped windows by ``fit.solve_colors``), both flows pooled
+once to the kernel grid (block means, in LR pixels), the window map, and
+every input of the per-frame step that does not depend on t: the frame-0
+parameter map, the frame-1 parameter and covariance maps pulled back to the
+frame-0 anchors (one warp of their stacked channels), and the bank side of
+the covariance derivation.  Every fuser takes one path,
 ``cpb.bank_candidates``: the fused logits are linear in t, a + t * b per
 cell, and each cell keeps the entries that can come within ``cpb.TAU`` = 40
 of its maximum logit (dropped softmax mass at most K * exp(-TAU) per cell,
@@ -16,10 +17,10 @@ baseline), the context holds the covariances resampled once and no
 candidates; otherwise it holds the candidates and each frame pays an (N, M)
 softmax.  Nothing runs a conv or a K-wide softmax (``cpb.fuse`` and
 ``cpb.resample``, the reference).  Each requested timestamp then only pays
-scaling of the one flow it uses, the parameter blend, offset gating and
-that bank softmax, plus rasterization.  Stage counters record this split
-and are asserted by the latency tests; they are the one part of a context
-that changes after it is built.
+``scale_flows`` of the one stored grid flow it uses, the parameter blend,
+offset gating and that bank softmax, plus rasterization.  Stage counters
+record this split and are asserted by the latency tests; they are the one
+part of a context that changes after it is built.
 
 PipelineOptions checks itself when built, so a fuser whose K is not its
 bank's fails before any fitting.
@@ -127,15 +128,17 @@ class BenchRecord:
 class SharedContext:
     """Everything one input pair computes once, for any number of timestamps.
 
-    ``param0`` is field 0's (offset, color) map; ``param1`` and ``cov1`` are
-    field 1's maps pulled back to the frame-0 anchors through the 0->1 flow.
-    Both covariance fields come from ``cpb.bank_candidates``.  When every
-    candidate's slope b is zero, the logits do not depend on t: ``cov_t``
-    holds the candidates resampled once, ``derive_field`` reuses it at every
-    t, and ``candidates`` is None.  Otherwise ``cov_t`` is None and
-    ``candidates`` holds the per-cell bank candidates that ``derive_field``
-    resamples at each t.  Only ``stage_counters`` changes after
-    construction, through ``bump``.
+    ``flow01`` and ``flow10`` are the input flows pooled to the kernel grid,
+    in LR pixels (equal to them at density 1), so a frame pays only
+    ``scale_flows`` of one of them.  ``param0`` is field 0's (offset, color)
+    map; ``param1`` and ``cov1`` are field 1's maps pulled back to the
+    frame-0 anchors through ``flow01``.  Both covariance fields come from
+    ``cpb.bank_candidates``.  When every candidate's slope b is zero, the
+    logits do not depend on t: ``cov_t`` holds the candidates resampled
+    once, ``derive_field`` reuses it at every t, and ``candidates`` is None.
+    Otherwise ``cov_t`` is None and ``candidates`` holds the per-cell bank
+    candidates that ``derive_field`` resamples at each t.  Only
+    ``stage_counters`` changes after construction, through ``bump``.
     """
 
     field0: GaussianField
@@ -164,19 +167,6 @@ def _cell_maps(f: GaussianField) -> np.ndarray:
     gw, gh = f.grid_shape
     data = np.concatenate([f.sigmas, f.rhos[:, None], f.offsets, f.colors], axis=1)
     return data.reshape(gh, gw, 8)
-
-
-def _grid_flow(flow: FlowField, density: Density, grid_units: bool) -> FlowField:
-    """Flow resampled to the kernel grid (2x2 mean pool for 1:4).
-
-    Vectors stay in LR pixels unless grid_units is set, which rescales them
-    to grid-cell steps (needed when indexing the grid itself, e.g. warping).
-    """
-    if density is Density.ONE_PER_PIXEL:
-        return flow
-    gw, gh = density.grid_shape(flow.width, flow.height)
-    pooled = block_mean(flow.vectors, gh, gw)
-    return FlowField(pooled / 2.0 if grid_units else pooled)
 
 
 def _snap_and_refine(
@@ -211,6 +201,9 @@ def build_shared_context(
         raise ShapeError("bidirectional flows differ in shape")
     if frame0.pixels.shape != frame1.pixels.shape:
         raise ShapeError("endpoint frames differ in shape")
+    # Both flows on the kernel grid, in LR pixels (equal to them at density 1).
+    gw, gh = opts.density.grid_shape(frame0.width, frame0.height)
+    grid01, grid10 = (FlowField(block_mean(f.vectors, gh, gw)) for f in flows)
     bank = opts.bank or cpb_mod.default_bank()
     fuser = opts.fuser or cpb_mod.baseline_fuser(bank)
 
@@ -219,10 +212,10 @@ def build_shared_context(
     f0, f1 = _snap_and_refine(fitted, frames, bank, opts)
     # Frame-1 parameters pulled back to frame-0 anchors so fusion compares
     # parameters of the same content, not the same grid position.  The warp
-    # is per channel, so one warp of all eight serves both maps.
-    grid_m01 = _grid_flow(flow01, opts.density, grid_units=True)
+    # is per channel, so one warp of all eight serves both maps, in cells.
+    cell_m01 = FlowField(grid01.vectors / opts.density.stride)
     maps0 = _cell_maps(f0)
-    maps1 = motion_mod.backward_warp(FeatureMap(_cell_maps(f1)), grid_m01).data
+    maps1 = motion_mod.backward_warp(FeatureMap(_cell_maps(f1)), cell_m01).data
     cov0, cov1 = CovGrid(maps0[..., 0:3]), CovGrid(maps1[..., 0:3])
     cov_t, candidates = None, cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
     if not np.any(candidates.b):  # no logit depends on t: resample once
@@ -233,8 +226,8 @@ def build_shared_context(
     return SharedContext(
         field0=f0,
         field1=f1,
-        flow01=flow01,
-        flow10=flow10,
+        flow01=grid01,
+        flow10=grid10,
         window_map=motion_mod.compute_window_map(logits, WINDOWS),
         bank=bank,
         fuser=fuser,
@@ -252,8 +245,8 @@ def build_shared_context(
 def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     """Assemble the GaussianField at time t from the shared context."""
     opts = ctx.options
-    # m_t0 = t * m10, the flow from time t back to frame 0; scale_flows also
-    # rejects a t outside [0, 1].
+    # m_t0 = t * m10 on the kernel grid, the flow from time t back to frame
+    # 0; scale_flows also rejects a t outside [0, 1].
     m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)
 
     # motion's fusion and decoder; the m = 1 - t form keeps it bit-equal.
@@ -261,12 +254,11 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     blend = np.clip(m * ctx.param0.data + (1.0 - m) * ctx.param1.data, 0.0, 1.0)
 
     # Content displacement carried by the offsets, normalized by the window.
-    disp = -_grid_flow(m_t0, opts.density, grid_units=False).vectors
     if opts.aow:
         wmap = ctx.window_map
     else:
         wmap = WindowMap(np.ones_like(ctx.window_map.values))
-    total = blend[..., 0:2] + disp
+    total = blend[..., 0:2] - m_t0.vectors
     gated = np.clip(total / wmap.values[..., None], 0.0, 1.0)
     offsets = motion_mod.apply_window(gated, wmap)
 

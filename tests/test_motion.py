@@ -237,6 +237,23 @@ class TestFlowMagnitudeLogits:
         assert idx.shape == (2, 2)
         assert idx[0, 0] == 6 and np.all(idx.ravel()[1:] == 0)
 
+        # An odd-sized frame: the last row and column of cells hang over the
+        # edge and pool only their in-frame pixels.
+        rng = np.random.default_rng(2)
+        m01, m10 = (FlowField(rng.uniform(-8.0, 8.0, (3, 5, 2))) for _ in range(2))
+        s_win = WindowSet()
+        logits = flow_magnitude_window_logits(
+            m01, m10, s_win, Density.ONE_PER_FOUR_PIXELS
+        )
+        idx = np.argmax(logits.logits, axis=-1)
+        assert idx.shape == (2, 3)
+        mag = np.maximum(*(np.hypot(*m.vectors.transpose(2, 0, 1)) for m in (m01, m10)))
+        for iy in range(2):
+            for ix in range(3):
+                peak = mag[2 * iy : 2 * iy + 2, 2 * ix : 2 * ix + 2].max()
+                fits = [i for i, size in enumerate(s_win.sizes) if size >= peak]
+                assert idx[iy, ix] == (fits[0] if fits else s_win.k - 1)
+
 
 class TestApplyWindow:
     def test_identity_window(self):

@@ -7,7 +7,15 @@ import pytest
 
 from splatvid import cli, cpb, fileio, motion, nnops, pipeline, synth
 from splatvid import fit as fit_mod
-from splatvid.core import Density, FeatureMap, FrameBuffer, ShapeError, ValidationError
+from splatvid.core import (
+    Density,
+    FeatureMap,
+    FlowField,
+    FrameBuffer,
+    ShapeError,
+    ValidationError,
+    validate_field,
+)
 from splatvid.fit import FitConfig
 from splatvid.metrics import psnr_y
 from splatvid.pipeline import (
@@ -304,6 +312,63 @@ class TestDeriveCache:
             original(FeatureMap(cov), ctx.flow01).data, ctx.cov1.params
         )
         assert np.array_equal(original(FeatureMap(par), ctx.flow01).data, ctx.param1.data)
+
+
+class TestGridFlows:
+    """Each flow reaches the kernel grid once per pair, in LR pixels."""
+
+    def zoom_pair(self, w, h):
+        frame0, _ = static_scene(w, h, seed=4)
+        frame1, _ = static_scene(w, h, seed=5)
+        return frame0, frame1, (synth.zoom_flow(w, h, 1.3), synth.zoom_flow(w, h, 1 / 1.3))
+
+    def test_quarter_density_pools_each_flow_to_the_grid(self):
+        w, h = 11, 7
+        frame0, frame1, flows = self.zoom_pair(w, h)
+        quarter = dataclasses.replace(
+            TestDeriveCache.OPTS, density=Density.ONE_PER_FOUR_PIXELS
+        )
+        ctx = build_shared_context(frame0, frame1, flows, quarter)
+        gw, gh = ctx.field0.grid_shape
+        assert (gw, gh) == (6, 4)
+        for flow, pooled in zip(flows, (ctx.flow01, ctx.flow10)):
+            ref = np.empty((gh, gw, 2))
+            for iy in range(gh):
+                for ix in range(gw):
+                    # Each cell's 2x2 block, edge pixels replicated.
+                    block = [
+                        flow.vectors[min(2 * iy + dy, h - 1), min(2 * ix + dx, w - 1)]
+                        for dy in (0, 1)
+                        for dx in (0, 1)
+                    ]
+                    ref[iy, ix] = np.mean(block, axis=0)
+            assert pooled.vectors.shape == (gh, gw, 2)
+            assert np.abs(pooled.vectors - ref).max() <= 1e-15
+        # The warp steps in cells: the grid flow over the stride.
+        f1 = ctx.field1
+        par = np.column_stack([f1.offsets, f1.colors]).reshape(gh, gw, 5)
+        warped = motion.backward_warp(FeatureMap(par), FlowField(ctx.flow01.vectors / 2))
+        assert np.array_equal(warped.data, ctx.param1.data)
+
+    def test_density_one_keeps_the_input_flows(self):
+        # Equal values: the block mean's sum starts at +0.0, so a -0.0
+        # (the zoom centre's column of m10) comes back as +0.0.
+        frame0, frame1, flows = self.zoom_pair(11, 7)
+        ctx = build_shared_context(frame0, frame1, flows, TestDeriveCache.OPTS)
+        for flow, kept in zip(flows, (ctx.flow01, ctx.flow10)):
+            assert kept.vectors.shape == flow.vectors.shape
+            assert np.array_equal(kept.vectors, flow.vectors)
+
+    @pytest.mark.parametrize("density", list(Density))
+    @pytest.mark.parametrize("shift", [(3.0, 1.0), (-3.0, -1.0)])
+    def test_derived_fields_are_valid(self, density, shift):
+        frame0, frame1, m01, m10 = synth.translating_blob_pair(16, 12, shift, radius=2.5)
+        opts = dataclasses.replace(TestDeriveCache.OPTS, density=density)
+        ctx = build_shared_context(frame0, frame1, (m01, m10), opts)
+        for aow in (True, False):
+            local = dataclasses.replace(ctx, options=dataclasses.replace(opts, aow=aow))
+            for t in (0.0, 0.5, 1.0):
+                assert validate_field(derive_field(local, t)) == []
 
 
 class TestBankCandidatesDerive:
