@@ -165,7 +165,8 @@ _PPM_SPACE = b" \t\n\v\f\r"
 def _ppm_header(data: bytes) -> tuple[int, int, int]:
     """Parse a netpbm P6 header: the magic, then width, height and maxval as
     decimal tokens separated by whitespace that may hold ``#`` comments (to
-    the end of the line), then exactly one whitespace byte.
+    the end of the line), then exactly one whitespace byte.  A token may
+    have leading zeros; without them, one of more than 19 digits fails.
 
     Only maxval 255 is supported.  Returns (width, height, raster offset).
     """
@@ -190,7 +191,10 @@ def _ppm_header(data: bytes) -> tuple[int, int, int]:
             pos += 1
         if pos == digits_at:
             raise FormatError(f"bad PPM header: {what} is not a decimal number", pos)
-        values.append((int(data[digits_at:pos]), digits_at))
+        token = data[digits_at:pos].lstrip(b"0") or b"0"
+        if len(token) > 19:  # above 2**63: more bytes than any file holds
+            raise FormatError(f"bad PPM header: {what} too large for any file", digits_at)
+        values.append((int(token), digits_at))
     if pos == len(data):
         raise FormatError("truncated PPM header after maxval", pos)
     if data[pos] not in _PPM_SPACE:
@@ -275,6 +279,8 @@ def load_weights(path) -> dict[str, np.ndarray]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad weights JSON: {exc}", exc.pos) from exc
+    except (ValueError, RecursionError) as exc:  # an int too long, nesting too deep
+        raise FormatError(f"bad weights JSON: {exc}", 0) from exc
     if not isinstance(doc, dict):
         raise FormatError("weights document is not a JSON object", 0)
     if doc.get("format") != WEIGHTS_FORMAT:

@@ -13,8 +13,9 @@ Fusion and decoding are the training-free baseline of the paper's learned
 motion module: the mask is 1 - t with no residual, so the fused map is the
 linear blend of the endpoint maps, and the decoder passes the fused
 (offset, color) channels through, clamped to [0, 1].  ``pipeline.derive_field``
-computes that blend as one expression; ``predict_fusion``, ``fuse_features``
-and ``decode_gaussians`` are its reference path.
+computes that blend and the window gate on two aligned fields;
+``predict_fusion``, ``fuse_features``, ``decode_gaussians`` and
+``apply_window`` are its reference path.
 """
 
 from __future__ import annotations

@@ -2,13 +2,12 @@
 
 A SharedContext is built exactly once per input pair: ``build_shared_context``
 computes every part, then makes the frozen context in one constructor call.
-It holds the endpoint fits (snapped to the bank, with their colours then
-solved for the snapped windows by ``fit.solve_colors``), both flows pooled
-once to the kernel grid (block means, in LR pixels), the window map, and
-every input of the per-frame step that does not depend on t: the frame-0
-parameter map, the frame-1 parameter and covariance maps pulled back to the
-frame-0 anchors (one warp of their stacked channels), and the bank side of
-the covariance derivation.  Every fuser takes one path,
+It holds three fields: the endpoint fits (snapped to the bank, with their
+colours then solved for the snapped windows by ``fit.solve_colors``) and
+field 1 pulled back onto field 0's anchors (one warp of its eight stacked
+channels).  Then come the per-pair tables: both flows pooled once to the
+kernel grid (block means, in LR pixels), the window map, and the bank side
+of the covariance derivation.  Every fuser takes one path,
 ``cpb.bank_candidates``: the fused logits are linear in t, a + t * b per
 cell, and each cell keeps the entries that can come within ``cpb.TAU`` = 40
 of its maximum logit (dropped softmax mass at most K * exp(-TAU) per cell,
@@ -17,23 +16,23 @@ baseline), the context holds the covariances resampled once and no
 candidates; otherwise it holds the candidates and each frame pays an (N, M)
 softmax.  Nothing runs a conv or a K-wide softmax (``cpb.fuse`` and
 ``cpb.resample``, the reference).  Each requested timestamp then only pays
-``scale_flows`` of the one stored grid flow it uses, the parameter blend,
-offset gating and that bank softmax, plus rasterization.  Stage counters
-record this split and are asserted by the latency tests; they are the one
-part of a context that changes after it is built.
+``scale_flows`` of the one stored grid flow it uses, the blend of the two
+aligned fields, offset gating and that bank softmax, plus rasterization.
+Stage counters record this split and are asserted by the latency tests;
+they are the one part of a context that changes after it is built.
 
 PipelineOptions checks itself when built, so a fuser whose K is not its
 bank's fails before any fitting.
 
-Per-frame motion realization: endpoint parameter maps are aligned on the
-frame-0 anchor grid (frame 1 pulled back through the full 0->1 flow), and
-the content displacement at time t is carried by the window-gated position
+Per-frame motion realization: both endpoint fields sit on the frame-0
+anchor grid (field 1 pulled back through the full 0->1 flow), and the
+content displacement at time t is carried by the window-gated position
 offsets.  ``derive_field`` computes the training-free fusion and decoder
-of ``motion`` as one blend, weight 1 - t on frame 0, clamped to [0, 1].
-The gated offset is the window-normalized total offset (fitted sub-cell
-refinement plus flow displacement), so a unit window map reproduces the
-tight single-cell constraint and the adaptive window is what makes large
-motion trackable.
+of ``motion`` as one blend per array, weight 1 - t on field 0, clamped to
+[0, 1].  The gated offset is the window-normalized total offset (fitted
+sub-cell refinement plus flow displacement), clip(total / w, 0, 1) * w, so
+a unit window (AOW off) reproduces the tight single-cell constraint and the
+adaptive window is what makes large motion trackable.
 """
 
 from __future__ import annotations
@@ -128,30 +127,29 @@ class BenchRecord:
 class SharedContext:
     """Everything one input pair computes once, for any number of timestamps.
 
-    ``flow01`` and ``flow10`` are the input flows pooled to the kernel grid,
-    in LR pixels (equal to them at density 1), so a frame pays only
-    ``scale_flows`` of one of them.  ``param0`` is field 0's (offset, color)
-    map; ``param1`` and ``cov1`` are field 1's maps pulled back to the
-    frame-0 anchors through ``flow01``.  Both covariance fields come from
-    ``cpb.bank_candidates``.  When every candidate's slope b is zero, the
-    logits do not depend on t: ``cov_t`` holds the candidates resampled
-    once, ``derive_field`` reuses it at every t, and ``candidates`` is None.
-    Otherwise ``cov_t`` is None and ``candidates`` holds the per-cell bank
-    candidates that ``derive_field`` resamples at each t.  Only
-    ``stage_counters`` changes after construction, through ``bump``.
+    Three fields: the endpoint fits ``field0`` and ``field1``, and
+    ``field1_aligned``, field 1 pulled back onto field 0's anchors through
+    ``flow01`` (every array warped), which a frame blends with ``field0``.
+    Then the per-pair tables: ``flow01`` and ``flow10`` are the input flows
+    pooled to the kernel grid, in LR pixels (equal to them at density 1), so
+    a frame pays only ``scale_flows`` of one of them.  The covariances come
+    from ``cpb.bank_candidates`` of field0's and field1_aligned's.  When
+    every candidate's slope b is zero, the logits do not depend on t:
+    ``cov_t`` holds the candidates resampled once, ``derive_field`` reuses
+    it at every t, and ``candidates`` is None.  Otherwise ``cov_t`` is None
+    and ``candidates`` holds the per-cell bank candidates that
+    ``derive_field`` resamples at each t.  Only ``stage_counters`` changes
+    after construction, through ``bump``.
     """
 
     field0: GaussianField
     field1: GaussianField
+    field1_aligned: GaussianField
     flow01: FlowField
     flow10: FlowField
     window_map: WindowMap
     bank: CpbBank
     fuser: FuserWeights
-    cov0: CovGrid
-    cov1: CovGrid
-    param0: FeatureMap
-    param1: FeatureMap
     cov_t: CovGrid | None
     candidates: BankCandidates | None
     options: PipelineOptions
@@ -210,13 +208,14 @@ def build_shared_context(
     frames = [frame0, frame1]
     fitted = fit_mod.fit_frames(frames, opts.density, opts.fit)
     f0, f1 = _snap_and_refine(fitted, frames, bank, opts)
-    # Frame-1 parameters pulled back to frame-0 anchors so fusion compares
-    # parameters of the same content, not the same grid position.  The warp
-    # is per channel, so one warp of all eight serves both maps, in cells.
+    # Field 1 pulled back to field 0's anchors, so the blend compares the
+    # same content, not the same grid position.  The warp is per channel, so
+    # one warp of all eight serves every array, in cells.
     cell_m01 = FlowField(grid01.vectors / opts.density.stride)
-    maps0 = _cell_maps(f0)
     maps1 = motion_mod.backward_warp(FeatureMap(_cell_maps(f1)), cell_m01).data
-    cov0, cov1 = CovGrid(maps0[..., 0:3]), CovGrid(maps1[..., 0:3])
+    sig, rho, off, col = np.split(maps1.reshape(-1, 8), [2, 3, 5], axis=1)
+    f1_aligned = replace(f1, sigmas=sig, rhos=rho[:, 0], offsets=off, colors=col)
+    cov0, cov1 = CovGrid(_cell_maps(f0)[..., 0:3]), CovGrid(maps1[..., 0:3])
     cov_t, candidates = None, cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
     if not np.any(candidates.b):  # no logit depends on t: resample once
         cov_t, candidates = cpb_mod.resample_candidates(candidates, 0.0, bank), None
@@ -226,15 +225,12 @@ def build_shared_context(
     return SharedContext(
         field0=f0,
         field1=f1,
+        field1_aligned=f1_aligned,
         flow01=grid01,
         flow10=grid10,
         window_map=motion_mod.compute_window_map(logits, WINDOWS),
         bank=bank,
         fuser=fuser,
-        cov0=cov0,
-        cov1=cov1,
-        param0=FeatureMap(maps0[..., 3:8]),
-        param1=FeatureMap(maps1[..., 3:8]),
         cov_t=cov_t,
         candidates=candidates,
         options=opts,
@@ -244,35 +240,29 @@ def build_shared_context(
 
 def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     """Assemble the GaussianField at time t from the shared context."""
-    opts = ctx.options
     # m_t0 = t * m10 on the kernel grid, the flow from time t back to frame
     # 0; scale_flows also rejects a t outside [0, 1].
     m_t0 = motion_mod.scale_flows(ctx.flow01, ctx.flow10, t)
 
     # motion's fusion and decoder; the m = 1 - t form keeps it bit-equal.
+    f0, f1 = ctx.field0, ctx.field1_aligned
     m = 1.0 - t
-    blend = np.clip(m * ctx.param0.data + (1.0 - m) * ctx.param1.data, 0.0, 1.0)
+    offsets = np.clip(m * f0.offsets + (1.0 - m) * f1.offsets, 0.0, 1.0)
+    colors = np.clip(m * f0.colors + (1.0 - m) * f1.colors, 0.0, 1.0)
 
-    # Content displacement carried by the offsets, normalized by the window.
-    if opts.aow:
-        wmap = ctx.window_map
-    else:
-        wmap = WindowMap(np.ones_like(ctx.window_map.values))
-    total = blend[..., 0:2] - m_t0.vectors
-    gated = np.clip(total / wmap.values[..., None], 0.0, 1.0)
-    offsets = motion_mod.apply_window(gated, wmap)
+    # Content displacement carried by the offsets, gated in window units.
+    w = ctx.window_map.values.reshape(-1, 1) if ctx.options.aow else 1.0
+    total = offsets - m_t0.vectors.reshape(-1, 2)
 
-    cov_grid = ctx.cov_t
-    if cov_grid is None:
-        cov_grid = cpb_mod.resample_candidates(ctx.candidates, t, ctx.bank)
+    cov_grid = ctx.cov_t or cpb_mod.resample_candidates(ctx.candidates, t, ctx.bank)
     cov_t = cov_grid.params.reshape(-1, 3)
 
     derived = replace(
-        ctx.field0,
-        offsets=offsets.reshape(-1, 2),
+        f0,
+        offsets=np.clip(total / w, 0.0, 1.0) * w,
         sigmas=cov_t[:, 0:2],
         rhos=cov_t[:, 2],
-        colors=blend[..., 2:5].reshape(-1, 3),
+        colors=colors,
         timestamp=float(t),
         max_offset=WINDOWS.max_size,
     )

@@ -7,6 +7,13 @@ import numpy as np
 from splatvid.core import GaussianField
 from splatvid.synth import random_field  # noqa: F401  (re-exported for tests)
 
+# Weights documents json cannot read as values: entry data nested 2000 deep
+# (a 4 KB file; RecursionError inside json) and a number of 5000 digits (a
+# plain ValueError, Python's integer-string limit).
+_BANK = '{"format": "gsw1", "entries": {"bank": {"shape": [1], "data": %s}}}'
+DEEP_DOC = _BANK % ("[" * 2000 + "]" * 2000)
+LONG_INT_DOC = _BANK % ("[" + "1" * 5000 + "]")
+
 
 def fields_equal(a: GaussianField, b: GaussianField) -> bool:
     return (

@@ -1,10 +1,14 @@
 """Serialization round-trips and malformed-file diagnostics."""
 
 import dataclasses
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splatvid import fileio
 from splatvid.core import (
@@ -18,7 +22,7 @@ from splatvid.core import (
 from splatvid.cpb import FuserWeights, default_bank
 from splatvid.fileio import FormatError
 from splatvid.metrics import StabilityReport
-from conftest import fields_equal
+from conftest import DEEP_DOC, LONG_INT_DOC, fields_equal
 
 
 def f32_field(rng, w, h, density=Density.ONE_PER_PIXEL) -> GaussianField:
@@ -214,6 +218,13 @@ class TestFrames:
         px = fileio.load_ppm(p).pixels
         assert np.array_equal(px, np.arange(12.0).reshape(2, 2, 3) / 255.0)
 
+    def test_ppm_header_tokens_may_have_leading_zeros(self, tmp_path):
+        # Width 3 written with 5000 leading zeros: longer than int() takes.
+        p = tmp_path / "zeros.ppm"
+        p.write_bytes(b"P6\n" + b"0" * 5000 + b"3 1\n00255\n" + bytes(range(9)))
+        px = fileio.load_ppm(p).pixels
+        assert np.array_equal(px, np.arange(9.0).reshape(1, 3, 3) / 255.0)
+
     def test_ppm_comment_in_header(self, tmp_path):
         p = tmp_path / "comment.ppm"
         p.write_bytes(b"P6\n# c\n2 2\n255\n" + bytes(range(12)))
@@ -229,7 +240,10 @@ class TestFrames:
             (b"P6 2 2 255", 10),  # no whitespace byte after maxval
             (b"P6 0 2 255\n", 3),  # empty frame
             (b"P6 2x 2 255\n" + bytes(12), 4),  # junk inside a token
+            (b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(9), 3),  # no file holds it
+            (b"P6 1 " + b"1" * 20 + b" 255\n" + bytes(3), 5),  # 20 digits: above 2**63
         ],
+        ids=lambda v: None if isinstance(v, int) or len(v) < 40 else f"{len(v)}-bytes",
     )
     def test_ppm_malformed_header_names_offset(self, tmp_path, data, offset):
         p = tmp_path / "bad.ppm"
@@ -319,16 +333,17 @@ class TestWeights:
                 ("ragged-data", '{"shape": [3], "data": [[1], [2, 3]]}'),
                 ("nested-data", '{"shape": [2, 1], "data": [[1], [2]]}'),
             ]
-        ],
+        ]
+        + [pytest.param(DEEP_DOC, id="deep-nesting"), pytest.param(LONG_INT_DOC, id="long-int")],
     )
     def test_malformed_documents_raise_format_error(self, tmp_path, loader, doc):
-        # Every malformed document is a FormatError with an offset, never a
-        # stray exception from the JSON values.
+        # Every malformed document is a FormatError at offset 0, never a
+        # stray exception from json or the JSON values.
         p = tmp_path / "w.json"
         p.write_text(doc)
         with pytest.raises(FormatError) as exc:
             loader(p)
-        assert exc.value.offset is not None
+        assert exc.value.offset == 0
 
     @pytest.mark.parametrize(
         "load, entries",
@@ -414,6 +429,110 @@ class TestUndecodableBytes:
         with pytest.raises(FormatError, match="not UTF-8") as exc:
             load(p)
         assert exc.value.offset == at
+
+
+LOADERS = {
+    "gsf": fileio.load_gsf,
+    "flo": fileio.load_flo,
+    "frm": fileio.load_frm,
+    "ppm": fileio.load_ppm,
+    "json": fileio.load_weights,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory) -> dict[str, bytes]:
+    """One small valid file of each format a loader reads, by suffix."""
+    rng = np.random.default_rng(11)
+    frame = FrameBuffer(rng.uniform(0, 1, (2, 3, 3)).astype(np.float32).astype(np.float64))
+    saves = {
+        "gsf": lambda p: fileio.save_gsf(p, f32_field(rng, 3, 2)),
+        "flo": lambda p: fileio.save_flo(p, FlowField(np.ones((2, 3, 2)))),
+        "frm": lambda p: fileio.save_frm(p, frame),
+        "ppm": lambda p: fileio.save_ppm(p, frame),
+        "json": lambda p: fileio.save_weights(p, {"a": np.ones((2, 3)), "b": np.ones(2)}),
+    }
+    out = {}
+    for suffix, save in saves.items():
+        path = tmp_path_factory.mktemp("valid") / f"f.{suffix}"
+        save(path)
+        out[suffix] = path.read_bytes()
+    return out
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """data truncated, with bytes flipped, with junk inserted, with a run of
+    digits (a header token) lengthened by leading digits, or with the run
+    nested deep in JSON brackets."""
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "digits", "nest"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        out = bytearray(data)
+        for i in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=8)):
+            out[i] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=16)) + data[at:]
+    runs = [m.span() for m in re.finditer(rb"\d+", data)] or [(at, at)]
+    lo, hi = draw(st.sampled_from(runs))
+    if kind == "digits":
+        # Around 2**63 and Python's 4300-digit integer-string limit.
+        count = draw(st.sampled_from([18, 19, 20, 4299, 4301, 6000]))
+        new = draw(st.sampled_from([b"0", b"1", b"9"])) * count + data[lo:hi]
+    else:
+        depth = draw(st.sampled_from([60, 900, 2000]))
+        new = b"[" * depth + data[lo:hi] + b"]" * depth
+    return data[:lo] + new + data[hi:]
+
+
+class TestLoaderFuzz:
+    """Every loader returns a value or raises FormatError with an offset in
+    the file, whatever the bytes."""
+
+    @pytest.mark.parametrize("suffix", sorted(LOADERS))
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_mutated_files_load_or_raise_format_error(
+        self, tmp_path, valid_files, suffix, data
+    ):
+        blob = data.draw(mutated(valid_files[suffix]))
+        p = tmp_path / f"m.{suffix}"
+        p.write_bytes(blob)
+        try:
+            LOADERS[suffix](p)
+        except FormatError as exc:
+            assert isinstance(exc.offset, int) and 0 <= exc.offset <= len(blob)
+
+    @pytest.mark.parametrize(
+        "suffix, header",
+        [
+            ("gsf", b"GSF1" + struct.pack("<IIBfI", 65536, 32768, 0, 0.0, 2**31)),
+            ("flo", struct.pack("<fii", fileio.FLO_MAGIC, 65536, 32768)),
+            ("frm", b"FRM1" + struct.pack("<II", 65536, 32768)),
+            ("ppm", b"P6\n65536 32768\n255\n"),
+            ("json", b'{"format": "gsw1", "entries": {"a": '
+             b'{"shape": [65536, 32768], "data": [1]}}}'),
+        ],
+    )
+    def test_huge_declared_size_allocates_nothing(self, tmp_path, suffix, header):
+        # About 2**31 pixels declared in a 100-byte file.
+        p = tmp_path / f"huge.{suffix}"
+        p.write_bytes(header.ljust(100, b" " if suffix == "json" else b"\0"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                LOADERS[suffix](p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCsv:

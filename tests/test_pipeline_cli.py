@@ -28,10 +28,25 @@ from splatvid.pipeline import (
     render_at,
 )
 from splatvid.raster import Normalization, RenderConfig, render_tiled, render_windows
+from conftest import DEEP_DOC, LONG_INT_DOC
 
 FAST_OPTS = PipelineOptions(
     fit=FitConfig(iterations=60, truncation_radius=4.0), refine_iterations=20
 )
+
+
+def grid_maps(f, *arrays):
+    """f's named (N, ...) arrays side by side as one (gh, gw, C) grid map."""
+    gw, gh = f.grid_shape
+    return np.column_stack([getattr(f, a) for a in arrays]).reshape(gh, gw, -1)
+
+
+def cov_grids(ctx):
+    """The fuser's two inputs: field 0's and field 1's aligned covariances."""
+    return (
+        cpb.CovGrid(grid_maps(f, "sigmas", "rhos"))
+        for f in (ctx.field0, ctx.field1_aligned)
+    )
 
 
 def static_scene(w=12, h=10, seed=0):
@@ -159,7 +174,7 @@ class TestDeriveCache:
         return frame0, frame1, (m01, m10)
 
     def reference_cov(self, ctx, t):
-        logits = cpb.fuse(ctx.cov0, ctx.cov1, t, ctx.fuser)
+        logits = cpb.fuse(*cov_grids(ctx), t, ctx.fuser)
         return cpb.resample(logits, ctx.bank).params.reshape(-1, 3)
 
     def derive_and_render(self, ctx, timestamps):
@@ -181,7 +196,7 @@ class TestDeriveCache:
         frame0, frame1, flows = self.blob_pair()
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         assert ctx.cov_t is not None  # the baseline fuser ignores t
-        cands = cpb.bank_candidates(ctx.cov0, ctx.cov1, ctx.fuser, ctx.bank)
+        cands = cpb.bank_candidates(*cov_grids(ctx), ctx.fuser, ctx.bank)
         timestamps = [0.0, 0.3, 1.0]
         for t, f in zip(timestamps, self.derive_and_render(ctx, timestamps)):
             cached = cpb.resample_candidates(cands, t, ctx.bank).params.reshape(-1, 3)
@@ -193,14 +208,14 @@ class TestDeriveCache:
 
     def test_blend_keeps_endpoint_colours(self):
         # The blend that replaces the fusion and decoder heads keeps their
-        # endpoint identities: t = 0 gives param0's colours, t = 1 param1's.
+        # endpoint identities: t = 0 gives field 0's colours, t = 1 those of
+        # field 1 aligned.
         frame0, frame1, flows = self.blob_pair()
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         assert ctx.options.aow
-        for t, p in ((0, ctx.param0), (1, ctx.param1)):
-            colours = p.data[..., 2:5].reshape(-1, 3)
-            assert np.array_equal(derive_field(ctx, t).colors, colours)
-        assert not np.array_equal(ctx.param0.data, ctx.param1.data)
+        for t, f in ((0, ctx.field0), (1, ctx.field1_aligned)):
+            assert np.array_equal(derive_field(ctx, t).colors, f.colors)
+        assert not np.array_equal(ctx.field0.colors, ctx.field1_aligned.colors)
 
     def test_t_dependent_fuser_bypasses_cache(self):
         # Baseline 1x1 fuser moved to the centre of a 3x3 kernel, plus a
@@ -228,15 +243,34 @@ class TestDeriveCache:
         assert np.abs(fields[0].sigmas - fields[1].sigmas).max() > 1e-6
 
 
-    def test_offsets_follow_scale_flows(self):
+    def zoom_pair(self):
+        # A 1.8x zoom of a 24x16 frame: window sizes 1 to 10 on the grid.
+        frame0, _ = static_scene(24, 16, seed=4)
+        frame1, _ = static_scene(24, 16, seed=5)
+        flows = synth.zoom_flow(24, 16, 1.8), synth.zoom_flow(24, 16, 1 / 1.8)
+        return frame0, frame1, flows
+
+    @pytest.mark.parametrize("aow", [True, False])
+    @pytest.mark.parametrize("pair", ["blob_pair", "zoom_pair"])
+    def test_offsets_follow_scale_flows(self, pair, aow):
         # derive_field scales only m_t0; its offsets must equal the window-
-        # gated offsets built from scale_flows' m_t0, bit for bit.
-        frame0, frame1, flows = self.blob_pair()
+        # gated offsets built from scale_flows' m_t0 by the reference heads,
+        # bit for bit, with AOW off gated by a unit WindowMap.
+        frame0, frame1, flows = getattr(self, pair)()
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
+        ctx = dataclasses.replace(ctx, options=dataclasses.replace(self.OPTS, aow=aow))
+        if pair == "zoom_pair":  # the gate sees windows other than powers of two
+            odd_sizes = {3.0, 5.0, 6.0, 7.0, 9.0, 10.0}
+            assert odd_sizes <= set(np.unique(ctx.window_map.values))
         timestamps = [0.0, 0.3, 1.0]
         fields = [derive_field(ctx, t) for t in timestamps]
-        p0, p1 = ctx.param0, ctx.param1
+        p0, p1 = (
+            FeatureMap(grid_maps(f, "offsets", "colors"))
+            for f in (ctx.field0, ctx.field1_aligned)
+        )
         wmap = ctx.window_map
+        if not aow:
+            wmap = motion.WindowMap(np.ones_like(wmap.values))
         for t, f in zip(timestamps, fields):
             m_t0 = motion.scale_flows(ctx.flow01, ctx.flow10, t)
             mask, residual = motion.predict_fusion(p0, p1, t)
@@ -304,14 +338,13 @@ class TestDeriveCache:
         monkeypatch.setattr(motion, "backward_warp", counted)
         ctx = build_shared_context(frame0, frame1, flows, self.OPTS)
         assert calls == [8]
-        f1 = ctx.field1
-        gw, gh = f1.grid_shape
-        cov = np.column_stack([f1.sigmas, f1.rhos]).reshape(gh, gw, 3)
-        par = np.column_stack([f1.offsets, f1.colors]).reshape(gh, gw, 5)
-        assert np.array_equal(
-            original(FeatureMap(cov), ctx.flow01).data, ctx.cov1.params
-        )
-        assert np.array_equal(original(FeatureMap(par), ctx.flow01).data, ctx.param1.data)
+        f1, aligned = ctx.field1, ctx.field1_aligned
+        for arrays in (("sigmas", "rhos"), ("offsets", "colors")):
+            warped = original(FeatureMap(grid_maps(f1, *arrays)), ctx.flow01).data
+            assert np.array_equal(warped, grid_maps(aligned, *arrays))
+        # Field 1's metadata, on field 0's grid.
+        assert (aligned.timestamp, aligned.max_offset) == (f1.timestamp, f1.max_offset)
+        assert aligned.grid_shape == ctx.field0.grid_shape
 
 
 class TestGridFlows:
@@ -345,10 +378,10 @@ class TestGridFlows:
             assert pooled.vectors.shape == (gh, gw, 2)
             assert np.abs(pooled.vectors - ref).max() <= 1e-15
         # The warp steps in cells: the grid flow over the stride.
-        f1 = ctx.field1
-        par = np.column_stack([f1.offsets, f1.colors]).reshape(gh, gw, 5)
-        warped = motion.backward_warp(FeatureMap(par), FlowField(ctx.flow01.vectors / 2))
-        assert np.array_equal(warped.data, ctx.param1.data)
+        maps = grid_maps(ctx.field1, "sigmas", "rhos", "offsets", "colors")
+        warped = motion.backward_warp(FeatureMap(maps), FlowField(ctx.flow01.vectors / 2))
+        aligned = grid_maps(ctx.field1_aligned, "sigmas", "rhos", "offsets", "colors")
+        assert np.array_equal(warped.data, aligned)
 
     def test_density_one_keeps_the_input_flows(self):
         # Equal values: the block mean's sum starts at +0.0, so a -0.0
@@ -681,14 +714,26 @@ class TestCli:
             "[1, 2]",
             '{"format": "gsw1", "entries": [1]}',
             '{"format": "gsw1", "entries": {"bank": 5}}',
+            pytest.param(DEEP_DOC, id="deep-nesting"),
+            pytest.param(LONG_INT_DOC, id="long-int"),
         ],
     )
     def test_malformed_bank_exit_code(self, tmp_path, doc):
         out_dir, args = self.interpolate_args(tmp_path, 8, 6)
         bank = tmp_path / "bank.json"
         bank.write_text(doc)
-        code = cli.main(args + ["--timestamps", "0.5", "--bank", str(bank)])
-        assert code == cli.EXIT_FORMAT
+        for flag in ("--bank", "--weights"):
+            code = cli.main(args + ["--timestamps", "0.5", flag, str(bank)])
+            assert code == cli.EXIT_FORMAT
+
+    def test_ppm_header_tokens(self, tmp_path):
+        # Width 3 written with 5000 leading zeros fits; a width of 5000
+        # digits fits in no file and is a format error, not a validation one.
+        frm = tmp_path / "f.ppm"
+        for width, code in ((b"0" * 5000 + b"3", 0), (b"9" * 5000, cli.EXIT_FORMAT)):
+            frm.write_bytes(b"P6\n" + width + b" 2\n255\n" + bytes(range(18)))
+            argv = ["fit", str(frm), str(tmp_path / "f.gsf"), "--iterations", "2"]
+            assert cli.main(argv) == code
 
     def test_bank_that_is_not_utf8_exits_3(self, tmp_path):
         out_dir, args = self.interpolate_args(tmp_path, 8, 6)

@@ -1,0 +1,106 @@
+"""The tooling behind same-outputs and no-regression claims: the summary of
+scripts/ab_bench.py and the digest comparison of scripts/output_digest.py,
+on synthetic runs, digests and .npz files."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def scripts():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "scripts"))
+        import ab_bench
+        import output_digest
+
+        yield ab_bench, output_digest
+
+
+def run(side, seed, **values):
+    metrics = {name: {"value": v} for name, v in values.items()}
+    return {"side": side, "seed": seed, "result": {"metrics": metrics}}
+
+
+class TestAbBenchSummary:
+    def test_quartiles_and_pairs_follow_the_benchmark_directions(self, scripts):
+        ab_bench, _ = scripts
+        doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in doc["end_to_end"]}
+        assert (better["pair_s"], better["fit_psnr_db"]) == ("lower", "higher")
+        parent = {"pair_s": [1.0, 2.0, 3.0, 4.0], "fit_psnr_db": [30.0] * 4}
+        change = {"pair_s": [0.5, 2.5, 2.0, 4.0], "fit_psnr_db": [31.0, 29.0, 30.0, 32.0]}
+        runs = []
+        for i, seed in enumerate([1, 2, 3, 4]):
+            for side, values in (("parent", parent), ("change", change)):
+                runs.append(run(side, seed, **{k: v[i] for k, v in values.items()}))
+        summary = ab_bench.summarize(runs, better)
+        # Inclusive (linear) quartiles of 1, 2, 3, 4.
+        assert summary["pair_s"]["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+        assert summary["pair_s"]["change"]["median"] == 2.25
+        # Lower is better: 0.5 < 1 and 2 < 3 win, 2.5 > 2 loses, 4 = 4 ties.
+        assert summary["pair_s"]["pairs_change_better"] == 2
+        assert summary["pair_s"]["pairs_change_worse"] == 1
+        assert summary["pair_s"]["max_abs_seed_diff"] == 1.0
+        # Higher is better: 31 and 32 win, 29 loses.
+        psnr = summary["fit_psnr_db"]
+        assert (psnr["pairs_change_better"], psnr["pairs_change_worse"]) == (2, 1)
+        assert psnr["max_abs_seed_diff"] == 2.0
+
+
+class TestOutputDigest:
+    def test_seed_range(self, scripts):
+        _, output_digest = scripts
+        assert output_digest.seed_range("3") == [3]
+        assert output_digest.seed_range("1-10") == list(range(1, 11))
+        assert output_digest.seed_range("2-2") == [2]
+
+    @staticmethod
+    def side(tmp_path, name, arrays, digest):
+        npz = tmp_path / f"{name}.npz"
+        np.savez(npz, **arrays)
+        return [(k, digest(a)) for k, a in arrays.items()], npz
+
+    @staticmethod
+    def arrays():
+        rng = np.random.default_rng(0)
+        return {
+            "seed 1 field0.offsets": rng.uniform(0, 1, (6, 2)),
+            "seed 1 t=0.5 derive.offsets": rng.uniform(0, 1, (6, 2)),
+            "seed 1 t=0.5 frame": rng.integers(0, 4, (4, 3, 3)) / 4.0,  # exact steps
+        }
+
+    def test_identical_digests_compare_equal(self, scripts, tmp_path, capsys):
+        _, output_digest = scripts
+        par = self.side(tmp_path, "parent", self.arrays(), output_digest.digest)
+        chg = self.side(tmp_path, "change", self.arrays(), output_digest.digest)
+        assert output_digest.compare("w", "1", par, chg) == 0
+        assert capsys.readouterr().out == "w: all 3 arrays bit-equal, seeds 1\n"
+
+    def test_one_changed_array_is_named_with_its_largest_difference(
+        self, scripts, tmp_path, capsys
+    ):
+        _, output_digest = scripts
+        changed = self.arrays()
+        changed["seed 1 t=0.5 frame"][2, 1, 0] += 0.25
+        par = self.side(tmp_path, "parent", self.arrays(), output_digest.digest)
+        chg = self.side(tmp_path, "change", changed, output_digest.digest)
+        assert output_digest.compare("w", "1", par, chg) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "w: first difference at seed 1 t=0.5 frame"
+        worst = output_digest.largest_differences(par[1], chg[1])
+        assert worst == {"endpoint fields": 0.0, "derived fields": 0.0, "frames": 0.25}
+        assert out[1].endswith("endpoint fields 0, derived fields 0, frames 0.25")
+
+    def test_a_shape_change_is_an_infinite_difference(self, scripts, tmp_path):
+        _, output_digest = scripts
+        changed = self.arrays()
+        changed["seed 1 field0.offsets"] = changed["seed 1 field0.offsets"][:5]
+        par = self.side(tmp_path, "parent", self.arrays(), output_digest.digest)
+        chg = self.side(tmp_path, "change", changed, output_digest.digest)
+        worst = output_digest.largest_differences(par[1], chg[1])
+        assert worst["endpoint fields"] == np.inf and worst["frames"] == 0.0
