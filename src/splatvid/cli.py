@@ -79,6 +79,9 @@ def _cmd_interpolate(args) -> int:
     flow01 = fileio.load_flo(args.flow01)
     flow10 = fileio.load_flo(args.flow10)
     timestamps = [float(t) for t in args.timestamps.split(",")]
+    names = [f"t{t:.4f}.{args.format}" for t in timestamps]
+    if len(set(names)) < len(names):
+        raise ValidationError(f"timestamps {args.timestamps} name one file twice")
     opts = pipeline.PipelineOptions(
         density=Density(int(args.density)),
         fit=FitConfig(
@@ -94,8 +97,8 @@ def _cmd_interpolate(args) -> int:
     )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for t, frame in zip(timestamps, outputs):
-        _save_frame(out_dir / f"t{t:.4f}.{args.format}", frame)
+    for name, frame in zip(names, outputs):
+        _save_frame(out_dir / name, frame)
     print(f"wrote {len(outputs)} frames to {out_dir}")
     return EXIT_OK
 

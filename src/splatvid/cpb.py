@@ -282,29 +282,22 @@ def bank_candidates(
         keep = a1 >= floor
         flat = np.flatnonzero(keep)
         counts = np.count_nonzero(keep, axis=1)
-        blocks.append((counts, flat + r0 * gw * k, a.take(flat), b.take(flat)))
+        blocks.append((counts, flat % k, a.take(flat), b.take(flat)))
     # The arrays the context keeps outlive the next pair's fit, so they are
     # allocated with as little else live as one pass allows: after the block
     # temporaries are freed and before the blocks are gathered.  On the 48x32
     # benchmark pair, that order and building blocks from window views rather
     # than from one whole column matrix each cut peak RSS by about 0.4 MB.
     del a, b, a1, floor, keep, flat, counts
-    n = gh * gw
     m = max(int(counts.max()) for counts, _, _, _ in blocks)
-    idx = np.zeros(n * m, dtype=np.int32)
-    a_out = np.full(n * m, -np.inf)
-    b_out = np.zeros(n * m)
-    counts, flat, a_kept, b_kept = (np.concatenate(v) for v in zip(*blocks))
-    rows, cols = np.divmod(flat, k)
-    # Candidates come out row by row; pos is each one's place in its row.
-    pos = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    pos += rows * m
-    idx[pos] = cols
-    a_out[pos] = a_kept
-    b_out[pos] = b_kept
-    return BankCandidates(
-        idx.reshape(gh, gw, m), a_out.reshape(gh, gw, m), b_out.reshape(gh, gw, m)
-    )
+    idx = np.zeros((gh, gw, m), dtype=np.int32)
+    a_out = np.full((gh, gw, m), -np.inf)
+    b_out = np.zeros((gh, gw, m))
+    counts, cols, a_kept, b_kept = (np.concatenate(v) for v in zip(*blocks))
+    # Candidates come out cell by cell, each cell's filling its first slots.
+    slot = np.arange(m) < counts.reshape(gh, gw, 1)
+    idx[slot], a_out[slot], b_out[slot] = cols, a_kept, b_kept
+    return BankCandidates(idx, a_out, b_out)
 
 
 def baseline_fuser(bank: CpbBank, sharpness: float = 200.0) -> FuserWeights:

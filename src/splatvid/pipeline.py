@@ -64,6 +64,7 @@ from splatvid.raster import (
     TRUNCATION_RADIUS,
     Normalization,
     RenderConfig,
+    output_shape,
     render_windows,
 )
 
@@ -139,7 +140,8 @@ class SharedContext:
     it at every t, and ``candidates`` is None.  Otherwise ``cov_t`` is None
     and ``candidates`` holds the per-cell bank candidates that
     ``derive_field`` resamples at each t.  Only ``stage_counters`` changes
-    after construction, through ``bump``.
+    after construction, through ``bump``; each context counts into its own
+    dict, so a copy made with ``dataclasses.replace`` counts its own frames.
     """
 
     field0: GaussianField
@@ -154,6 +156,9 @@ class SharedContext:
     candidates: BankCandidates | None
     options: PipelineOptions
     stage_counters: dict[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "stage_counters", dict(self.stage_counters))
 
     def bump(self, stage: str) -> None:
         self.stage_counters[stage] = self.stage_counters.get(stage, 0) + 1
@@ -296,7 +301,9 @@ def interpolate_with_context(
         raise ValidationError("timestamps must be sorted")
     if any(not 0.0 <= t <= 1.0 for t in timestamps):
         raise ValidationError("timestamps must lie in [0, 1]")
-    RenderConfig(scale=spatial_scale)  # checks the scale before the shared stage
+    # Checks the scale and the frame size before the shared stage.
+    RenderConfig(scale=spatial_scale)
+    output_shape(frame0.width, frame0.height, spatial_scale)
     ctx = build_shared_context(frame0, frame1, flows, opts)
     outputs = [render_at(ctx, derive_field(ctx, t), spatial_scale) for t in timestamps]
     return outputs, ctx
@@ -328,60 +335,53 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Time the shared stage vs the per-frame stage for each temporal scale.
 
-    Runs with BENCH_OPTIONS.  The first repeat is discarded as warm-up;
-    means are over the rest.  Rejects, before any fitting, a resolution side
-    below 1, a temporal scale below 2 (which renders no frame) and a spatial
-    scale below 1.
+    Runs with BENCH_OPTIONS.  Each repeat builds one shared context and
+    renders every temporal scale n's n - 1 frames from it.  The first repeat
+    is discarded as warm-up; means are over the rest, so every record holds
+    the same shared_ms.  Rejects, before any fitting, a resolution side below
+    1, no temporal scale or one below 2 (which renders no frame), and a
+    spatial scale below 1, not finite or too large to index.
     """
     if repeats < 3:
         raise ValidationError("repeats must be >= 3")
     w, h = resolution
     if min(w, h) < 1:
         raise ValidationError(f"resolution {w}x{h} has a side below 1")
-    if any(n < 2 for n in temporal_scales):
+    if not temporal_scales or min(temporal_scales) < 2:
         raise ValidationError(f"temporal scales {temporal_scales} must be >= 2")
     RenderConfig(scale=spatial_scale)  # checks the scale
+    output_shape(w, h, spatial_scale)  # checks the frame fits the core's index
     frame0, frame1, m01, m10 = synth.translating_blob_pair(
         w, h, (4.0, 0.0), radius=max(2.0, min(w, h) / 12.0)
     )
-    records = []
-    for n in temporal_scales:
-        shared_times = []
-        frame_times = []
-        for rep in range(repeats):
-            t0 = time.perf_counter()
-            ctx = build_shared_context(frame0, frame1, (m01, m10), BENCH_OPTIONS)
+    frames = sum(n - 1 for n in temporal_scales)  # per repeat, on one context
+    expected = {"fit": 1, "flow-load": 1, "window-map": 1}
+    expected |= dict.fromkeys(["per-frame-derive", "rasterize"], frames)
+    shared_times, frame_times = [], []
+    for rep in range(repeats):
+        t0 = time.perf_counter()
+        ctx = build_shared_context(frame0, frame1, (m01, m10), BENCH_OPTIONS)
+        shared = (time.perf_counter() - t0) * 1000.0
+        per_frame = []
+        for n in temporal_scales:
             t1 = time.perf_counter()
-            timestamps = [i / n for i in range(1, n)]
-            t2 = time.perf_counter()
-            for t in timestamps:
-                render_at(ctx, derive_field(ctx, t), spatial_scale)
-            t3 = time.perf_counter()
-            expected = {
-                "fit": 1,
-                "flow-load": 1,
-                "window-map": 1,
-                "per-frame-derive": len(timestamps),
-                "rasterize": len(timestamps),
-            }
-            if ctx.stage_counters != expected:
-                raise AssertionError(
-                    f"stage counters {ctx.stage_counters} != {expected}"
-                )
-            if rep == 0:
-                continue  # warm-up
-            shared_times.append((t1 - t0) * 1000.0)
-            frame_times.append((t3 - t2) * 1000.0 / max(len(timestamps), 1))
-        shared_ms = float(np.mean(shared_times))
-        per_frame_ms = float(np.mean(frame_times))
-        records.append(
-            BenchRecord(
-                temporal_scale=n,
-                spatial_scale=spatial_scale,
-                shared_ms=shared_ms,
-                per_frame_ms_mean=per_frame_ms,
-                total_ms=shared_ms + per_frame_ms * (n - 1),
-                runs=repeats,
-            )
+            for i in range(1, n):
+                render_at(ctx, derive_field(ctx, i / n), spatial_scale)
+            per_frame.append((time.perf_counter() - t1) * 1000.0 / (n - 1))
+        if ctx.stage_counters != expected:
+            raise AssertionError(f"stage counters {ctx.stage_counters} != {expected}")
+        if rep > 0:  # the first repeat is the warm-up
+            shared_times.append(shared)
+            frame_times.append(per_frame)
+    shared_ms = float(np.mean(shared_times))
+    return [
+        BenchRecord(
+            temporal_scale=n,
+            spatial_scale=spatial_scale,
+            shared_ms=shared_ms,
+            per_frame_ms_mean=ms,
+            total_ms=shared_ms + ms * (n - 1),
+            runs=repeats,
         )
-    return records
+        for n, ms in zip(temporal_scales, np.mean(frame_times, axis=0).tolist())
+    ]

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,15 +104,24 @@ class RenderConfig:
     clamp_output: bool = True
 
     def __post_init__(self):
-        if self.scale < 1.0:
-            raise ValidationError(f"scale {self.scale} below 1")
-        if self.truncation_radius < 1.0:
-            raise ValidationError(f"truncation_radius {self.truncation_radius} < 1")
+        # Written so that nan fails too.
+        if not 1.0 <= self.scale < math.inf:
+            raise ValidationError(f"scale {self.scale} below 1 or not finite")
+        if not 1.0 <= self.truncation_radius < math.inf:
+            raise ValidationError(
+                f"truncation_radius {self.truncation_radius} < 1 or not finite"
+            )
 
 
 def output_shape(lr_width: int, lr_height: int, scale: float) -> tuple[int, int]:
-    """(out_w, out_h) = round(s * LR dims)."""
-    return int(round(scale * lr_width)), int(round(scale * lr_height))
+    """(out_w, out_h) = round(s * LR dims), out_w * out_h within the core's
+    int64 flat pixel index."""
+    out_w, out_h = int(round(scale * lr_width)), int(round(scale * lr_height))
+    if out_w * out_h > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"scale {scale} makes a {out_w}x{out_h} frame, too large to index"
+        )
+    return out_w, out_h
 
 
 def _kernel_terms(sigmas, rhos, scale, normalization):
@@ -168,11 +178,10 @@ def _prepare(
     output pixel coordinates, the _kernel_terms of sigmas and rhos, and the
     render's output_shape.
     """
-    lr_w, lr_h = lr_size(templates)
+    out_w, out_h = output_shape(*lr_size(templates), cfg.scale)
     cells = np.concatenate([t.cell_centers() for t in templates])
     mu = (cells + offsets) * cfg.scale
     ixx, ixy, iyy, amp = _kernel_terms(sigmas, rhos, cfg.scale, cfg.normalization)
-    out_w, out_h = output_shape(lr_w, lr_h, cfg.scale)
     return mu, ixx, ixy, iyy, amp, out_w, out_h
 
 

@@ -71,6 +71,16 @@ class TestSharedContext:
             "rasterize": 4,
         }
 
+    def test_a_replaced_context_counts_its_own_frames(self):
+        frame, zero = static_scene()
+        opts = PipelineOptions(fit=FitConfig(iterations=1), refine_iterations=0)
+        ctx = build_shared_context(frame, frame, (zero, zero), opts)
+        built = dict(ctx.stage_counters)
+        copy = dataclasses.replace(ctx, options=dataclasses.replace(opts, aow=False))
+        render_at(copy, derive_field(copy, 0.5), 1.0)
+        assert ctx.stage_counters == built
+        assert copy.stage_counters == {**built, "per-frame-derive": 1, "rasterize": 1}
+
     def test_static_scene_time_independent(self):
         frame, zero = static_scene()
         outputs = interpolate(
@@ -514,6 +524,28 @@ class TestBench:
         for r in records:
             assert r.total_ms >= r.shared_ms and r.runs == 3
 
+    def test_one_shared_stage_per_repeat_serves_every_scale(self, monkeypatch):
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return build_shared_context(*args)
+
+        monkeypatch.setattr(pipeline, "build_shared_context", counted)
+        records = pipeline.run_bench((32, 24), 2.0, [2, 4, 8], repeats=3)
+        assert len(builds) == 3
+        assert len({r.shared_ms for r in records}) == 1
+        for r in records:
+            n = r.temporal_scale
+            assert r.total_ms == r.shared_ms + r.per_frame_ms_mean * (n - 1)
+
+    def test_no_temporal_scale_is_rejected_before_fitting(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
+        with pytest.raises(ValidationError):
+            pipeline.run_bench((32, 24), 2.0, [], repeats=3)
+        assert fits == []
+
 
 class TestCli:
     def test_fit_render_round_trip(self, tmp_path):
@@ -625,6 +657,9 @@ class TestCli:
             ("--resolution", "0x8"),
             ("--resolution", "8x0"),
             ("--scale", "0.5"),
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--scale", "1e300"),
         ],
     )
     def test_bench_rejects_bad_input_before_fitting(self, tmp_path, monkeypatch, flag, value):
@@ -633,6 +668,38 @@ class TestCli:
         argv = ["bench", flag, value, "--output", str(tmp_path / "b.csv")]
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert fits == []
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e300"])
+    def test_interpolate_rejects_a_bad_scale_before_fitting(
+        self, tmp_path, monkeypatch, scale
+    ):
+        _, args = self.interpolate_args(tmp_path, 8, 6)
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
+        code = cli.main(args + ["--timestamps", "0.5", "--scale", scale])
+        assert code == cli.EXIT_VALIDATION
+        assert fits == []
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e300"])
+    def test_render_rejects_a_bad_scale(self, tmp_path, scale):
+        f = synth.random_field(np.random.default_rng(6), 8, 6, Density.ONE_PER_PIXEL)
+        gsf = tmp_path / "f.gsf"
+        fileio.save_gsf(gsf, f)
+        out = tmp_path / "out.frm"
+        code = cli.main(["render", str(gsf), str(out), "--scale", scale])
+        assert code == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timestamps", ["0.12341,0.12344", "0.5,0.5"])
+    def test_interpolate_rejects_timestamps_naming_one_file_before_fitting(
+        self, tmp_path, monkeypatch, timestamps
+    ):
+        out_dir, args = self.interpolate_args(tmp_path, 8, 6)
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
+        assert cli.main(args + ["--timestamps", timestamps]) == cli.EXIT_VALIDATION
+        assert fits == []
+        assert not out_dir.exists()
 
     def test_format_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.gsf"

@@ -150,6 +150,13 @@ class TestNonFiniteFrame:
         with pytest.raises(ValidationError, match="truncation_radius"):
             RenderConfig(scale=1.0, truncation_radius=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_a_non_finite_scale_or_radius(self, value):
+        with pytest.raises(ValidationError, match="scale"):
+            RenderConfig(scale=value)
+        with pytest.raises(ValidationError, match="truncation_radius"):
+            RenderConfig(1.0, truncation_radius=value)
+
 
 class TestTruncatedPaths:
     def test_tiled_matches_dense_radius6(self):
@@ -257,6 +264,13 @@ class TestRenderProperties:
     def test_output_shape_rounding(self):
         assert output_shape(10, 8, 2.5) == (25, 20)
         assert output_shape(7, 5, 1.5) == (10, 8)
+
+    def test_output_shape_rejects_a_frame_past_the_int64_index(self):
+        with pytest.raises(ValidationError, match="too large"):
+            output_shape(8, 6, 1e300)
+        with pytest.raises(ValidationError, match="too large"):
+            output_shape(2**32, 2**31, 1.0)  # 2^63 pixels
+        assert output_shape(2**32, 2**31 - 1, 1.0) == (2**32, 2**31 - 1)
 
 
 class TestWindowCore:
