@@ -17,9 +17,11 @@ one combined digest per seed.  With --parent it exports REV with
 scripts/ab_bench.py's ``export`` (``git archive``) and compares both trees'
 digests in order: it exits 1, names the first array that differs and
 prints the largest absolute difference over the endpoint fields, the
-derived fields and the frames, or it reports how many arrays are
-bit-equal.  For that report each run also writes its arrays to a
-temporary .npz file, which the comparing process reads and deletes.
+derived fields and the frames, then each seed's largest frame difference
+(so a rounding-level change shows which seeds amplify it), or it reports
+how many arrays are bit-equal.  For that report each run also writes its
+arrays to a temporary .npz file, which the comparing process reads and
+deletes.
 ``--workload all`` checks every workload of BENCHMARK.json in turn against
 one export of REV, and exits 1 if any of them differs.
 """
@@ -133,21 +135,38 @@ def run_tree(
     return [tuple(row) for row in out["digests"]], Path(out["arrays"])
 
 
+def differences(parent_npz: Path, change_npz: Path):
+    """(name, largest absolute difference) of every array name both runs
+    hold (inf where the shapes differ), in sorted name order."""
+    import numpy as np
+
+    with np.load(parent_npz) as par, np.load(change_npz) as chg:
+        for name in sorted(set(par.files) & set(chg.files)):
+            a, b = par[name], chg[name]
+            if a.shape != b.shape:
+                yield name, np.inf
+            else:
+                yield name, float(np.abs(a - b).max(initial=0.0))
+
+
 def largest_differences(parent_npz: Path, change_npz: Path) -> dict[str, float]:
     """Per kind of array, the largest absolute difference between the two
     runs' arrays of the same name (inf where the shapes differ)."""
-    import numpy as np
-
     worst = dict.fromkeys(KINDS, 0.0)
-    with np.load(parent_npz) as par, np.load(change_npz) as chg:
-        for name in set(par.files) & set(chg.files):
-            kind = next(k for k, marks in KINDS.items() if any(m in name for m in marks))
-            a, b = par[name], chg[name]
-            if a.shape != b.shape:
-                worst[kind] = np.inf
-                continue
-            worst[kind] = max(worst[kind], float(np.abs(a - b).max(initial=0.0)))
+    for name, diff in differences(parent_npz, change_npz):
+        kind = next(k for k, marks in KINDS.items() if any(m in name for m in marks))
+        worst[kind] = max(worst[kind], diff)
     return worst
+
+
+def frame_differences_by_seed(parent_npz: Path, change_npz: Path) -> dict[int, float]:
+    """Per seed, ascending, the largest absolute difference over its frames."""
+    worst: dict[int, float] = {}
+    for name, diff in differences(parent_npz, change_npz):
+        if any(m in name for m in KINDS["frames"]):
+            seed = int(name.split()[1])  # "seed N ..."
+            worst[seed] = max(worst.get(seed, 0.0), diff)
+    return dict(sorted(worst.items()))
 
 
 def compare(workload: str, seeds: str, parent, change) -> int:
@@ -168,6 +187,9 @@ def compare(workload: str, seeds: str, parent, change) -> int:
     worst = largest_differences(par_npz, chg_npz)
     print(f"{workload}: largest absolute difference, seeds {seeds}: "
           + ", ".join(f"{kind} {diff:.3g}" for kind, diff in worst.items()))
+    by_seed = frame_differences_by_seed(par_npz, chg_npz)
+    print(f"{workload}: largest frame difference by seed: "
+          + ", ".join(f"{seed} {diff:.3g}" for seed, diff in by_seed.items()))
     return 1
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: fit, render, interpolate, corr, bench, oracle-check.
-Exit codes: 0 success, 2 validation error, 3 format error, 4 numerical
-failure (non-finite output, named by stage).
+Exit codes: 0 success, 2 validation error or a file that cannot be read
+or written, 3 format error, 4 numerical failure (non-finite output, named
+by stage).
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_corr(args) -> int:
+    if len(args.frames) < 2:
+        raise ValidationError(f"corr needs at least two frames, got {len(args.frames)}")
     frames = [_load_frame(p) for p in args.frames]
     cfg = FitConfig(iterations=args.iterations)
     density = Density(int(args.density))
@@ -287,6 +290,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

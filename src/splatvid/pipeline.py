@@ -325,6 +325,9 @@ def interpolate(
 # The bench measures the cost structure, not fit quality: a couple of descent
 # steps produce a representative field at a fraction of the time.
 BENCH_OPTIONS = PipelineOptions(fit=FitConfig(iterations=2), refine_iterations=0)
+# Frames timed per temporal scale per repeat, at least: a scale with fewer
+# timestamps cycles through them, so one slow frame moves no mean by half.
+BENCH_MIN_FRAMES = 4
 
 
 def run_bench(
@@ -335,12 +338,14 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Time the shared stage vs the per-frame stage for each temporal scale.
 
-    Runs with BENCH_OPTIONS.  Each repeat builds one shared context and
-    renders every temporal scale n's n - 1 frames from it.  The first repeat
-    is discarded as warm-up; means are over the rest, so every record holds
-    the same shared_ms.  Rejects, before any fitting, a resolution side below
-    1, no temporal scale or one below 2 (which renders no frame), and a
-    spatial scale below 1, not finite or too large to index.
+    Runs with BENCH_OPTIONS.  Each repeat builds one shared context and,
+    for every temporal scale n, derives and renders max(n - 1,
+    BENCH_MIN_FRAMES) frames from it, cycling through the timestamps i / n,
+    i = 1 .. n - 1; a scale's per-frame time is their mean.  The first
+    repeat is discarded as warm-up; means are over the rest, so every record
+    holds the same shared_ms.  Rejects, before any fitting, a resolution
+    side below 1, no temporal scale or one below 2 (which renders no frame),
+    and a spatial scale below 1, not finite or too large to index.
     """
     if repeats < 3:
         raise ValidationError("repeats must be >= 3")
@@ -354,7 +359,8 @@ def run_bench(
     frame0, frame1, m01, m10 = synth.translating_blob_pair(
         w, h, (4.0, 0.0), radius=max(2.0, min(w, h) / 12.0)
     )
-    frames = sum(n - 1 for n in temporal_scales)  # per repeat, on one context
+    counts = [max(n - 1, BENCH_MIN_FRAMES) for n in temporal_scales]
+    frames = sum(counts)  # per repeat, on one context
     expected = {"fit": 1, "flow-load": 1, "window-map": 1}
     expected |= dict.fromkeys(["per-frame-derive", "rasterize"], frames)
     shared_times, frame_times = [], []
@@ -363,11 +369,11 @@ def run_bench(
         ctx = build_shared_context(frame0, frame1, (m01, m10), BENCH_OPTIONS)
         shared = (time.perf_counter() - t0) * 1000.0
         per_frame = []
-        for n in temporal_scales:
+        for n, count in zip(temporal_scales, counts):
             t1 = time.perf_counter()
-            for i in range(1, n):
-                render_at(ctx, derive_field(ctx, i / n), spatial_scale)
-            per_frame.append((time.perf_counter() - t1) * 1000.0 / (n - 1))
+            for k in range(count):
+                render_at(ctx, derive_field(ctx, (1 + k % (n - 1)) / n), spatial_scale)
+            per_frame.append((time.perf_counter() - t1) * 1000.0 / count)
         if ctx.stage_counters != expected:
             raise AssertionError(f"stage counters {ctx.stage_counters} != {expected}")
         if rep > 0:  # the first repeat is the warm-up

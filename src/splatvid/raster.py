@@ -7,11 +7,12 @@ at its target's shape.
 Two paths with identical contracts:
   * render_dense   - brute force, every kernel against every pixel (oracle);
   * render_windows - one windowed-kernel core: each kernel is evaluated over
-    the tightest integer pixel box whose pixel centres can lie inside its
-    truncation ellipse, and contributes only within Mahalanobis distance
-    <= truncation_radius.  The same core feeds the fitting gradient
-    (fit._step, fit._field_gradient) and the colour solve
-    (fit.solve_colors).  render_tiled is kept as a name for
+    the pixels whose centres lie inside the bounding box of its truncation
+    ellipse (on each axis, from ceil(mu - half - 1/2) to floor(mu + half -
+    1/2), half widened by a rounding margin, EDGE_MARGIN), and contributes
+    only within Mahalanobis distance <= truncation_radius.  The same core
+    feeds the fitting gradient (fit._step, fit._field_gradient) and the
+    colour solve (fit.solve_colors).  render_tiled is kept as a name for
     render_windows.
 
 The core (_Weights) lays the windows of a batch of same-size fields out
@@ -84,6 +85,11 @@ CHUNK = 1 << 17
 STORE_CAP = 1 << 20
 # Default Mahalanobis truncation radius of fitting and rendering alike.
 TRUNCATION_RADIUS = 3.0
+# A window's box reaches EDGE_MARGIN * (1 + half) px past the truncation box
+# on every side: the mask's quadratic and the box's edges round apart, so
+# the mask can admit a pixel whose centre lies a few ulps outside the box
+# (up to 7e-15 px on the boundary tests' rho = 0 kernels).
+EDGE_MARGIN = 1e-8
 
 
 class Normalization(enum.Enum):
@@ -271,13 +277,16 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
 
     half is the half-extent of a kernel's truncation box, so a pixel p can
     pass the q <= r^2 mask only if its centre p + 0.5 lies within half of mu,
-    that is p in [mu - half - 0.5, mu + half - 0.5].  A kernel's window is the
-    tightest integer box that holds that interval on each axis: it starts at
-    floor(mu - half - 0.5) and is floor(2 * half) + 2 pixels wide.  Its size
-    is capped at the image and its start clamped so the window always covers
-    the in-image part of the truncation box, even for kernels centred outside
-    the frame.  plane is each kernel's offset into a batch image of
-    out_h x out_w planes (0 for a lone field).
+    that is p in [mu - half - 0.5, mu + half - 0.5].  A kernel's window holds
+    the integers of that interval on each axis, with half widened to reach =
+    half + EDGE_MARGIN * (1 + half) against rounding: it starts at
+    ceil(mu - reach - 0.5) and is floor(mu + reach - 0.5) - ceil(mu - reach
+    - 0.5) + 1 pixels wide, the number of pixel centres in the box.  Its
+    width is at least 1 (a box holding no pixel centre gets one pixel, which
+    the mask zeroes) and capped at the image, and its start is clamped so
+    the window always covers the in-image part of the truncation box, even
+    for kernels centred outside the frame.  plane is each kernel's offset
+    into a batch image of out_h x out_w planes (0 for a lone field).
 
     Kernels are bucketed by window size, ascending, and each bucket is split
     into segments of at most CHUNK window pixels (a single larger window
@@ -295,10 +304,14 @@ def _windows(mu, half_x, half_y, out_w, out_h, plane):
     offset (dx, dy) of each kernel's window centre pixel from its kernel
     centre.
     """
-    wx_all = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
-    wy_all = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
-    sx_all = np.floor(mu[:, 0] - half_x - 0.5).astype(np.int64)
-    sy_all = np.floor(mu[:, 1] - half_y - 0.5).astype(np.int64)
+    reach_x = half_x + EDGE_MARGIN * (1.0 + half_x)
+    reach_y = half_y + EDGE_MARGIN * (1.0 + half_y)
+    sx_all = np.ceil(mu[:, 0] - reach_x - 0.5).astype(np.int64)
+    sy_all = np.ceil(mu[:, 1] - reach_y - 0.5).astype(np.int64)
+    wx_all = np.floor(mu[:, 0] + reach_x - 0.5).astype(np.int64) - sx_all + 1
+    wy_all = np.floor(mu[:, 1] + reach_y - 0.5).astype(np.int64) - sy_all + 1
+    wx_all = np.clip(wx_all, 1, out_w)
+    wy_all = np.clip(wy_all, 1, out_h)
     sx_all = np.clip(sx_all, 0, out_w - wx_all)
     sy_all = np.clip(sy_all, 0, out_h - wy_all)
     corner_all = sy_all * out_w + sx_all + plane

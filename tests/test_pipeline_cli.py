@@ -539,6 +539,19 @@ class TestBench:
             n = r.temporal_scale
             assert r.total_ms == r.shared_ms + r.per_frame_ms_mean * (n - 1)
 
+    def test_every_scale_times_at_least_four_frames_per_repeat(self, monkeypatch):
+        # x2 and x3 cycle their timestamps; x8 renders each of its 7 once.
+        times = []
+
+        def counted(ctx, t):
+            times.append(t)
+            return derive_field(ctx, t)
+
+        monkeypatch.setattr(pipeline, "derive_field", counted)
+        pipeline.run_bench((16, 12), 1.0, [2, 3, 8], repeats=3)
+        per_repeat = [1 / 2] * 4 + [1 / 3, 2 / 3] * 2 + [i / 8 for i in range(1, 8)]
+        assert times == per_repeat * 3
+
     def test_no_temporal_scale_is_rejected_before_fitting(self, monkeypatch):
         fits = []
         monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
@@ -821,6 +834,36 @@ class TestCli:
         # Scale 0.5 is below the scale floor of 1.
         code = cli.main(["render", str(gsf), str(out), "--scale", "0.5"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["fit", "render", "interpolate", "corr"])
+    def test_a_missing_input_exits_2_naming_its_path(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
+        monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
+        missing = str(tmp_path / "missing.frm")
+        _, interp = self.interpolate_args(tmp_path, 8, 6)
+        argv = {
+            "fit": ["fit", missing, str(tmp_path / "out.gsf")],
+            "render": ["render", missing, str(tmp_path / "out.ppm")],
+            # Both frames exist; the flow m01 does not.
+            "interpolate": [*interp[:3], missing, *interp[4:], "--timestamps", "0.5"],
+            "corr": ["corr", interp[1], missing, "--output", str(tmp_path / "s.csv")],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert fits == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and missing in err[0]
+
+    def test_corr_rejects_one_frame_before_fitting(self, tmp_path, monkeypatch):
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
+        frm = tmp_path / "f.frm"
+        fileio.save_frm(frm, FrameBuffer(np.full((6, 8, 3), 0.5)))
+        argv = ["corr", str(frm), "--output", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert fits == []
 
     def test_oracle_check_passes(self):
         assert cli.main(["oracle-check"]) == 0

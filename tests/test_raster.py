@@ -62,6 +62,20 @@ def naive_render(f: GaussianField, cfg: RenderConfig) -> np.ndarray:
     return img
 
 
+def window_rule(mu, half, out_shape):
+    """(start, width), each (N, 2) in (x, y), of every kernel's window by
+    the rule raster._windows documents: on each axis the pixels p whose
+    centres p + 0.5 lie in [mu - reach, mu + reach], reach half widened by
+    raster.EDGE_MARGIN * (1 + half); at least one and at most the frame, the
+    start clamped into the frame."""
+    out = np.array(out_shape)
+    reach = half + raster.EDGE_MARGIN * (1.0 + half)
+    first = np.ceil(mu - reach - 0.5).astype(np.int64)
+    last = np.floor(mu + reach - 0.5).astype(np.int64)
+    width = np.clip(last - first + 1, 1, out)
+    return np.clip(first, 0, out - width), width
+
+
 class TestEvalGaussian:
     def test_value_at_center(self):
         g = unit_gaussian()
@@ -387,7 +401,7 @@ class TestWindowCore:
             )
             lay = raster._Weights([f], cfg)
             mu = f.mu() * scale
-            start = np.floor(mu - r * scale * f.sigmas - 0.5)
+            start = np.ceil(mu - r * scale * f.sigmas - 0.5)
             for chunk, w_chunk, _, _ in lay:
                 for seg in chunk:
                     gi = seg.gi
@@ -423,10 +437,8 @@ class TestWindowCore:
         )
         seen = np.concatenate([seg.gi for seg in segments(chunks)])
         assert np.array_equal(np.sort(seen), np.arange(f.n_gaussians))
-        # Each window's start, from the rule _windows documents.
-        width = np.minimum(np.floor(2.0 * half).astype(np.int64) + 2, (out_w, out_h))
-        start = np.floor(mu - half - 0.5).astype(np.int64)
-        start = np.clip(start, 0, np.array([out_w, out_h]) - width)
+        # Each window's start and width, from the rule _windows documents.
+        start, width = window_rule(mu, half, (out_w, out_h))
         sizes = []
         for c, segs in enumerate(chunks):
             at = 0
@@ -470,11 +482,10 @@ class TestWindowCore:
         f = random_field(rng, 30, 20, sigma_range=(0.4, 2.0))
         s, r = 4.0, 3.0
         mu = f.mu() * s
-        half_x, half_y = r * s * f.sigmas[:, 0], r * s * f.sigmas[:, 1]
+        half = r * s * f.sigmas
         out_w, out_h = output_shape(30, 20, s)
-        chunks, size, _ = raster._windows(mu, half_x, half_y, out_w, out_h, 0)
-        wx = np.minimum(np.floor(2.0 * half_x).astype(np.int64) + 2, out_w)
-        wy = np.minimum(np.floor(2.0 * half_y).astype(np.int64) + 2, out_h)
+        chunks, size, _ = raster._windows(mu, half[:, 0], half[:, 1], out_w, out_h, 0)
+        wx, wy = window_rule(mu, half, (out_w, out_h))[1].T
         keys = wx * (out_h + 1) + wy
         assert np.unique(keys).size >= 100
         ref = []
@@ -634,6 +645,30 @@ class TestWindowCore:
                     # mask admits every in-frame extreme pixel.
                     assert extremes.size and np.isin(extremes, keys).all()
 
+    @pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_windows_hold_pixels_a_few_ulps_off_the_boundary(self, r, s):
+        # The boundary kernels with their offsets moved 1, 2 and 4 ulps
+        # either way, each axis of each kernel its own way: a window's edge
+        # and the mask round differently there, and must still agree.  Each
+        # sigma appears once on each axis.
+        rng = np.random.default_rng(int(100 + 10 * r + s))
+        cfg = RenderConfig(scale=s, truncation_radius=float(r), clamp_output=False)
+        moved = 0
+        sigmas = self.BOUNDARY_SIGMAS
+        for sx, sy in zip(sigmas, sigmas[-1:] + sigmas[:-1]):
+            f, _ = self.boundary_field(sx, sy, r, s, rng)
+            toward = np.where(rng.random(f.offsets.shape) < 0.5, -np.inf, np.inf)
+            offsets = f.offsets
+            for ulps in (1, 1, 2):  # 1, 2, then 4 ulps off
+                for _ in range(ulps):
+                    offsets = np.nextafter(offsets, toward)
+                g = dataclasses.replace(f, offsets=offsets)
+                moved += np.count_nonzero(g.mu() != f.mu())
+                keys = self.brute_force_pairs(g, cfg)
+                assert np.array_equal(self.core_pairs(g, cfg), keys)
+        assert moved > 0
+
     @pytest.mark.parametrize("scale", [1.0, 1.5, 2.5, 4.0])
     @pytest.mark.parametrize("radius", [1.0, 3.0, 8.0])
     def test_windows_are_tight(self, scale, radius):
@@ -644,8 +679,20 @@ class TestWindowCore:
         chunks, *_ = raster._windows(
             f.mu() * scale, half[:, 0], half[:, 1], out_w, out_h, 0
         )
+        # Reference: count the pixel centres p + 0.5 in [mu - reach, mu +
+        # reach] among every pixel that could hold one, reach the half-extent
+        # widened by the rounding margin.
+        mu = f.mu() * scale
+        reach = half + raster.EDGE_MARGIN * (1.0 + half)
+        lo, hi = (mu - reach)[:, :, None], (mu + reach)[:, :, None]
+        p = np.floor(lo) + np.arange(-1, 2 * reach.max() + 3)
+        inside = (p + 0.5 >= lo) & (p + 0.5 <= hi)
+        count = inside.sum(axis=2)
+        want = np.clip(count, 1, (out_w, out_h))
+        if radius == 1.0 and scale == 1.0:  # some boxes hold no pixel centre
+            assert (count == 0).any()
+        if radius == 8.0:  # some windows are capped at the frame
+            assert (count > (out_w, out_h)).any()
         for seg in segments(chunks):
             wy, wx = seg.offs.shape
-            tight = np.floor(2.0 * half[seg.gi]).astype(np.int64) + 2
-            assert np.all(wx <= np.minimum(tight[:, 0], out_w))
-            assert np.all(wy <= np.minimum(tight[:, 1], out_h))
+            assert np.all(want[seg.gi] == (wx, wy))

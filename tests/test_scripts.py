@@ -95,6 +95,31 @@ class TestOutputDigest:
         worst = output_digest.largest_differences(par[1], chg[1])
         assert worst == {"endpoint fields": 0.0, "derived fields": 0.0, "frames": 0.25}
         assert out[1].endswith("endpoint fields 0, derived fields 0, frames 0.25")
+        assert out[2] == "w: largest frame difference by seed: 1 0.25"
+
+    def test_each_seed_reports_its_own_largest_frame_difference(
+        self, scripts, tmp_path, capsys
+    ):
+        _, output_digest = scripts
+        rng = np.random.default_rng(1)
+        parent = {
+            f"seed {seed} t={t} frame": rng.integers(0, 4, (4, 3, 3)) / 4.0
+            for seed in (2, 10)
+            for t in (0.25, 0.5)
+        }
+        parent["seed 2 field0.offsets"] = rng.uniform(0, 1, (6, 2))
+        changed = {k: v.copy() for k, v in parent.items()}
+        changed["seed 2 t=0.25 frame"][0, 0, 0] += 0.125
+        changed["seed 2 t=0.5 frame"][1, 2, 1] -= 0.5
+        changed["seed 2 field0.offsets"][0, 0] += 1.0  # not a frame
+        changed["seed 10 t=0.5 frame"][3, 0, 2] += 0.25
+        par = self.side(tmp_path, "parent", parent, output_digest.digest)
+        chg = self.side(tmp_path, "change", changed, output_digest.digest)
+        by_seed = output_digest.frame_differences_by_seed(par[1], chg[1])
+        assert by_seed == {2: 0.5, 10: 0.25}
+        assert output_digest.compare("w", "2-10", par, chg) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "w: largest frame difference by seed: 2 0.5, 10 0.25"
 
     def test_a_shape_change_is_an_infinite_difference(self, scripts, tmp_path):
         _, output_digest = scripts
