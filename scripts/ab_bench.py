@@ -14,8 +14,12 @@ the machine's speed fall on both sides alike.  The result is written to
 BENCH_<workload>.json at the root of this checkout: every run's
 result line, the machine line of the first run and, per end-to-end metric,
 each side's quartiles (linear interpolation), the number of pairs in which
-the change is better or worse by the direction BENCHMARK.json gives, and
-the largest difference within one seed.  A run that fails stops the script.
+the change is better or worse by the direction BENCHMARK.json gives, the
+largest difference within one seed and, for a metric with a BENCHMARK.json
+bound, whether the change's median is worse than the parent's by more than
+bound * |parent median| ("past_bound").  The printout ends with one line
+naming every metric past its bound, or "none".  A run that fails stops the
+script.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: both sides' quartiles and the per-seed pairs."""
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per end-to-end metric: both sides' quartiles, the per-seed pairs and,
+    for a metric in bounds, whether the change's median is past its bound."""
     by_side: dict[str, dict[int, dict]] = {"parent": {}, "change": {}}
     for r in runs:
         by_side[r["side"]][r["seed"]] = r["result"]["metrics"]
@@ -83,7 +88,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "pairs_change_worse": sum(g < 0 for g in gains),
             "max_abs_seed_diff": max(abs(g) for g in gains),
         }
+        if name in bounds:
+            p, c = summary[name]["parent"]["median"], summary[name]["change"]["median"]
+            summary[name]["past_bound"] = sign * (c - p) > bounds[name] * abs(p)
     return summary
+
+
+def past_bound(summary: dict) -> list[str]:
+    """The metrics of summarize's result whose change median is past its bound."""
+    return [name for name, s in summary.items() if s.get("past_bound")]
 
 
 def main(argv=None) -> int:
@@ -102,10 +115,9 @@ def main(argv=None) -> int:
     change_label = args.change_label or "working tree on " + git(
         "log", "-1", "--format=%h %s", "HEAD"
     )
-    better = {
-        m["name"]: m["better"]
-        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     runs, machine = [], None
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent_root = Path(tmp)
@@ -128,7 +140,7 @@ def main(argv=None) -> int:
                 print(f"ab_bench: {args.workload} seed {seed} {side} done", file=sys.stderr)
             runs += [pair["parent"], pair["change"]]
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     doc = {
         "workload": args.workload,
         "command": "python3 perfbench/run.py --workload "
@@ -152,8 +164,10 @@ def main(argv=None) -> int:
             f"{c['median']:.5g} [{c['q1']:.5g}, {c['q3']:.5g}] ({rel:+.1f} %), "
             f"better {s['pairs_change_better']}/{args.seeds}, "
             f"worse {s['pairs_change_worse']}/{args.seeds}"
+            + (", PAST BOUND" if s.get("past_bound") else "")
         )
     print(f"wrote {out}")
+    print(f"{args.workload} past bound: {', '.join(past_bound(summary)) or 'none'}")
     return 0
 
 

@@ -108,6 +108,7 @@ def _cmd_corr(args) -> int:
     if len(args.frames) < 2:
         raise ValidationError(f"corr needs at least two frames, got {len(args.frames)}")
     frames = [_load_frame(p) for p in args.frames]
+    metrics.check_one_size(frames)
     cfg = FitConfig(iterations=args.iterations)
     density = Density(int(args.density))
     fields = [fit_mod.fit_frame(f, density, cfg) for f in frames]

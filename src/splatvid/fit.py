@@ -14,12 +14,11 @@ layout kept for every iteration, again over a batch and bit-equal to
 solving each field alone.  It works on the colours themselves, so a colour
 at exactly 0 or 1 moves as freely as any other.
 
-Each step (``_step``) evaluates every kernel's window weights once: the
-render that gives the residual sign keeps them, and the gradient reuses
-them.  The kept weights of a batch of B fields take at most
-B * raster.STORE_CAP window pixels (16 MiB per field); a step with more
-windowed pixels keeps none and evaluates them again, so a step's memory is
-that bound or the raster core's per-chunk buffers.
+Each step (``_step``) evaluates every kernel's window weights once, for
+its render and its gradient, unless a batch of B fields has more than
+B * raster.STORE_CAP window pixels.  Every pass over the weights runs in
+raster (_render, _adjoint, _basis_sums); this module does the per-kernel
+maths on their results.
 
 Optimization runs in an unconstrained reparameterization so every iterate
 maps to a valid field by construction:
@@ -66,6 +65,8 @@ from splatvid.raster import (
     Normalization,
     RenderConfig,
     _Weights,
+    _adjoint,
+    _basis_sums,
     _render,
     lr_size,
     render_windows,
@@ -277,22 +278,8 @@ def _field_gradient(
     from its render's weights (_step), and this is its reference.
     """
     _check_target(f, pixel_weight, "pixel weight")
-    weights = _Weights([f], cfg.render_config(), n_scratch=3)
+    weights = _Weights([f], cfg.render_config())
     return _window_gradient(weights, pixel_weight[None], cfg)
-
-
-def _gathered(weights: _Weights, pixel_weight: np.ndarray):
-    """Per chunk of weights, (segments, sw): sw (3, n) holds the three
-    planes of the batch's (B, H, W, 3) pixel_weight at every window pixel
-    of the chunk, times the unit-amplitude weights w, gathered and
-    multiplied once per chunk.  A segment's products are
-    sw[:, span].reshape(3, G, P).  sw is the chunk's scratch, which needs
-    three arrays, and the next chunk overwrites it."""
-    planes = np.ascontiguousarray(np.moveaxis(pixel_weight, 3, 0)).reshape(3, -1)
-    for segments, w, flat, sw in weights:
-        np.take(planes, flat, axis=1, out=sw, mode="clip")
-        sw *= w
-        yield segments, sw
 
 
 def _window_moments(
@@ -304,22 +291,15 @@ def _window_moments(
     (csum, m): csum (N, 3) holds sum_p S_p,c * w_p per channel c, and m
     (6, N) the moments sum tw dx^a dy^b of tw = w * sum_c S_c color_c for
     (a, b) = (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), with (dx, dy)
-    a pixel centre's offset from its kernel's centre.  Needs three scratch
-    arrays.
+    a pixel centre's offset from its kernel's centre.
 
-    Per segment, one stacked matmul of _gathered's (3, G, P) products with
-    its window basis gives every kernel's 18 sums against
-    [1, j, i, j^2, i*j, i^2], which amp then scales; the basis-1 column is
-    csum.  The colour-weighted sum of the channels gives the six
-    tw sums, and dx = cx + j, dy = cy + i, with (cx, cy) the window
-    centre's offset weights.centre, turn them into the dx/dy moments.
+    raster._basis_sums gives every kernel's 18 sums against
+    [1, j, i, j^2, i*j, i^2]; the basis-1 column is csum.  The
+    colour-weighted sum of the channels gives the six tw sums, and
+    dx = cx + j, dy = cy + i, with (cx, cy) the window centre's offset
+    weights.centre, turn them into the dx/dy moments.
     """
-    sums = np.empty((weights.rhos.size, 3, 6))
-    for segments, sw in _gathered(weights, pixel_weight):
-        for gi, _, _, basis, span in segments:
-            part = sw[:, span].reshape(3, gi.size, -1)
-            sums[gi] = np.matmul(part.transpose(1, 0, 2), basis.T)
-    sums *= weights.amp[:, None, None]
+    sums = _basis_sums(weights, pixel_weight)
     colors = weights.colors
     t1, tj, ti, tjj, tij, tii = (
         sums[:, 0] * colors[:, 0, None]
@@ -344,8 +324,7 @@ def _window_gradient(
     """_field_gradient of a batch from one pass over its window weights.
 
     pixel_weight is the batch's (B, H, W, 3) dL/d(rendered); the rows of
-    the result are the stacked kernels of weights.  Needs three scratch
-    arrays.
+    the result are the stacked kernels of weights.
     """
     offsets, colors = weights.offsets, weights.colors
     a = weights.sigmas[:, 0]
@@ -400,9 +379,7 @@ def _step(
     them, so field b's rows are bit-equal to render_windows followed by
     _field_gradient of field b alone.
     """
-    weights = _Weights(
-        fields, cfg.render_config(), n_scratch=3, keep=True, params=params
-    )
+    weights = _Weights(fields, cfg.render_config(), keep=True, params=params)
     rendered = _render(weights, weights.colors)
     pixel_weight = _pixel_weight_l1(rendered, targets)
     return rendered, _window_gradient(weights, pixel_weight, cfg)
@@ -490,32 +467,17 @@ def descend(
     return ParamVector(theta).to_fields(fields)
 
 
-def _color_adjoint(weights: _Weights, residual: np.ndarray) -> np.ndarray:
-    """(N, 3) A^T r: per kernel and channel, sum_p r_p,c * amp * w_p.
-
-    residual is the batch's (B, H, W, 3) image; the sums are the colour
-    column of the gradient's window sums (_window_moments' csum), reduced
-    with a plain sum over each window.  Needs three scratch arrays.
-    """
-    out = np.empty((weights.rhos.size, 3))
-    for segments, sw in _gathered(weights, residual):
-        for gi, _, _, _, span in segments:
-            out[gi] = sw[:, span].reshape(3, gi.size, -1).sum(axis=2).T
-    out *= weights.amp[:, None]
-    return out
-
-
 def _color_lipschitz(weights: _Weights, counts: Sequence[int]) -> np.ndarray:
     """(B,) Schur bound L_b >= ||A_b||_2^2 of each field's colour matrix.
 
     counts are the fields' kernel counts, in batch order.  L_b is the
-    largest column sum of A_b (A^T of a unit image) times its largest row
-    sum (A of unit colours); A has no negative entry, so the product
-    bounds the largest eigenvalue of A_b^T A_b.
+    largest column sum of A_b (raster._adjoint of a unit image) times its
+    largest row sum (raster._render of unit colours); A has no negative
+    entry, so the product bounds the largest eigenvalue of A_b^T A_b.
     """
     n_fields = len(counts)
     ones = np.ones((n_fields, weights.out_h, weights.out_w, 3))
-    col = _color_adjoint(weights, ones)[:, 0]
+    col = _adjoint(weights, ones)[:, 0]
     row = _render(weights, np.ones((col.size, 3)))[..., 0].reshape(n_fields, -1)
     starts = np.cumsum(counts) - counts
     return np.maximum.reduceat(col, starts) * row.max(axis=1)
@@ -535,7 +497,7 @@ def solve_colors(
     linear in the colours: img = A c, with A the window weights (amp * w)
     of one _Weights layout, kept for every pass while the batch holds at
     most B * raster.STORE_CAP window pixels (above that, each pass
-    evaluates them again).  A c is _render and A^T r _color_adjoint.
+    evaluates them again).  A c is raster._render, A^T r raster._adjoint.
     Every step is projected onto the box (a clip after each step, not
     only at the end) and has size 1 / L_b, L_b field b's _color_lipschitz,
     so each field's result is bit-equal to solving it alone.  With no
@@ -546,7 +508,7 @@ def solve_colors(
     if iterations <= 0:
         return fields
     pixels = np.stack([t.pixels for t in targets])
-    weights = _Weights(fields, cfg.render_config(), n_scratch=3, keep=True)
+    weights = _Weights(fields, cfg.render_config(), keep=True)
     counts = [f.n_gaussians for f in fields]
     lipschitz = np.maximum(_color_lipschitz(weights, counts), np.finfo(float).tiny)
     step = np.repeat(1.0 / lipschitz, counts)[:, None]
@@ -554,7 +516,7 @@ def solve_colors(
     z, t = x, 1.0
     for _ in range(iterations):
         residual = _render(weights, z) - pixels
-        x_next = np.clip(z - step * _color_adjoint(weights, residual), 0.0, 1.0)
+        x_next = np.clip(z - step * _adjoint(weights, residual), 0.0, 1.0)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next

@@ -132,12 +132,20 @@ def _cov_vector(f: GaussianField) -> np.ndarray:
     return np.concatenate([f.sigmas[:, 0], f.sigmas[:, 1], f.rhos])
 
 
+def check_one_size(frames: list[FrameBuffer]) -> None:
+    """ShapeError naming their sizes unless the frames share one size."""
+    sizes = sorted({f"{f.width}x{f.height}" for f in frames})
+    if len(sizes) > 1:
+        raise ShapeError(f"frames differ in size: {', '.join(sizes)}")
+
+
 def stability_report(
     frames: list[FrameBuffer], fields: list[GaussianField]
 ) -> StabilityReport:
     """Correlation of frame/field g against frame/field 0, per gap g."""
     if len(frames) != len(fields) or len(frames) < 2:
         raise ShapeError("need equal-length frame/field sequences of length >= 2")
+    check_one_size(frames)
     y0 = to_luma(frames[0]).data.ravel()
     c0 = _cov_vector(fields[0])
     gaps, pp, pc, cp, cc = [], [], [], [], []

@@ -10,39 +10,28 @@ Two paths with identical contracts:
     the pixels whose centres lie inside the bounding box of its truncation
     ellipse (on each axis, from ceil(mu - half - 1/2) to floor(mu + half -
     1/2), half widened by a rounding margin, EDGE_MARGIN), and contributes
-    only within Mahalanobis distance <= truncation_radius.  The same core
-    feeds the fitting gradient (fit._step, fit._field_gradient) and the
-    colour solve (fit.solve_colors).  render_tiled is kept as a name for
-    render_windows.
+    only within Mahalanobis distance <= truncation_radius.  render_tiled is
+    kept as a name for render_windows.
+
+Every pass over the core runs here; its other callers, the fit gradient
+(fit._step, fit._field_gradient) and the colour solve (fit.solve_colors),
+do only per-kernel maths on the passes' results.  With A the window
+weights amp * w: _render is A c; _adjoint is A^T r, per kernel and
+channel the window sum of an image r times amp * w; _basis_sums is the
+(N, 3, 6) amp-scaled sums of an image against each window's basis
+(below), which the gradient reads.  The last two share one gather.
 
 The core (_Weights) lays the windows of a batch of same-size fields out
-once, each kernel's window clipped to its own field's frame and indexed
-into that field's plane of one (B, H, W) image; a render is the one-field
-batch, and a fit step lays out every field it descends.  The core buckets
-kernels by window size and splits each bucket into segments of at most
-CHUNK window pixels; a chunk is a run of consecutive segments holding at
-most CHUNK window pixels.  Over a window, the exponent -q/2 is a quadratic
-in the integer pixel offsets (i, j) from the window's centre pixel: every
-kernel has six coefficients, every window size one (6, Wy * Wx) basis
-[1, j, i, j^2, i*j, i^2], and a segment's exponents are one stacked matmul
-of the two, a small product per kernel, so each kernel's weights are the
-same bits wherever it sits in a segment, a chunk or a batch (a single 2-D
-product is faster, but BLAS rounds a row by its place in it).  The bases,
-with each window pixel's flat offset, are built once per process per
-window size and image width, and the kernels' cell centres once per
-density and LR size, as shared read-only arrays.  _chunk_weights then
-masks and exponentiates a whole chunk at once, into buffers allocated
-once and reused for every chunk, and callers take their per-kernel
-products segment by segment and their gathers and scatters chunk by
-chunk: a render scatters R and G as one complex lane and B as one real
-lane.  Every pixel sums its kernels in the same order at any CHUNK.  The
-fit gradient takes its window sums against the same bases.
-A fit step whose windows hold at most B * STORE_CAP pixels (16 MiB of
-weights and indices per field) evaluates each chunk once: its render keeps
-every chunk's weights for its gradient.  A larger step keeps none and
-evaluates every chunk again.  So memory stays bounded at any scale and
-sigma: buffers of one chunk's size, or at most B * STORE_CAP kept pixels in
-a fit step over B fields.
+once, each clipped to its own field's plane of one (B, H, W) image (a
+render is the one-field batch), in chunks of at most CHUNK window pixels
+(see _windows).  A window's exponents are one small matmul of its
+kernel's six coefficients with its window size's pixel basis, so each
+kernel's weights are the same bits wherever it sits in a chunk or a batch
+(a single 2-D product is faster, but BLAS rounds a row by its place in
+it), and every pixel sums its kernels in the same order at any CHUNK.
+Memory stays bounded at any scale and sigma: buffers of one chunk's size,
+plus at most B * STORE_CAP kept pixels in a layout over B fields that
+keeps its weights (a fit step, a colour solve).
 
 The kernel weight is w = 1/(2*pi*N) * exp(-0.5 * d^T S^-1 d) where S is the
 scale-adjusted covariance and N = det(S)^p, with the det power p of the
@@ -352,10 +341,10 @@ class _Weights:
     the kernels of every field, stacked in field order.  templates give the
     batch's LR size and cells; params, if given, is the stacked (offsets,
     sigmas, rhos, colors) of their kernels, and otherwise the templates'
-    own.  Field b's image is the b-th H x W plane of one (B, H, W) image:
-    each kernel's window is clipped to its own frame, and its flat pixel
-    indices carry its field's offset b * H * W.  A one-field batch is a
-    field's own render.
+    own (a lone field's own arrays).  Field b's image is the b-th H x W
+    plane of one (B, H, W) image: each kernel's window is clipped to its
+    own frame, and its flat pixel indices carry its field's offset
+    b * H * W.  A one-field batch is a field's own render.
 
     Over its window, a kernel's exponent e = -q/2 is a quadratic in the
     pixel offsets (i, j) from the window's centre pixel, whose (dx, dy) is
@@ -363,19 +352,17 @@ class _Weights:
     [1, j, i, j^2, i*j, i^2], the window basis of _window_basis.  coef
     (N, 6) holds those six coefficients per kernel.
 
-    Each iteration then yields (chunk, w, flat, scratch) per chunk of
-    _windows, every chunk's weights coming from _chunk_weights: chunk is the
-    tuple of its _Segment, w (n,) the chunk's unit-amplitude weights exp(e),
-    zero where q > r^2, and flat (n,) each weight's index into the batch
-    image, both laid out segment by segment as the spans say.  A segment's
+    Each iteration then yields (chunk, w, flat) per chunk of _windows,
+    every chunk's weights coming from _chunk_weights: chunk is the tuple of
+    its _Segment, w (n,) the chunk's unit-amplitude weights exp(e), zero
+    where q > r^2, and flat (n,) each weight's index into the batch image,
+    both laid out segment by segment as the spans say.  A segment's
     weights w[span] are (G, P), one row per kernel gi over its window basis.
-    A kernel's weight is amp times w: callers fold amp into their per-kernel
-    factors, the colours of a render or the window sums of a gradient, one
-    small product per segment, and gather or scatter once per chunk (a
-    render scatters R and G as one complex lane held in two scratch arrays,
-    see _render).  scratch is a float array (n_scratch, n) for the caller.
-    w, flat and scratch are views of buffers allocated once and overwritten
-    by the next chunk, unless kept (below).
+    A kernel's weight is amp times w: the passes fold amp into their
+    per-kernel factors, one small product per segment, and gather or
+    scatter once per chunk in _scratch's planes.  w, flat and the scratch
+    are views of buffers allocated once and overwritten by the next chunk,
+    unless kept (below).
 
     With keep, and when all windows hold at most B * STORE_CAP pixels, the
     first iteration writes every chunk's weights to buffers of their own and
@@ -389,15 +376,14 @@ class _Weights:
         self,
         templates: Sequence[GaussianField],
         cfg: RenderConfig,
-        n_scratch: int = 0,
         keep: bool = False,
         params: tuple | None = None,
     ):
-        if params is None:
-            params = [
-                np.concatenate([getattr(t, a) for t in templates])
-                for a in ("offsets", "sigmas", "rhos", "colors")
-            ]
+        names = ("offsets", "sigmas", "rhos", "colors")
+        if params is None and len(templates) == 1:
+            params = [getattr(templates[0], a) for a in names]
+        elif params is None:
+            params = [np.concatenate([getattr(t, a) for t in templates]) for a in names]
         self.offsets, self.sigmas, self.rhos, self.colors = params
         mu, self.ixx, self.ixy, self.iyy, self.amp, self.out_w, self.out_h = _prepare(
             templates, self.offsets, self.sigmas, self.rhos, cfg
@@ -430,8 +416,14 @@ class _Weights:
         self._e_buf = np.empty(max(self.stored_px, size))
         self._flat_buf = np.empty(self._e_buf.size, dtype=np.int64)
         self._mask_buf = np.empty(size, dtype=bool)
-        self.n_scratch = n_scratch
-        self._scratch_buf = np.empty(n_scratch * size)
+        self._scratch_buf = None
+
+    def _scratch(self, n: int) -> np.ndarray:
+        """(3, n) scratch planes for a pass over a chunk of n pixels: views
+        of one buffer, allocated by the first pass that asks and kept."""
+        if self._scratch_buf is None:
+            self._scratch_buf = np.empty(3 * self._mask_buf.size)
+        return self._scratch_buf[: 3 * n].reshape(3, n)
 
     def __iter__(self):
         at = 0  # where the next kept chunk starts in the buffers
@@ -446,8 +438,7 @@ class _Weights:
                     self._kept.append((w, flat))
             if self.keep:
                 at += w.size
-            scratch = self._scratch_buf[: self.n_scratch * w.size]
-            yield chunk, w, flat, scratch.reshape(self.n_scratch, w.size)
+            yield chunk, w, flat
 
 
 def _chunk_weights(lay: _Weights, chunk, e_buf, mask_buf, flat_buf):
@@ -478,24 +469,25 @@ def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
 
     colors (N, 3) are the stacked kernels' colours, weights.colors for the
     fields' own render; the image is linear in them.  One pass over
-    weights, which needs at least two scratch arrays.
+    weights, in the first two of its scratch planes.
 
     R and G accumulate as one complex128 lane: per chunk, w times each
-    kernel's amp * (R + iG) is written into the first two scratch arrays,
+    kernel's amp * (R + iG) is written into the first two scratch planes,
     viewed as one complex array, and scattered by one np.add.at.  The
     product's real and imaginary parts are w * amp * R and w * amp * G plus
     a cross term 0 * amp * G or 0 * amp * R, a zero that can only flip the
     sign of a zero product.  A pixel's sum starts at +0, so it is never -0,
     and a zero of either sign leaves it unchanged.  A complex add is two
     real adds, so every pixel sums the same values in the same order as a
-    per-channel scatter would.  B then reuses the first scratch array.
+    per-channel scatter would.  B then reuses the first scratch plane.
     """
     amp_colors = weights.amp[:, None] * colors
     amp_rg = np.ascontiguousarray(amp_colors[:, :2]).view(np.complex128)  # (N, 1)
     n_px = weights.n_fields * weights.out_h * weights.out_w
     rg = np.zeros(n_px, dtype=np.complex128)
     blue = np.zeros(n_px)
-    for chunk, w, flat, scratch in weights:
+    for chunk, w, flat in weights:
+        scratch = weights._scratch(w.size)
         lane = scratch[:2].reshape(-1).view(np.complex128)  # (n,)
         for gi, _, _, _, span in chunk:
             np.multiply(
@@ -518,11 +510,47 @@ def _render(weights: _Weights, colors: np.ndarray) -> np.ndarray:
     return img.reshape(weights.n_fields, weights.out_h, weights.out_w, 3)
 
 
+def _gathered(weights: _Weights, image: np.ndarray):
+    """Per chunk of weights, (chunk, sw): sw (3, n) the three channel
+    planes of the batch's (B, H, W, 3) image at every window pixel of the
+    chunk, times the unit-amplitude weights w, gathered and multiplied once
+    per chunk into the layout's scratch, which the next chunk overwrites.
+    A segment's products are sw[:, span].reshape(3, G, P)."""
+    planes = np.ascontiguousarray(np.moveaxis(image, 3, 0)).reshape(3, -1)
+    for chunk, w, flat in weights:
+        sw = weights._scratch(w.size)
+        np.take(planes, flat, axis=1, out=sw, mode="clip")
+        sw *= w
+        yield chunk, sw
+
+
+def _adjoint(weights: _Weights, image: np.ndarray) -> np.ndarray:
+    """(N, 3) A^T r, the adjoint of _render: per kernel and channel, the
+    sum of the batch's (B, H, W, 3) image times amp * w over its window."""
+    out = np.empty((weights.amp.size, 3))
+    for chunk, sw in _gathered(weights, image):
+        for gi, _, _, _, span in chunk:
+            out[gi] = sw[:, span].reshape(3, gi.size, -1).sum(axis=2).T
+    out *= weights.amp[:, None]
+    return out
+
+
+def _basis_sums(weights: _Weights, image: np.ndarray) -> np.ndarray:
+    """(N, 3, 6) per kernel and channel, the sums of the batch's (B, H, W,
+    3) image times amp * w against its window basis [1, j, i, j^2, i*j,
+    i^2]: one stacked matmul per segment."""
+    sums = np.empty((weights.amp.size, 3, 6))
+    for chunk, sw in _gathered(weights, image):
+        for gi, _, _, basis, span in chunk:
+            part = sw[:, span].reshape(3, gi.size, -1)
+            sums[gi] = np.matmul(part.transpose(1, 0, 2), basis.T)
+    sums *= weights.amp[:, None, None]
+    return sums
+
+
 def render_windows(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:
     """Windowed fast path; matches render_dense within truncation error."""
-    params = (f.offsets, f.sigmas, f.rhos, f.colors)
-    weights = _Weights([f], cfg, n_scratch=2, params=params)
-    return _finish(_render(weights, f.colors)[0], f, cfg)
+    return _finish(_render(_Weights([f], cfg), f.colors)[0], f, cfg)
 
 
 def render_tiled(f: GaussianField, cfg: RenderConfig) -> FrameBuffer:

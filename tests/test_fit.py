@@ -328,7 +328,7 @@ class TestWindowMoments:
             f = random_field(
                 rng, 7, 5, sigma_range=(0.3, 3.0), offset_range=(-4.0, 5.0)
             )
-            lay = _Weights([f], rc, n_scratch=3)
+            lay = _Weights([f], rc)
             weight = rng.normal(0.0, 1.0, (1, lay.out_h, lay.out_w, 3))
             csum, m = _window_moments(lay, weight)
             planes = weight.reshape(-1, 3)
@@ -336,7 +336,7 @@ class TestWindowMoments:
             start = np.floor(mu - r * scale * f.sigmas - 0.5)
             for seg, w, flat in (
                 (seg, w[seg.span].reshape(seg.gi.size, -1), flat[seg.span])
-                for chunk, w, flat, _ in lay
+                for chunk, w, flat in lay
                 for seg in chunk
             ):
                 gi = seg.gi
@@ -469,20 +469,24 @@ class TestStep:
             self.assert_each_chunk_evaluated(lay, chunks, 2 if above_cap else 1)
 
     @pytest.mark.parametrize("chunk", [raster.CHUNK, 300])
-    @pytest.mark.parametrize("above_cap", [False, True])
-    def test_solve_colors_lays_out_once(self, monkeypatch, above_cap, chunk):
+    @pytest.mark.parametrize("cap", ["kept", "half", "zero"])
+    @pytest.mark.parametrize("n_fields", [1, 2])
+    def test_solve_colors_lays_out_once(self, monkeypatch, cap, chunk, n_fields):
         monkeypatch.setattr(raster, "CHUNK", chunk)
         f, target = self.many_sizes(Density.ONE_PER_PIXEL)
-        evaluations = self.count_evaluations(monkeypatch, f, above_cap)
+        evaluations = self.count_evaluations(monkeypatch, f, cap == "half")
+        if cap == "zero":
+            monkeypatch.setattr(raster, "STORE_CAP", 0)
         k = 3
-        solve_colors([f], [FrameBuffer(target)], self.CFG, k)
+        solve_colors([f] * n_fields, [FrameBuffer(target)] * n_fields, self.CFG, k)
         # One layout for the whole solve.  Kept, each chunk is evaluated
-        # once; above the cap, once per pass: two for the step size and a
-        # render and an adjoint per iteration.
+        # once; above the cap, once per pass: the step bound's adjoint and
+        # render, then a render and an adjoint per iteration.
         ((lay, chunks),) = evaluations.values()
-        assert lay.stored_px <= raster.STORE_CAP
-        assert lay.keep == (not above_cap)
-        self.assert_each_chunk_evaluated(lay, chunks, 2 + 2 * k if above_cap else 1)
+        assert lay.n_fields == n_fields
+        assert lay.stored_px <= n_fields * raster.STORE_CAP
+        assert lay.keep == (cap == "kept")
+        self.assert_each_chunk_evaluated(lay, chunks, 1 if lay.keep else 2 + 2 * k)
 
 
 class TestBatch:
@@ -570,7 +574,7 @@ class TestBatch:
         w = _Weights(fields, self.CFG.render_config())
         plane = w.out_w * w.out_h
         n0 = fields[0].n_gaussians
-        for chunk, _, flat, _ in w:
+        for chunk, _, flat in w:
             field_of = [np.repeat(seg.gi >= n0, seg.offs.size) for seg in chunk]
             assert np.array_equal(flat // plane, np.concatenate(field_of))
 

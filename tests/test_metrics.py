@@ -159,6 +159,14 @@ class TestStabilityReport:
         for g in range(4):
             assert r.pixel_pearson[g] == 1.0 and r.cov_cosine[g] == 1.0
 
+    @pytest.mark.parametrize("other", [(8, 6), (5, 5)])  # (h, w)
+    def test_frames_of_differing_size(self, other):
+        rng = np.random.default_rng(9)
+        frames = [FrameBuffer(rng.uniform(0, 1, s + (3,))) for s in [(6, 8), other]]
+        fields = [random_field(rng, 8, 6)] * 2
+        with pytest.raises(ShapeError, match="frames differ in size"):
+            stability_report(frames, fields)
+
     def test_length_mismatch(self):
         rng = np.random.default_rng(8)
         frames = [FrameBuffer(rng.uniform(0, 1, (6, 6, 3)))] * 3

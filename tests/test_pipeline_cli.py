@@ -865,6 +865,25 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert fits == []
 
+    @pytest.mark.parametrize("other", [(8, 6), (5, 5)])  # (h, w)
+    def test_corr_rejects_frames_of_differing_size_before_fitting(
+        self, tmp_path, monkeypatch, capsys, other
+    ):
+        # A 6x8 frame has the 8x6 frame's pixel count, so only the size
+        # check tells them apart; a 5x5 frame used to be fitted first.
+        fits = []
+        monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
+        paths = []
+        for i, shape in enumerate([(6, 8), other]):
+            paths.append(str(tmp_path / f"f{i}.frm"))
+            fileio.save_frm(paths[-1], FrameBuffer(np.full(shape + (3,), 0.5)))
+        argv = ["corr", *paths, "--output", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert fits == []
+        err = capsys.readouterr().err
+        assert "8x6" in err and f"{other[1]}x{other[0]}" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_oracle_check_passes(self):
         assert cli.main(["oracle-check"]) == 0
 

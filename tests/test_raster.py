@@ -402,7 +402,7 @@ class TestWindowCore:
             lay = raster._Weights([f], cfg)
             mu = f.mu() * scale
             start = np.ceil(mu - r * scale * f.sigmas - 0.5)
-            for chunk, w_chunk, _, _ in lay:
+            for chunk, w_chunk, _ in lay:
                 for seg in chunk:
                     gi = seg.gi
                     px, py = window_pixels(seg, lay.out_w, lay.out_h)
@@ -515,12 +515,12 @@ class TestWindowCore:
         rng = np.random.default_rng(28)
         f = random_field(rng, 30, 20, sigma_range=(0.4, 2.0))
         cfg = RenderConfig(scale=2.5, clamp_output=False)
-        lay = raster._Weights([f], cfg, n_scratch=2)
+        lay = raster._Weights([f], cfg)
         signed = rng.uniform(-1.0, 1.0, f.colors.shape)
         signed[::5, 0], signed[1::5, 1], signed[2::5, 2] = -0.0, 0.0, -0.0
         for colors in (signed, f.colors):
             img = np.zeros((3, lay.out_h * lay.out_w))
-            for chunk, w, flat, _ in lay:
+            for chunk, w, flat in lay:
                 gi = np.concatenate([np.repeat(seg.gi, seg.offs.size) for seg in chunk])
                 for c in range(3):
                     np.add.at(img[c], flat, w * (lay.amp[gi] * colors[gi, c]))
@@ -533,7 +533,7 @@ class TestWindowCore:
         """Sorted keys kernel * npix + flat pixel of the core's nonzero weights."""
         npix = np.prod(output_shape(f.lr_width, f.lr_height, cfg.scale))
         keys = []
-        for chunk, w, flat, _ in raster._Weights([f], cfg):
+        for chunk, w, flat in raster._Weights([f], cfg):
             gi = np.concatenate([np.repeat(seg.gi, seg.offs.size) for seg in chunk])
             (p,) = np.nonzero(w)
             keys.append(gi[p] * npix + flat[p])

@@ -11,7 +11,6 @@ from splatvid import cpb, pipeline
 from splatvid.core import Density, FrameBuffer
 from splatvid.fit import (
     FitConfig,
-    _color_adjoint,
     _color_lipschitz,
     _color_matrix,
     _projected_gradient_colors,
@@ -21,7 +20,7 @@ from splatvid.fit import (
     solve_colors,
 )
 from splatvid.pipeline import PipelineOptions
-from splatvid.raster import _Weights, _render, render_windows
+from splatvid.raster import _Weights, _adjoint, _render, render_windows
 from conftest import random_field
 
 CFG = FitConfig(iterations=6, truncation_radius=3.0)
@@ -118,11 +117,11 @@ class TestSolveColors:
         # products are checked on their own.
         rng = np.random.default_rng(56)
         fields = [random_field(rng, 7, 5, density) for _ in range(2)]
-        weights = _Weights(fields, CFG.render_config(), n_scratch=3)
+        weights = _Weights(fields, CFG.render_config())
         colors = rng.uniform(0, 1, (weights.rhos.size, 3))
         residual = rng.normal(0, 1, (2, 5, 7, 3))
         image = _render(weights, colors)
-        adjoint = _color_adjoint(weights, residual)
+        adjoint = _adjoint(weights, residual)
         at = 0
         for b, f in enumerate(fields):
             a = _color_matrix(f, CFG)
@@ -157,7 +156,7 @@ class TestSolveColors:
     def test_step_bound_is_at_least_the_spectral_norm_squared(self, density):
         rng = np.random.default_rng(54)
         fields = [random_field(rng, 7, 5, density) for _ in range(2)]
-        weights = _Weights(fields, CFG.render_config(), n_scratch=3)
+        weights = _Weights(fields, CFG.render_config())
         bound = _color_lipschitz(weights, [f.n_gaussians for f in fields])
         for f, lipschitz in zip(fields, bound):
             a = _color_matrix(f, CFG)

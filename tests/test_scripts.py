@@ -38,7 +38,7 @@ class TestAbBenchSummary:
         for i, seed in enumerate([1, 2, 3, 4]):
             for side, values in (("parent", parent), ("change", change)):
                 runs.append(run(side, seed, **{k: v[i] for k, v in values.items()}))
-        summary = ab_bench.summarize(runs, better)
+        summary = ab_bench.summarize(runs, better, {})
         # Inclusive (linear) quartiles of 1, 2, 3, 4.
         assert summary["pair_s"]["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}
         assert summary["pair_s"]["change"]["median"] == 2.25
@@ -50,6 +50,32 @@ class TestAbBenchSummary:
         psnr = summary["fit_psnr_db"]
         assert (psnr["pairs_change_better"], psnr["pairs_change_worse"]) == (2, 1)
         assert psnr["max_abs_seed_diff"] == 2.0
+
+
+    def test_past_bound_follows_the_benchmark_bounds(self, scripts):
+        # A change median worse than the parent's by more than bound *
+        # |parent median|, in the metric's direction, is past its bound:
+        # setup_s at +27 % against its 25 % is, pair_s at +20 % is not, and
+        # a PSNR 6 % lower is past its 5 %; a better median never is.
+        ab_bench, _ = scripts
+        doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in doc["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in doc["end_to_end"]}
+        assert (bounds["setup_s"], bounds["pair_s"], bounds["fit_psnr_db"]) == (
+            0.25, 0.25, 0.05
+        )
+        parent = {"setup_s": 0.1, "pair_s": 1.0, "fit_psnr_db": 30.0, "shared_s": 1.0}
+        change = {"setup_s": 0.127, "pair_s": 1.2, "fit_psnr_db": 28.2, "shared_s": 0.5}
+        runs = [
+            run(side, seed, **values)
+            for seed in (1, 2)
+            for side, values in (("parent", parent), ("change", change))
+        ]
+        summary = ab_bench.summarize(runs, better, bounds)
+        assert ab_bench.past_bound(summary) == ["setup_s", "fit_psnr_db"]
+        assert summary["pair_s"]["past_bound"] is False
+        assert summary["shared_s"]["past_bound"] is False
+        assert "past_bound" not in ab_bench.summarize(runs, better, {})["setup_s"]
 
 
 class TestOutputDigest:
