@@ -20,6 +20,13 @@ bound, whether the change's median is worse than the parent's by more than
 bound * |parent median| ("past_bound").  The printout ends with one line
 naming every metric past its bound, or "none".  A run that fails stops the
 script.
+
+    python3 scripts/ab_bench.py --parent HEAD --workload interp-x32 --claim shared_s
+
+With --claim METRIC the printout and the file also say whether a gain in
+METRIC may be claimed: the change must be better in at least nine tenths of
+the pairs (a tie counts for neither side), and its median must be better
+than the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -94,6 +101,35 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     return summary
 
 
+def claim(summary: dict, name: str, better: dict[str, str], pairs: int) -> dict:
+    """Whether summarize's result over pairs pairs lets a gain in metric
+    name be claimed: better in at least 9 of every 10 pairs, and a median
+    gain, in better's direction, larger than the parent's interquartile
+    range."""
+    s = summary[name]
+    p, c = s["parent"], s["change"]
+    iqr = p["q3"] - p["q1"]
+    sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+    gain = sign * (p["median"] - c["median"])
+    return {
+        "metric": name,
+        "pairs_change_better": s["pairs_change_better"],
+        "pairs": pairs,
+        "median_gain": gain,
+        "parent_iqr": iqr,
+        "holds": 10 * s["pairs_change_better"] >= 9 * pairs and gain > iqr,
+    }
+
+
+def claim_line(workload: str, c: dict) -> str:
+    """One line stating claim's result."""
+    return (
+        f"{workload} claim {c['metric']}: better in {c['pairs_change_better']}/"
+        f"{c['pairs']} pairs, median gain {c['median_gain']:.5g} against parent "
+        f"IQR {c['parent_iqr']:.5g}: {'HOLDS' if c['holds'] else 'NOT MET'}"
+    )
+
+
 def past_bound(summary: dict) -> list[str]:
     """The metrics of summarize's result whose change median is past its bound."""
     return [name for name, s in summary.items() if s.get("past_bound")]
@@ -107,6 +143,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=36.0, help="--seconds of each run")
     ap.add_argument("--parent-label", help="describes the parent (default: its subject)")
     ap.add_argument("--change-label", help="describes the change (default: HEAD + edits)")
+    ap.add_argument("--claim", metavar="METRIC", help="end-to-end metric whose gain to test")
     args = ap.parse_args(argv)
     if args.seeds < 2:
         ap.error("--seeds must be at least 2 for quartiles")
@@ -118,6 +155,8 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
+    if args.claim and args.claim not in better:
+        ap.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
     runs, machine = [], None
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
         parent_root = Path(tmp)
@@ -154,6 +193,8 @@ def main(argv=None) -> int:
         "runs": runs,
         "summary": summary,
     }
+    if args.claim:
+        doc["claim"] = claim(summary, args.claim, better, args.seeds)
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for name, s in summary.items():
@@ -166,6 +207,8 @@ def main(argv=None) -> int:
             f"worse {s['pairs_change_worse']}/{args.seeds}"
             + (", PAST BOUND" if s.get("past_bound") else "")
         )
+    if args.claim:
+        print(claim_line(args.workload, doc["claim"]))
     print(f"wrote {out}")
     print(f"{args.workload} past bound: {', '.join(past_bound(summary)) or 'none'}")
     return 0

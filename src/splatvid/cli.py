@@ -111,7 +111,7 @@ def _cmd_corr(args) -> int:
     metrics.check_one_size(frames)
     cfg = FitConfig(iterations=args.iterations)
     density = Density(int(args.density))
-    fields = [fit_mod.fit_frame(f, density, cfg) for f in frames]
+    fields = fit_mod.fit_frames(frames, density, cfg)
     report = metrics.stability_report(frames, fields)
     fileio.save_stability_csv(args.output, report)
     for i, g in enumerate(report.gaps):
@@ -192,6 +192,17 @@ def _cmd_oracle_check(args) -> int:
             worst_bank = max(worst_bank, float(diff))
     print(f"bank-candidates-vs-full max abs diff: {worst_bank:.3e}")
 
+    # Queries at and next to snap ties (synth.snap_ties), each snapped and
+    # compared with the argmin over its whole (K, 3) difference.
+    snap_mismatches = snap_queries = 0
+    for bank in (jittered, default):
+        q = synth.snap_ties(bank)
+        d = cpb._embed(q)[:, None, :] - bank.embedding()
+        want = np.argmin(np.sum(d * d, axis=-1), axis=-1)
+        snap_mismatches += int(np.count_nonzero(cpb.nearest_entry_indices(q, bank) != want))
+        snap_queries += len(q)
+    print(f"snap-vs-full-difference mismatches: {snap_mismatches} of {snap_queries}")
+
     # A tiny 1:4 field near its cell centres, whose target A c has colours
     # c in [-0.5, 1.5], so the box binds on about half of them; 1000 solve
     # iterations and 3000 reference steps converge there well inside 1e-5.
@@ -210,6 +221,7 @@ def _cmd_oracle_check(args) -> int:
         worst_render <= 1e-5
         and worst_grad <= 1e-3
         and worst_bank <= 1e-12
+        and snap_mismatches == 0
         and worst_solve <= 1e-5
     )
     print("oracle check:", "PASS" if ok else "FAIL")
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle-check",
-        help="windowed-vs-dense, gradient, bank-candidate and colour-solve checks",
+        help="windowed-vs-dense, gradient, bank-candidate, snap and colour-solve checks",
     )
     _add_flags(p, "scale", "seed")
     p.set_defaults(func=_cmd_oracle_check)

@@ -1,4 +1,4 @@
-"""Covariance prior bank: construction, fusion into logits, and resampling.
+"""Covariance prior bank: construction, snap, fusion into logits, resampling.
 
 All intermediate covariances are produced as softmax-weighted convex
 combinations of a fixed, finite bank of (sigma_x, sigma_y, rho) entries.
@@ -16,6 +16,13 @@ sits at least TAU below the cell maximum at every t in [0, 1], so the
 dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at K = 320).  The
 pipeline derives every fuser's covariances this way; ``fuse`` and
 ``resample`` (a conv and a K-wide softmax) are the reference path.
+
+The snap (``nearest_entry_indices``, ``project_grid_to_bank``) sends each
+covariance to its nearest entry in (log sx, log sy, atanh rho) space, ties
+to the lowest index.  It screens all K entries with one (N, 4) @ (4, K)
+GEMM and recomputes the exact per-axis distances only for the rows where
+more than one entry lies within the screen's rounding slack, so it holds
+one (N, K) float array and one (N, K) mask.
 
 The value types below store their arrays through ``core.frozen_array``, and
 a bank's entries obey the covariance rule of ``core.validate_field``
@@ -211,19 +218,58 @@ def resample_candidates(c: BankCandidates, t: float, bank: CpbBank) -> CovGrid:
     return CovGrid(np.einsum("hwm,chwm->hwc", w, cols))
 
 
+def _nearest_by_difference(e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin over k of fl((e0-b0)^2 + (e1-b1)^2 + (e2-b2)^2) per row of
+    the (N, 3) e, ties to the lowest index; the definition of the snap."""
+    # Summed one axis at a time: the same values as np.sum over the last axis
+    # of the (N, K, 3) difference, without materialising it.
+    d2 = (e[:, 0, None] - b[:, 0]) ** 2
+    d2 += (e[:, 1, None] - b[:, 1]) ** 2
+    d2 += (e[:, 2, None] - b[:, 2]) ** 2
+    return np.argmin(d2, axis=1)
+
+
 def nearest_entry_indices(params: np.ndarray, bank: CpbBank) -> np.ndarray:
     """Index of the L2-nearest bank entry in (log s, log s, atanh rho) space.
 
-    Ties break toward the lowest index.  Works on any (..., 3) array.
+    Works on any (..., 3) array.  The index is the argmin over k of
+    fl((e0 - b0)^2 + (e1 - b1)^2 + (e2 - b2)^2), e the query's embedding and
+    b_k the entry's, with ties to the lowest index.  It is found in two
+    steps, with the same result.
+
+    Screen: one GEMM [e, 1] @ [-2 b^T; |b|^2] gives s_k = |b_k|^2 - 2 e.b_k,
+    which is |e - b_k|^2 - |e|^2 up to rounding.  Each computed s_k is a
+    4-term dot product whose terms sum in absolute value to at most
+    |e|^2 + 2 |b_k|^2 (2 |e_i b_ik| <= e_i^2 + b_ik^2), so it is within about
+    5u (|e|^2 + 2 max|b|^2) of the exact value, u = 2^-53, in any order of
+    summation.  The difference formula's own value is within about 5u of
+    |e - b_k|^2 <= 2 (|e|^2 + |b_k|^2).  Comparing two entries therefore
+    errs by less than 40u (|e|^2 + max|b|^2) in all, and an entry whose s_k
+    exceeds the row's smallest by more than
+
+        slack = 1e-9 (|e|^2 + max|b|^2 + 1)
+
+    (over 1e5 times that; the + 1 keeps it positive at e = b = 0) is farther
+    than the screen's argmin under the difference formula too.
+
+    Exact check: a row with exactly one entry within the slack keeps the
+    screen's argmin.  Every other row (a near or exact tie, or a non-finite
+    query, which counts none) gets the difference formula over all K.
     """
     emb = _embed(np.asarray(params, dtype=np.float64))
+    e = emb.reshape(-1, 3)
     b = bank.embedding()
-    # Summed one axis at a time: the same values as np.sum over the last axis
-    # of the (..., K, 3) difference, without materialising it.
-    d2 = (emb[..., 0, None] - b[:, 0]) ** 2
-    d2 += (emb[..., 1, None] - b[:, 1]) ** 2
-    d2 += (emb[..., 2, None] - b[:, 2]) ** 2
-    return np.argmin(d2, axis=-1)
+    b2 = np.sum(b * b, axis=1)
+    e1 = np.ones((e.shape[0], 4))
+    e1[:, :3] = e
+    s = e1 @ np.vstack([-2.0 * b.T, b2])
+    idx = np.argmin(s, axis=1)
+    cut = np.take_along_axis(s, idx[:, None], axis=1)
+    cut += 1e-9 * (np.sum(e * e, axis=1, keepdims=True) + (b2.max() + 1.0))
+    rows = np.flatnonzero(np.count_nonzero(s <= cut, axis=1) != 1)
+    if rows.size:
+        idx[rows] = _nearest_by_difference(e[rows], b)
+    return idx.reshape(emb.shape[:-1])
 
 
 def project_grid_to_bank(grid: CovGrid, bank: CpbBank) -> CovGrid:

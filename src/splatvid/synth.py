@@ -156,3 +156,28 @@ def t_dependent_fuser(rng: np.random.Generator, bank: cpb.CpbBank) -> cpb.FuserW
     w[:, : c - 1] += neighbour
     w[:, c - 1, 1, 1] = rng.normal(0.0, 4.0, k)
     return cpb.FuserWeights(w, base.bias)
+
+
+def snap_ties(bank: cpb.CpbBank) -> np.ndarray:
+    """(M, 3) covariance params at and next to the bank's snap ties.
+
+    Rows: every entry itself; every entry made isotropic at its sigmas'
+    geometric mean, equidistant from the entry and its (sigma_x, sigma_y)
+    transpose when the bank holds one; and, for every entry, the midpoint
+    (in cpb's embedding) between it and its nearest other entry, as is and
+    moved together on all three params by 1 to 4 ulps either way.
+    """
+    p = bank.params
+    e = bank.embedding()
+    iso = np.column_stack([np.sqrt(p[:, 0] * p[:, 1])] * 2 + [p[:, 2]])
+    d2 = np.sum((e[:, None, :] - e[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(d2, np.inf)
+    mid = 0.5 * (e + e[np.argmin(d2, axis=1)])
+    mid = np.column_stack([np.exp(mid[:, 0:2]), np.tanh(mid[:, 2])])
+    moved = []
+    for direction in (-np.inf, np.inf):
+        q = mid
+        for _ in range(4):
+            q = np.nextafter(q, direction)
+            moved.append(q)
+    return np.concatenate([p, iso, mid, *moved])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splatvid import synth
-from splatvid.core import ShapeError, ValidationError
+from splatvid.core import RHO_MAX, SIGMA_MIN, ShapeError, ValidationError
 from splatvid.cpb import (
     CANDIDATE_BLOCK,
     FUSER_IN_CHANNELS,
@@ -140,12 +140,96 @@ class TestProjectToBank:
         # over the whole (cells, K, 3) difference.
         bank = synth.jittered_bank(np.random.default_rng(1))
         grid = random_cov_grid(np.random.default_rng(6), 20, 30).params
-        d = _embed(grid)[..., None, :] - bank.embedding()
-        want = np.argmin(np.sum(d * d, axis=-1), axis=-1)
+        want = full_difference_nearest(grid, bank)
         got = nearest_entry_indices(grid, bank)
         assert got.shape == (20, 30) and np.array_equal(got, want)
         snapped = project_grid_to_bank(CovGrid(grid), bank).params
         assert np.array_equal(snapped, bank.params[want])
+
+
+def full_difference_nearest(params, bank):
+    """The snap's oracle: argmin over the whole (..., K, 3) difference."""
+    d = _embed(params)[..., None, :] - bank.embedding()
+    return np.argmin(np.sum(d * d, axis=-1), axis=-1)
+
+
+SNAP_BANKS = {
+    "default": default_bank,
+    "jittered": lambda: synth.jittered_bank(np.random.default_rng(4)),
+}
+
+
+class TestSnapOracle:
+    """nearest_entry_indices (a GEMM screen plus an exact check of its near
+    ties) against the full-difference argmin, on queries where the screen's
+    rounding could pick another entry."""
+
+    @pytest.fixture(params=list(SNAP_BANKS))
+    def bank(self, request):
+        return SNAP_BANKS[request.param]()
+
+    def check(self, params, bank):
+        got = nearest_entry_indices(params, bank)
+        want = full_difference_nearest(params, bank)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        return got
+
+    def test_random_queries(self, bank):
+        self.check(random_cov_grid(np.random.default_rng(8), 30, 40).params, bank)
+
+    def test_every_entry_is_its_own_nearest(self, bank):
+        got = self.check(bank.params, bank)
+        assert np.array_equal(got, np.arange(bank.size))
+
+    def test_transposed_entries_tie_to_the_lower_index(self):
+        # An isotropic query is exactly as far from (a, b, r) as from
+        # (b, a, r), in either order of the bank; the lower index wins.
+        q = np.array([math.sqrt(2.0), math.sqrt(2.0), 0.1])
+        pair = np.array([[2.0, 1.0, 0.1], [1.0, 2.0, 0.1]])
+        for entries in (pair, pair[::-1]):
+            assert self.check(q, CpbBank(entries)) == 0
+
+    def test_equidistant_midpoints_tie_to_the_lower_index(self):
+        # Midpoints between levels placed symmetrically in the embedding
+        # (log 0.5 = -log 2, atanh -0.5 = -atanh 0.5): two or four entries
+        # tie exactly, and the lowest index wins.
+        bank = build_bank([0.5, 2.0], [-0.5, 0.5])
+        q = [[1.0, 0.5, 0.5], [0.5, 1.0, -0.5], [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]]
+        assert self.check(np.array(q), bank).tolist() == [1, 0, 6, 0]
+
+    def test_midpoints_moved_by_ulps(self, bank):
+        # synth.snap_ties: the entries, the entries made isotropic (tied
+        # between transposes on the default bank), and nearest-pair
+        # midpoints moved by 1-4 ulps.
+        self.check(synth.snap_ties(bank), bank)
+
+    @pytest.mark.parametrize(
+        "sigmas, rho",
+        [
+            ((SIGMA_MIN, SIGMA_MIN * 1.5), 0.0),
+            ((1e4, 2e6), 0.3),
+            ((0.7, 1.3), RHO_MAX),
+            ((2.0, 0.4), -RHO_MAX),
+            ((SIGMA_MIN, 1e6), -RHO_MAX),
+        ],
+    )
+    def test_extreme_params(self, bank, sigmas, rho):
+        q = np.array([[*sigmas, rho], [sigmas[1], sigmas[0], -rho]])
+        near = np.nextafter(q, 0.0)
+        self.check(np.concatenate([q, near]), bank)
+
+    def test_single_entry_bank(self):
+        bank = build_bank([1.3], [0.2])
+        got = self.check(random_cov_grid(np.random.default_rng(9), 4, 5).params, bank)
+        assert np.all(got == 0)
+
+    def test_zero_dimensional_query(self, bank):
+        got = self.check(bank.params[57], bank)
+        assert got.shape == () and got == 57
+
+    def test_empty_grid(self, bank):
+        got = self.check(np.zeros((0, 3)), bank)
+        assert got.shape == (0,)
 
 
 class TestFuse:

@@ -858,6 +858,7 @@ class TestCli:
 
     def test_corr_rejects_one_frame_before_fitting(self, tmp_path, monkeypatch):
         fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
         monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
         frm = tmp_path / "f.frm"
         fileio.save_frm(frm, FrameBuffer(np.full((6, 8, 3), 0.5)))
@@ -872,6 +873,7 @@ class TestCli:
         # A 6x8 frame has the 8x6 frame's pixel count, so only the size
         # check tells them apart; a 5x5 frame used to be fitted first.
         fits = []
+        monkeypatch.setattr(fit_mod, "fit_frames", lambda *a: fits.append(a))
         monkeypatch.setattr(fit_mod, "fit_frame", lambda *a: fits.append(a))
         paths = []
         for i, shape in enumerate([(6, 8), other]):
@@ -892,6 +894,10 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         line = next(x for x in lines if x.startswith("bank-candidates-vs-full"))
         assert float(line.split(":")[1]) <= 1e-12
+        # Snapped queries at and next to ties, against the full difference.
+        line = next(x for x in lines if x.startswith("snap-vs-full-difference"))
+        mismatches, _, queries = line.split(":")[1].split()
+        assert (int(mismatches), int(queries)) == (0, 2 * 11 * 320)
         solve = "color-solve-vs-projected-gradient"
         line = next(x for x in lines if x.startswith(solve))
         assert float(line.split(":")[1]) <= 1e-5

@@ -78,6 +78,46 @@ class TestAbBenchSummary:
         assert "past_bound" not in ab_bench.summarize(runs, better, {})["setup_s"]
 
 
+    @staticmethod
+    def claim_of(ab_bench, parent, change, name="shared_s"):
+        runs = []
+        for seed, (p, c) in enumerate(zip(parent, change), start=1):
+            runs += [run("parent", seed, **{name: p}), run("change", seed, **{name: c})]
+        better = {"shared_s": "lower", "fit_psnr_db": "higher"}
+        return ab_bench.claim(ab_bench.summarize(runs, better, {}), name, better, len(parent))
+
+    def test_claim_holds_on_nine_of_ten_pairs_and_a_gap_beyond_the_iqr(self, scripts):
+        ab_bench, _ = scripts
+        # Parent quartiles 1.0225 / 1.045 / 1.0675 (IQR 0.045); the change
+        # is 0.1 lower except in one pair, a tie counting for neither side.
+        parent = [1.0 + 0.01 * i for i in range(10)]
+        change = [p - 0.1 for p in parent[:9]] + [parent[9]]
+        c = self.claim_of(ab_bench, parent, change)
+        assert (c["pairs_change_better"], c["pairs"]) == (9, 10)
+        assert c["parent_iqr"] == pytest.approx(0.045)
+        assert c["median_gain"] == pytest.approx(0.1) and c["holds"] is True
+        line = ab_bench.claim_line("interp-x32", c)
+        assert line.startswith("interp-x32 claim shared_s: better in 9/10 pairs")
+        assert line.endswith(": HOLDS")
+        # Higher is better for a PSNR: the same numbers read as a loss.
+        c = self.claim_of(ab_bench, parent, change, "fit_psnr_db")
+        assert c["pairs_change_better"] == 0 and c["holds"] is False
+
+    def test_claim_misses_on_eight_pairs_or_a_gap_inside_the_iqr(self, scripts):
+        ab_bench, _ = scripts
+        parent = [1.0 + 0.01 * i for i in range(10)]
+        # Eight of ten pairs better, with a large median gain.
+        change = [p - 0.1 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+        c = self.claim_of(ab_bench, parent, change)
+        assert c["pairs_change_better"] == 8 and c["median_gain"] > c["parent_iqr"]
+        assert c["holds"] is False
+        assert ab_bench.claim_line("w", c).endswith(": NOT MET")
+        # Ten of ten pairs better, by less than the parent's IQR of 0.045.
+        c = self.claim_of(ab_bench, parent, [p - 0.04 for p in parent])
+        assert c["pairs_change_better"] == 10 and c["median_gain"] < c["parent_iqr"]
+        assert c["holds"] is False
+
+
 class TestOutputDigest:
     def test_seed_range(self, scripts):
         _, output_digest = scripts
