@@ -188,7 +188,7 @@ def _cmd_oracle_check(args) -> int:
         cands = cpb.bank_candidates(cov0, cov1, fuser, bank)
         for t in (0.0, 0.3, 0.5, 1.0):
             full = cpb.resample(cpb.fuse(cov0, cov1, t, fuser), bank).params
-            diff = np.abs(cpb.resample_candidates(cands, t, bank).params - full).max()
+            diff = np.abs(cpb.resample_candidates(cands, t).params - full).max()
             worst_bank = max(worst_bank, float(diff))
     print(f"bank-candidates-vs-full max abs diff: {worst_bank:.3e}")
 

@@ -9,13 +9,16 @@ With zero padding the fuser's t channel is t inside the grid and 0 outside,
 so each cell's logits are exactly linear in t: logits(t) = a + t * b.
 ``bank_candidates`` splits them once per input pair and keeps, per cell,
 only the entries that can come within ``TAU`` of the cell's largest logit
-somewhere in t in [0, 1]; ``resample_candidates`` then costs an (N, M)
-softmax per frame, with M the widest cell's candidate count (M = 42 of
-K = 320 on a jittered bank with a t-dependent 3x3 fuser).  A dropped entry
-sits at least TAU below the cell maximum at every t in [0, 1], so the
-dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at K = 320).  The
-pipeline derives every fuser's covariances this way; ``fuse`` and
-``resample`` (a conv and a K-wide softmax) are the reference path.
+somewhere in t in [0, 1], slot-major, with each kept entry's bank row
+gathered there once.  ``resample_candidates`` then reads no bank: per frame
+it takes the exp of an (M, N) array of shifted logits and one einsum of it
+with the gathered rows over the M slots, with M the widest cell's candidate
+count (M = 42 of K = 320 on a jittered bank with a t-dependent 3x3 fuser).
+A dropped entry sits at least TAU below the cell maximum at every t in
+[0, 1], so the dropped softmax mass is at most K * exp(-TAU) (1.4e-15 at
+K = 320).  The pipeline derives every fuser's covariances this way;
+``fuse`` and ``resample`` (a conv and a K-wide softmax) are the reference
+path.
 
 The snap (``nearest_entry_indices``, ``project_grid_to_bank``) sends each
 covariance to its nearest entry in (log sx, log sy, atanh rho) space, ties
@@ -27,7 +30,9 @@ one (N, K) float array and one (N, K) mask.
 The value types below store their arrays through ``core.frozen_array``, and
 a bank's entries obey the covariance rule of ``core.validate_field``
 (``core.covariance_violations``).  Every softmax here is the one in-place
-max-subtract / exp / divide of ``_softmax_in_place``.
+max-subtract / exp / divide of ``_softmax_in_place``, except that
+``resample_candidates`` divides the weighted sum of the rows, not the
+weights.
 """
 
 from __future__ import annotations
@@ -132,16 +137,21 @@ class FuserWeights:
 
 @dataclass(frozen=True)
 class BankCandidates:
-    """Per-cell candidate bank entries, each array (grid_h, grid_w, M).
+    """Per-cell candidate bank entries, slot-major: idx, a and b are
+    (M, grid_h, grid_w) and params is (3, M, grid_h, grid_w).
 
-    Entry idx[..., m] of a cell has logit a[..., m] + t * b[..., m] at time
-    t.  Cells with fewer than M candidates are padded with idx 0, a = -inf
-    and b = 0, which get zero softmax weight.
+    Slot m of a cell holds entry idx[m], whose logit at time t is
+    a[m] + t * b[m] and whose bank row (sigma_x, sigma_y, rho) is
+    params[:, m].  Cells with fewer than M candidates fill their first
+    slots and pad the rest with idx 0, a = -inf, b = 0 and entry 0's bank
+    row; a padding slot gets zero softmax weight, and its row stays finite,
+    since zero times a NaN would poison the weighted sum.
     """
 
     idx: np.ndarray  # int32
     a: np.ndarray
     b: np.ndarray
+    params: np.ndarray
 
     def __post_init__(self):
         # a holds -inf padding, so values are not checked.
@@ -149,8 +159,12 @@ class BankCandidates:
             arr = getattr(self, name)
             arr = frozen_array(f"BankCandidates.{name}", arr, 3, finite=False, dtype=dtype)
             object.__setattr__(self, name, arr)
-        if not self.idx.shape == self.a.shape == self.b.shape:
-            raise ShapeError(f"candidate shapes {self.idx.shape}, {self.a.shape}, {self.b.shape}")
+        params = frozen_array("BankCandidates.params", self.params, 4)
+        object.__setattr__(self, "params", params)
+        shape = self.idx.shape
+        if not (self.a.shape == self.b.shape == shape and params.shape == (3, *shape)):
+            shapes = (shape, self.a.shape, self.b.shape, params.shape)
+            raise ShapeError(f"candidate shapes {shapes}")
 
 
 def _embed(params: np.ndarray) -> np.ndarray:
@@ -206,16 +220,25 @@ def resample(e: LogitField, bank: CpbBank) -> CovGrid:
     return CovGrid((w @ bank.params).reshape(gh, gw, 3))
 
 
-def resample_candidates(c: BankCandidates, t: float, bank: CpbBank) -> CovGrid:
+def resample_candidates(c: BankCandidates, t: float) -> CovGrid:
     """resample(fuse(cov0, cov1, t, w), bank) from the candidates of
     bank_candidates(cov0, cov1, w, bank), to within K * exp(-TAU) relative
-    weight per cell."""
-    w = c.b * float(t)
-    w += c.a
-    _softmax_in_place(w, axis=2)
-    # take() along the bank's columns gathers far faster than params[idx].
-    cols = np.take(bank.params.T, c.idx, axis=1)  # (3, gh, gw, M)
-    return CovGrid(np.einsum("hwm,chwm->hwc", w, cols))
+    weight per cell, for t in [0, 1], the range the pruning holds for.
+
+    Reads no bank: the weights exp(z - max z) of z = a + t * b meet the
+    gathered rows in one einsum over the M slots, and the (3, gh, gw) sum
+    is divided by the weights' sum.
+    """
+    t = float(t)
+    if not 0.0 <= t <= 1.0:  # also rejects NaN
+        raise ValidationError(f"resample_candidates: t = {t} outside [0, 1]")
+    z = c.b * t
+    z += c.a
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    out = np.einsum("mhw,cmhw->chw", z, c.params)
+    out /= z.sum(axis=0)
+    return CovGrid(np.moveaxis(out, 0, -1))
 
 
 def _nearest_by_difference(e: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,7 +325,8 @@ def bank_candidates(
     max(a_k, a_k + b_k) >= max_j min(a_j, a_j + b_j) - TAU.  Both sides are
     linear in t, so a dropped entry is at least TAU below the cell maximum
     at every t in [0, 1], and the cell's maximum at any t is kept.  Built in
-    blocks of grid rows; no (N, K) array is held.
+    blocks of grid rows; no (N, K) array is held.  The kept entries' bank
+    rows are gathered here, once per pair, so that no frame reads the bank.
     """
     if cov0.params.shape != cov1.params.shape:
         raise ShapeError("endpoint covariance grids differ in shape")
@@ -331,19 +355,29 @@ def bank_candidates(
         blocks.append((counts, flat % k, a.take(flat), b.take(flat)))
     # The arrays the context keeps outlive the next pair's fit, so they are
     # allocated with as little else live as one pass allows: after the block
-    # temporaries are freed and before the blocks are gathered.  On the 48x32
-    # benchmark pair, that order and building blocks from window views rather
-    # than from one whole column matrix each cut peak RSS by about 0.4 MB.
-    del a, b, a1, floor, keep, flat, counts
-    m = max(int(counts.max()) for counts, _, _, _ in blocks)
-    idx = np.zeros((gh, gw, m), dtype=np.int32)
-    a_out = np.full((gh, gw, m), -np.inf)
-    b_out = np.zeros((gh, gw, m))
+    # temporaries are freed, and the bank rows after the kept lists are.  On
+    # the 48x32 benchmark pair, building blocks from window views rather than
+    # from one whole column matrix cut peak RSS by about 0.4 MB.
+    del a, b, a1, floor, keep, flat, counts, win_cov, win_t
     counts, cols, a_kept, b_kept = (np.concatenate(v) for v in zip(*blocks))
-    # Candidates come out cell by cell, each cell's filling its first slots.
-    slot = np.arange(m) < counts.reshape(gh, gw, 1)
-    idx[slot], a_out[slot], b_out[slot] = cols, a_kept, b_kept
-    return BankCandidates(idx, a_out, b_out)
+    del blocks
+    m, n = int(counts.max()), gh * gw
+    # Candidates come out cell by cell, each cell's filling its first slots,
+    # so each array is laid out cell-major and then transposed once.
+    slot = np.arange(m) < counts[:, None]
+
+    def slot_major(pad, kept, dtype):
+        out = np.full((n, m), pad, dtype=dtype)
+        out[slot] = kept
+        return np.ascontiguousarray(out.T).reshape(m, gh, gw)
+
+    idx = slot_major(0, cols, np.int32)
+    a_out = slot_major(-np.inf, a_kept, np.float64)
+    b_out = slot_major(0.0, b_kept, np.float64)
+    del slot, cols, a_kept, b_kept
+    # take() along the bank's columns gathers far faster than params[idx].
+    params = np.take(bank.params.T, idx, axis=1)  # (3, m, gh, gw)
+    return BankCandidates(idx, a_out, b_out, params)
 
 
 def baseline_fuser(bank: CpbBank, sharpness: float = 200.0) -> FuserWeights:

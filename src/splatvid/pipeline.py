@@ -13,11 +13,13 @@ cell, and each cell keeps the entries that can come within ``cpb.TAU`` = 40
 of its maximum logit (dropped softmax mass at most K * exp(-TAU) per cell,
 1.4e-15 at K = 320).  If b is zero everywhere (a t-free fuser, such as the
 baseline), the context holds the covariances resampled once and no
-candidates; otherwise it holds the candidates and each frame pays an (N, M)
-softmax.  Nothing runs a conv or a K-wide softmax (``cpb.fuse`` and
-``cpb.resample``, the reference).  Each requested timestamp then only pays
-``scale_flows`` of the one stored grid flow it uses, the blend of the two
-aligned fields, offset gating and that bank softmax, plus rasterization.
+candidates; otherwise it holds the candidates, slot-major with their bank
+rows gathered once, and each frame pays the exp of an (M, N) logit array and
+one einsum of it with those rows, reading no bank row.  Nothing runs a conv
+or a K-wide softmax (``cpb.fuse`` and ``cpb.resample``, the reference).
+Each requested timestamp then only pays ``scale_flows`` of the one stored
+grid flow it uses, the blend of the two aligned fields, offset gating and
+that candidate softmax, plus rasterization.
 Stage counters record this split and are asserted by the latency tests;
 they are the one part of a context that changes after it is built.
 
@@ -138,10 +140,12 @@ class SharedContext:
     every candidate's slope b is zero, the logits do not depend on t:
     ``cov_t`` holds the candidates resampled once, ``derive_field`` reuses
     it at every t, and ``candidates`` is None.  Otherwise ``cov_t`` is None
-    and ``candidates`` holds the per-cell bank candidates that
-    ``derive_field`` resamples at each t.  Only ``stage_counters`` changes
-    after construction, through ``bump``; each context counts into its own
-    dict, so a copy made with ``dataclasses.replace`` counts its own frames.
+    and ``candidates`` holds the per-cell bank candidates, with their bank
+    rows, that ``derive_field`` resamples at each t.  So no frame reads
+    ``bank``; it is the bank the context was built with.  Only
+    ``stage_counters`` changes after construction, through ``bump``; each
+    context counts into its own dict, so a copy made with
+    ``dataclasses.replace`` counts its own frames.
     """
 
     field0: GaussianField
@@ -223,7 +227,7 @@ def build_shared_context(
     cov0, cov1 = CovGrid(_cell_maps(f0)[..., 0:3]), CovGrid(maps1[..., 0:3])
     cov_t, candidates = None, cpb_mod.bank_candidates(cov0, cov1, fuser, bank)
     if not np.any(candidates.b):  # no logit depends on t: resample once
-        cov_t, candidates = cpb_mod.resample_candidates(candidates, 0.0, bank), None
+        cov_t, candidates = cpb_mod.resample_candidates(candidates, 0.0), None
     logits = motion_mod.flow_magnitude_window_logits(
         flow01, flow10, WINDOWS, opts.density
     )
@@ -259,7 +263,7 @@ def derive_field(ctx: SharedContext, t: float) -> GaussianField:
     w = ctx.window_map.values.reshape(-1, 1) if ctx.options.aow else 1.0
     total = offsets - m_t0.vectors.reshape(-1, 2)
 
-    cov_grid = ctx.cov_t or cpb_mod.resample_candidates(ctx.candidates, t, ctx.bank)
+    cov_grid = ctx.cov_t or cpb_mod.resample_candidates(ctx.candidates, t)
     cov_t = cov_grid.params.reshape(-1, 3)
 
     derived = replace(

@@ -66,7 +66,9 @@ from splatvid.core import (
 )
 
 # Window pixels evaluated per chunk; a single larger window is its own chunk.
-CHUNK = 1 << 17
+# A chunk's buffers take 41 bytes a pixel (exponent, flat index, mask and
+# three scratch planes), so at 2^15 pixels they fit a 2 MB L2 cache.
+CHUNK = 1 << 15
 # Most window pixels per field whose weights a fit step keeps from its
 # render for its gradient (see _Weights): a float64 weight and an int64
 # pixel index each, so at most 16 MiB per field.  A step over B fields with

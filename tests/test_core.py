@@ -247,8 +247,10 @@ class TestValidateField:
 
 # Every value type that stores arrays: (type, valid arrays, other fields,
 # arrays whose last axis is checked, arrays whose values must be finite).
-# GaussianField and BankCandidates leave values unchecked: validate_field
-# reports a field's, and candidates are padded with -inf.
+# GaussianField and BankCandidates' idx, a and b leave values unchecked:
+# validate_field reports a field's, and candidates are padded with -inf.  A
+# candidate's bank row must be finite, since a padding slot's zero weight
+# meets it in the weighted sum.
 VALUE_TYPES = [
     (FlowField, {"vectors": np.zeros((3, 4, 2))}, {}, {"vectors"}, {"vectors"}),
     (FrameBuffer, {"pixels": np.zeros((3, 4, 3))}, {}, {"pixels"}, {"pixels"}),
@@ -284,13 +286,14 @@ VALUE_TYPES = [
     (
         BankCandidates,
         {
-            "idx": np.zeros((2, 3, 4), dtype=np.int32),
-            "a": np.full((2, 3, 4), -np.inf),
-            "b": np.zeros((2, 3, 4)),
+            "idx": np.zeros((4, 2, 3), dtype=np.int32),
+            "a": np.full((4, 2, 3), -np.inf),
+            "b": np.zeros((4, 2, 3)),
+            "params": np.full((3, 4, 2, 3), 0.5),
         },
         {},
         set(),
-        set(),
+        {"params"},
     ),
     (WindowMap, {"values": np.ones((2, 3))}, {}, set(), {"values"}),
 ]

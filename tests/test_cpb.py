@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from splatvid import synth
 from splatvid.core import RHO_MAX, SIGMA_MIN, ShapeError, ValidationError
 from splatvid.cpb import (
+    BankCandidates,
     CANDIDATE_BLOCK,
     FUSER_IN_CHANNELS,
     TAU,
@@ -398,7 +399,7 @@ class TestBankCandidates:
         bank, fuser, cov0, cov1, cands = case
         for t in CANDIDATE_TIMES:
             full = resample(fuse(cov0, cov1, t, fuser), bank).params
-            got = resample_candidates(cands, t, bank).params
+            got = resample_candidates(cands, t).params
             assert got.shape == full.shape
             for col in range(3):
                 assert np.abs(got[..., col] - full[..., col]).max() <= 1e-12, (t, col)
@@ -406,7 +407,7 @@ class TestBankCandidates:
     def test_dropped_entries_are_tau_below_max(self, case):
         bank, fuser, cov0, cov1, cands = case
         fin = np.isfinite(cands.a)
-        gy, gx, _ = np.nonzero(fin)
+        _, gy, gx = np.nonzero(fin)
         entry = cands.idx[fin]  # row-major, as nonzero
         kept = np.zeros(cov0.params.shape[:2] + (bank.size,), dtype=bool)
         kept[gy, gx, entry] = True
@@ -422,21 +423,43 @@ class TestBankCandidates:
 
     def test_candidate_layout(self, case):
         _, _, _, _, cands = case
-        counts = np.isfinite(cands.a).sum(axis=2)
+        # Slot-major: slot m of every cell is cands.idx[m].
+        counts = np.isfinite(cands.a).sum(axis=0)
         assert counts.min() >= 1
-        assert cands.idx.shape[2] == counts.max()
+        assert cands.idx.shape[0] == counts.max()
         assert cands.idx.dtype == np.int32
         # Padding: idx 0, a = -inf, b = 0, after each cell's candidates.
         pad = ~np.isfinite(cands.a)
         assert np.all(cands.a[pad] == -np.inf)
         assert np.all(cands.b[pad] == 0.0) and np.all(cands.idx[pad] == 0)
-        assert np.all(np.diff(pad.astype(np.int8), axis=2) >= 0)
+        assert np.all(np.diff(pad.astype(np.int8), axis=0) >= 0)
+
+    def test_params_are_the_candidates_bank_rows(self, case):
+        # Every slot, padding included, holds its entry's bank row, so the
+        # padding rows are finite: their zero weight must not meet a NaN.
+        bank, _, _, _, cands = case
+        assert cands.params.shape == (3,) + cands.idx.shape
+        rows = np.moveaxis(bank.params[cands.idx], -1, 0)
+        assert np.array_equal(cands.params, rows)
+        assert np.all(np.isfinite(cands.params))
+
+    def test_rejects_params_of_another_shape(self, case):
+        c = case[4]
+        for bad in (c.params[:2], c.params[:, :-1], c.params[..., :-1]):
+            with pytest.raises(ShapeError):
+                BankCandidates(c.idx, c.a, c.b, bad)
+
+    @pytest.mark.parametrize("t", [-2.0, 1.5, math.nan])
+    def test_rejects_t_outside_unit_interval(self, case, t):
+        # The TAU pruning bounds the dropped mass only for t in [0, 1].
+        with pytest.raises(ValidationError, match="t = "):
+            resample_candidates(case[4], t)
 
     def test_all_candidates_fuser_keeps_every_entry(self):
         bank, fuser = all_candidates_fuser()
         rng = np.random.default_rng(2)
         cands = bank_candidates(random_cov_grid(rng), random_cov_grid(rng), fuser, bank)
-        assert cands.idx.shape[2] == bank.size
+        assert cands.idx.shape[0] == bank.size
         assert np.all(np.isfinite(cands.a))
 
     def test_jittered_fuser_prunes(self):

@@ -209,7 +209,7 @@ class TestDeriveCache:
         cands = cpb.bank_candidates(*cov_grids(ctx), ctx.fuser, ctx.bank)
         timestamps = [0.0, 0.3, 1.0]
         for t, f in zip(timestamps, self.derive_and_render(ctx, timestamps)):
-            cached = cpb.resample_candidates(cands, t, ctx.bank).params.reshape(-1, 3)
+            cached = cpb.resample_candidates(cands, t).params.reshape(-1, 3)
             assert np.array_equal(f.sigmas, cached[:, 0:2])
             assert np.array_equal(f.rhos, cached[:, 2])
             ref = self.reference_cov(ctx, t)
@@ -431,6 +431,18 @@ class TestBankCandidatesDerive:
         assert ctx.cov_t is not None and ctx.candidates is None
         ctx = build_shared_context(frame0, frame1, flows, self.t_dependent_options())
         assert ctx.cov_t is None and ctx.candidates is not None
+
+    def test_frames_read_no_bank_row(self):
+        # The candidates carry their bank rows from the shared stage, so a
+        # context given another bank derives the same covariances, bit for bit.
+        frame0, frame1, flows = TestDeriveCache().blob_pair()
+        ctx = build_shared_context(frame0, frame1, flows, self.t_dependent_options())
+        other = cpb.CpbBank(ctx.bank.params * [1.5, 1.5, 1.0])
+        swapped = dataclasses.replace(ctx, bank=other)
+        for t in (0.0, 0.3, 1.0):
+            f, g = derive_field(ctx, t), derive_field(swapped, t)
+            assert np.array_equal(f.sigmas, g.sigmas), t
+            assert np.array_equal(f.rhos, g.rhos), t
 
     def test_derive_needs_no_per_frame_fuse_resample_or_conv(self, monkeypatch):
         # The forbidden calls are patched before the shared stage, so neither
